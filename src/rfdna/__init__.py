@@ -1,10 +1,10 @@
 """Radio identity verification from RF-DNA fingerprints.
 
-Pipeline: synthesize (or ingest) near-transient bursts, filter and
-noise-inject them, compute an oversampled Gabor time-frequency surface,
-assemble 204-feature statistical fingerprints, rank features per authorized
-radio, train a two-class RBF SVM verifier per radio, and pick the best model
-from the margin PMFs without touching rogue data.
+Pipeline: synthesize near-transient bursts, filter and noise-inject them,
+compute an oversampled Gabor time-frequency surface, assemble 204-feature
+statistical fingerprints, rank features per authorized radio, train a
+two-class RBF SVM verifier per radio, and pick the best model from the margin
+PMFs without touching rogue data.
 """
 
 from . import errors
@@ -13,7 +13,6 @@ from .signals import (
     EmitterProfile,
     add_awgn,
     butterworth_filter,
-    detect_transient,
     synth_burst,
 )
 from .gabor import GaborParams, TimeFrequencyMatrix, dgt, normalize_tf

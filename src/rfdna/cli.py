@@ -1,7 +1,7 @@
 """Command-line entry points for the verification pipeline.
 
-Subcommands mirror the pipeline stages: synth -> fingerprint -> select /
-train / evaluate -> sweep -> report. The data root comes from --data-root or
+Subcommands mirror the pipeline stages: fingerprint -> select / train /
+evaluate -> sweep -> report. The data root comes from --data-root or
 the RFDNA_DATA environment variable. Exit code is 0 only when every gate
 requested by the command passes.
 """
@@ -9,12 +9,11 @@ requested by the command passes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import featsel, harness, signals
 from .fingerprint import FingerprintStore
@@ -30,21 +29,24 @@ def _data_root(args) -> Path:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file (or defaults) with the command-line overrides applied,
+    validated once as a whole."""
     if args.config:
         config = ExperimentConfig.from_json(args.config)
     else:
         config = ExperimentConfig()
-    for name in ("n_bursts", "n_z", "k_folds", "master_seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
-    if getattr(args, "snr", None) is not None:
-        config.snr_grid = sorted(set(args.snr))
-    if getattr(args, "methods", None):
-        config.methods = args.methods
-    if getattr(args, "nr_grid", None):
-        config.nr_grid = sorted(set(args.nr_grid))
-    return config
+    overrides = {
+        name: getattr(args, name)
+        for name in ("n_bursts", "n_z", "k_folds", "master_seed")
+        if getattr(args, name) is not None
+    }
+    if args.snr:
+        overrides["snr_grid"] = sorted(set(args.snr))
+    if args.methods:
+        overrides["methods"] = args.methods
+    if args.nr_grid:
+        overrides["nr_grid"] = sorted(set(args.nr_grid))
+    return dataclasses.replace(config, **overrides)
 
 
 def _load_cohort(args, root: Path):
@@ -60,33 +62,12 @@ def _store_path(root: Path, snr) -> Path:
     return root / f"fingerprints_{tag}.rfdn"
 
 
-def cmd_synth(args) -> int:
-    root = _data_root(args)
-    config = _load_config(args)
-    profiles, _ = _load_cohort(args, root)
-    signals.save_manifest(root / "cohort.json", profiles, config.n_bursts)
-    iq_dir = root / "iq"
-    iq_dir.mkdir(exist_ok=True)
-    fspec = (config.filter_order, config.filter_cutoff)
-    for ridx, profile in enumerate(profiles):
-        for b in range(config.n_bursts):
-            seed = harness._seed(config.master_seed, 1, ridx, b)
-            burst = signals.synth_burst(profile, config.template_len, seed)
-            burst = signals.butterworth_filter(burst, *fspec)
-            signals.write_iq(
-                iq_dir / f"{profile.radio_id}_b{b:05d}.iq", burst,
-                profile=profile, seed=config.master_seed,
-            )
-    print(f"wrote {len(profiles) * config.n_bursts} bursts to {iq_dir}")
-    return 0
-
-
 def cmd_fingerprint(args) -> int:
     root = _data_root(args)
     config = _load_config(args)
     profiles, n_bursts = _load_cohort(args, root)
     if n_bursts:
-        config.n_bursts = n_bursts
+        config = dataclasses.replace(config, n_bursts=n_bursts)
     for snr in config.snr_grid:
         store = harness.generate_dataset(profiles, snr, config)
         path = _store_path(root, snr)
@@ -95,30 +76,22 @@ def cmd_fingerprint(args) -> int:
     return 0
 
 
-def _build_set(store: FingerprintStore, claimed: str, others: list[str],
-               config: ExperimentConfig) -> featsel.LabeledFingerprintSet:
-    train_z = config.train_realizations
-    x1 = np.concatenate([store.select(claimed, [z]) for z in train_z])
-    x2 = np.concatenate(
-        [store.select(o, [z]) for o in others for z in train_z]
-    )
-    return featsel.LabeledFingerprintSet(
-        X=np.concatenate([x1, x2]),
-        labels=np.concatenate([np.ones(len(x1)), np.full(len(x2), 2)]),
-    )
-
-
-def cmd_select(args) -> int:
+def _trial_setup(args):
+    """Data root, config, trial and the store at the highest configured SNR:
+    the common inputs of the single-trial commands."""
     root = _data_root(args)
     config = _load_config(args)
     profiles, _ = _load_cohort(args, root)
-    trials = default_trials([p.radio_id for p in profiles])
+    trial = default_trials([p.radio_id for p in profiles])[args.trial - 1]
     snr = config.snr_grid[-1]
-    store = FingerprintStore.load(_store_path(root, snr))
-    trial = trials[args.trial - 1]
+    return root, config, trial, snr, FingerprintStore.load(
+        _store_path(root, snr))
+
+
+def cmd_select(args) -> int:
+    root, config, trial, snr, store = _trial_setup(args)
     claimed = args.claimed_id or trial.authorized_ids[0]
-    others = [r for r in trial.authorized_ids if r != claimed]
-    fset = _build_set(store, claimed, others, config)
+    fset, _, _ = harness.training_pool(store, trial, claimed, config)
     for method in config.methods:
         reducer = harness.Reducer(method).fit(fset, config)
         if reducer.ranking is not None:
@@ -131,13 +104,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    root = _data_root(args)
-    config = _load_config(args)
-    profiles, _ = _load_cohort(args, root)
-    trials = default_trials([p.radio_id for p in profiles])
-    snr = config.snr_grid[-1]
-    store = FingerprintStore.load(_store_path(root, snr))
-    trial = trials[args.trial - 1]
+    root, config, trial, snr, store = _trial_setup(args)
     method = config.methods[0]
     ok = True
     for claimed in trial.authorized_ids:
@@ -158,13 +125,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    root = _data_root(args)
-    config = _load_config(args)
-    profiles, _ = _load_cohort(args, root)
-    trials = default_trials([p.radio_id for p in profiles])
-    snr = config.snr_grid[-1]
-    store = FingerprintStore.load(_store_path(root, snr))
-    trial = trials[args.trial - 1]
+    root, config, trial, snr, store = _trial_setup(args)
     method = config.methods[0]
     report = harness.run_trial(trial, snr, method, store, config)
     harness.emit_report([report], root / "reports")
@@ -216,12 +177,14 @@ def main(argv=None) -> int:
     parser.add_argument("--n-z", dest="n_z", type=int)
     parser.add_argument("--k-folds", dest="k_folds", type=int)
     parser.add_argument("--master-seed", dest="master_seed", type=int)
-    parser.add_argument("--snr", type=float, nargs="+")
-    parser.add_argument("--methods", nargs="+", choices=harness.METHODS)
-    parser.add_argument("--nr-grid", dest="nr_grid", type=int, nargs="+")
+    parser.add_argument("--snr", type=float, action="append",
+                        help="SNR in dB; repeat for more")
+    parser.add_argument("--methods", action="append", choices=harness.METHODS,
+                        help="selection method; repeat for more")
+    parser.add_argument("--nr-grid", dest="nr_grid", type=int,
+                        action="append", help="retained count; repeat for more")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("synth", help="synthesize cohort IQ files")
     sub.add_parser("fingerprint", help="fingerprint the cohort per SNR")
     p = sub.add_parser("select", help="export feature rankings")
     p.add_argument("--trial", type=int, default=1)
@@ -237,7 +200,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     handler = {
-        "synth": cmd_synth,
         "fingerprint": cmd_fingerprint,
         "select": cmd_select,
         "train": cmd_train,

@@ -13,10 +13,6 @@ class InvalidCutoff(RfdnaError):
     pass
 
 
-class NoTransientFound(RfdnaError):
-    pass
-
-
 class DegenerateSignal(RfdnaError):
     pass
 

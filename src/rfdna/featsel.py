@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import stats as spstats
@@ -118,11 +117,6 @@ def rank_dra(relevance) -> FeatureRanking:
         raise InvalidRelevance("relevance entries must lie in [0, 1]")
     order = np.argsort(-lam, kind="stable")
     return FeatureRanking(method="dra", scores=lam, order=order)
-
-
-def load_relevance(path) -> np.ndarray:
-    """Plain-text relevance file: one float per line (or whitespace split)."""
-    return np.loadtxt(Path(path), dtype=np.float64).ravel()
 
 
 def train_grlvq_relevance(

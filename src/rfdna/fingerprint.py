@@ -9,9 +9,8 @@ frequency blocks of 10.
 
 from __future__ import annotations
 
-import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ PATCH_T, PATCH_F = 15, 10
 N_PATCHES = N_TIME_BLOCKS * N_FREQ_BLOCKS
 
 _MAGIC = b"RFDN"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass
@@ -127,107 +126,111 @@ def gen_fingerprint(tf: TimeFrequencyMatrix, radio_id: str = "",
 
 
 class FingerprintStore:
-    """In-memory fingerprint collection with binary/CSV persistence.
+    """In-memory columnar fingerprint collection with binary persistence.
 
-    Reads through :meth:`select` are logged in ``access_log`` so a harness
-    audit can prove no rogue-labeled rows were touched during training.
+    Rows live in four columns (features, radio-id code, SNR, realization);
+    :meth:`add` queues rows that the next read appends to the columns. Reads
+    through :meth:`select` are logged in ``access_log`` so a harness audit can
+    prove no rogue-labeled rows were touched during training.
     """
 
     def __init__(self):
-        self._features: list[np.ndarray] = []
-        self._radio_ids: list[str] = []
-        self._snr_db: list[float] = []          # NaN marks clean
-        self._realization: list[int] = []
+        self._code_of: dict[str, int] = {}     # radio id -> code, first seen
+        self._pending: list[Fingerprint] = []
+        self._features = np.empty((0, N_FEATURES))
+        self._id_code = np.empty(0, dtype=np.int64)
+        self._snr_db = np.empty(0)              # NaN marks clean
+        self._realization = np.empty(0, dtype=np.int64)
         self.access_log: list[str] = []
-        self._cache = None
 
     def __len__(self):
-        return len(self._radio_ids)
+        return len(self._id_code) + len(self._pending)
 
     def add(self, fp: Fingerprint) -> None:
-        self._features.append(fp.features)
-        self._radio_ids.append(fp.radio_id)
-        self._snr_db.append(np.nan if fp.snr_db is None else float(fp.snr_db))
-        self._realization.append(int(fp.realization))
-        self._cache = None
+        self._code_of.setdefault(fp.radio_id, len(self._code_of))
+        self._pending.append(fp)
 
-    def _arrays(self):
-        if self._cache is None:
-            self._cache = (
-                np.array(self._features, dtype=np.float64).reshape(
-                    len(self), N_FEATURES
-                ),
-                np.array(self._radio_ids, dtype=object),
-                np.array(self._snr_db, dtype=np.float64),
-                np.array(self._realization, dtype=np.int64),
-            )
-        return self._cache
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        new, self._pending = self._pending, []
+        self._features = np.concatenate(
+            [self._features, [fp.features for fp in new]])
+        self._id_code = np.concatenate(
+            [self._id_code, [self._code_of[fp.radio_id] for fp in new]])
+        self._snr_db = np.concatenate([self._snr_db, [
+            np.nan if fp.snr_db is None else float(fp.snr_db) for fp in new]])
+        self._realization = np.concatenate(
+            [self._realization, [int(fp.realization) for fp in new]])
 
     def select(self, radio_id: str, realizations=None) -> np.ndarray:
         """Feature rows of one radio, optionally limited to realizations.
         Rows come back in insertion order."""
         self.access_log.append(radio_id)
-        feats, ids, _, realz = self._arrays()
-        mask = ids == radio_id
+        self._flush()
+        mask = self._id_code == self._code_of.get(radio_id, -1)
         if realizations is not None:
-            mask &= np.isin(realz, list(realizations))
-        return feats[mask]
+            mask &= np.isin(self._realization, list(realizations))
+        return self._features[mask]
 
     def radio_ids(self) -> list[str]:
-        seen = {}
-        for r in self._radio_ids:
-            seen.setdefault(r, None)
-        return list(seen)
+        return list(self._code_of)
 
     # -- persistence --------------------------------------------------------
+    #
+    # Layout (little-endian): magic, then version, feature count, row count
+    # and radio-id count as u32, then the radio-id table (u32 byte length +
+    # UTF-8 per id, in code order), then one block per column: id code (u32),
+    # SNR (f8, NaN for clean), realization (u32), features (f8, row-major).
 
     def save(self, path) -> None:
-        feats, ids, snrs, realz = self._arrays()
-        out = bytearray()
-        out += _MAGIC
-        out += struct.pack("<III", _VERSION, N_FEATURES, len(self))
-        for i in range(len(self)):
-            rid = str(ids[i]).encode("utf-8")
-            out += struct.pack("<I", len(rid)) + rid
-            out += struct.pack("<dI", snrs[i], int(realz[i]))
-            out += feats[i].astype("<f8").tobytes()
-        Path(path).write_bytes(bytes(out))
+        self._flush()
+        out = [_MAGIC, struct.pack("<IIII", _VERSION, N_FEATURES, len(self),
+                                   len(self._code_of))]
+        for rid in self._code_of:
+            raw = rid.encode("utf-8")
+            out += [struct.pack("<I", len(raw)), raw]
+        out += [self._id_code.astype("<u4").tobytes(),
+                self._snr_db.astype("<f8").tobytes(),
+                self._realization.astype("<u4").tobytes(),
+                self._features.astype("<f8").tobytes()]
+        Path(path).write_bytes(b"".join(out))
 
     @classmethod
     def load(cls, path) -> "FingerprintStore":
         buf = Path(path).read_bytes()
-        if buf[:4] != _MAGIC:
+        if buf[:4] != _MAGIC or len(buf) < 20:
             raise InvalidValue("not a fingerprint store file")
-        version, n_f, count = struct.unpack_from("<III", buf, 4)
+        version, n_f, count, n_ids = struct.unpack_from("<IIII", buf, 4)
         if version != _VERSION or n_f != N_FEATURES:
             raise InvalidValue("unsupported store version or feature count")
+        off, ids = 20, []
+        try:
+            for _ in range(n_ids):
+                (size,) = struct.unpack_from("<I", buf, off)
+                ids.append(buf[off + 4:off + 4 + size].decode("utf-8"))
+                off += 4 + size
+        except (struct.error, UnicodeDecodeError):
+            raise InvalidValue("unreadable radio-id table") from None
+        expected = off + count * (16 + 8 * N_FEATURES)
+        if len(buf) != expected:
+            raise InvalidValue(f"store file has {len(buf)} bytes, its header "
+                               f"implies {expected}")
+        columns = []
+        for dtype, width in (("<u4", 1), ("<f8", 1), ("<u4", 1),
+                             ("<f8", N_FEATURES)):
+            col = np.frombuffer(buf, dtype=dtype, count=count * width,
+                                offset=off)
+            columns.append(col)
+            off += col.nbytes
+        code, snr, realization, features = columns
+        if len(set(ids)) != n_ids or np.any(code >= n_ids):
+            raise InvalidValue("radio-id table does not match the id column")
         store = cls()
-        off = 16
-        for _ in range(count):
-            (rid_len,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            rid = buf[off:off + rid_len].decode("utf-8")
-            off += rid_len
-            snr, realization = struct.unpack_from("<dI", buf, off)
-            off += 12
-            feats = np.frombuffer(buf, dtype="<f8", count=n_f, offset=off).copy()
-            off += 8 * n_f
-            store.add(Fingerprint(
-                features=feats, radio_id=rid,
-                snr_db=None if np.isnan(snr) else snr,
-                realization=realization,
-            ))
+        store._code_of = {rid: i for i, rid in enumerate(ids)}
+        store._id_code = code.astype(np.int64)
+        store._snr_db = snr.astype(np.float64)
+        store._realization = realization.astype(np.int64)
+        store._features = features.reshape(count, N_FEATURES).astype(
+            np.float64)
         return store
-
-    def to_csv(self, path) -> None:
-        feats, ids, snrs, realz = self._arrays()
-        header = [f"feature_{i + 1:03d}" for i in range(N_FEATURES)]
-        header += ["radio_id", "snr_db", "realization"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = [repr(float(v)) for v in feats[i]]
-                row += [ids[i], "" if np.isnan(snrs[i]) else repr(snrs[i]),
-                        int(realz[i])]
-                writer.writerow(row)

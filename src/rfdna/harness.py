@@ -9,7 +9,7 @@ radios' fingerprints; rogues appear at evaluation time only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from .fingerprint import FingerprintStore, gen_fingerprint
 from .gabor import GaborParams, dgt, normalize_tf
 from .modelsel import CandidateModel, build_margin_pmfs, select_best
 from .signals import (
-    ComplexBurst,
     EmitterProfile,
     add_awgn,
     butterworth_filter,
@@ -80,7 +79,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        return cls(**json.loads(Path(path).read_text()))
+        data = json.loads(Path(path).read_text())
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidValue(f"unknown config keys {sorted(unknown)}")
+        return cls(**data)
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2))
@@ -94,7 +97,7 @@ def _snr_key(snr_db) -> int:
     return 0 if snr_db is None else int(round(snr_db * 1000)) + 1_000_000
 
 
-def default_cohort(n_radios: int = 18, seed: int = 7) -> list[EmitterProfile]:
+def default_cohort(n_radios: int = 18) -> list[EmitterProfile]:
     """Synthetic emitter cohort with moderately spread impairments.
 
     Carrier offsets are laid out in radio-id order, in three groups of six
@@ -103,7 +106,6 @@ def default_cohort(n_radios: int = 18, seed: int = 7) -> list[EmitterProfile]:
     neighbours end up inside its own trial (the verifier trains against
     them) while radios from other trials stay at least a triple step away.
     The remaining impairments are walked with coprime strides on top."""
-    del seed  # layout is deterministic; kept for interface stability
     idx = np.arange(n_radios)
     step, gap = 0.01, 0.05
     cfo = (5 * step + gap) * (idx // 6) + step * (idx % 6)
@@ -250,12 +252,40 @@ METHODS = ("dra", "lda", "pca", "nca", "poeacc", "bc", "ttest", "relieff")
 # Training and model selection
 # ---------------------------------------------------------------------------
 
-def _training_rows(store, radio_id, realizations, per_z):
-    rows = []
-    for z in realizations:
-        r = store.select(radio_id, [z])
-        rows.append(r[:per_z])
-    return rows
+def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
+                  config: ExperimentConfig):
+    """Training pool of one claimed radio: ``(pool, rows1, rows2)``.
+
+    ``rows1[i]`` holds the first ``n_train // n_z_train`` rows of the claimed
+    radio in the i-th training realization; ``rows2[i]`` stacks the first
+    ``n_train_other // n_z_train`` rows of each other authorized radio in
+    that realization, in trial order. ``pool`` is every block labeled 1 (the
+    claimed radio) or 2, the set feature selection is fitted on. Only
+    authorized radios are read.
+
+    A realization holding fewer rows than its quota (``n_bursts`` below
+    ``n_train // n_z_train`` or ``n_train_other // n_z_train``) contributes
+    all of its rows: the pool is then smaller than the config asks for, and
+    nothing reports it."""
+    if claimed not in trial.authorized_ids:
+        raise InvalidModel(f"{claimed} is not authorized in trial "
+                           f"{trial.trial_id}")
+    train_z = config.train_realizations
+    per_z1 = max(1, config.n_train // len(train_z))
+    per_z2 = max(1, config.n_train_other // len(train_z))
+    others = [r for r in trial.authorized_ids if r != claimed]
+    rows1 = [store.select(claimed, [z])[:per_z1] for z in train_z]
+    rows2 = [np.concatenate([store.select(o, [z])[:per_z2] for o in others])
+             for z in train_z]
+    X1 = np.concatenate(rows1)
+    X2 = np.concatenate(rows2)
+    if len(X1) == 0 or len(X2) == 0:
+        raise MissingData("training realizations missing from store")
+    pool = featsel.LabeledFingerprintSet(
+        X=np.concatenate([X1, X2]),
+        labels=np.concatenate([np.ones(len(X1)), np.full(len(X2), 2)]),
+    )
+    return pool, rows1, rows2
 
 
 def train_best_model(
@@ -271,34 +301,13 @@ def train_best_model(
 
     For each count, one SVM is trained per (training realization, fold) pair
     and the lowest-validation-error one represents that count."""
-    if claimed_id not in trial.authorized_ids:
-        raise InvalidModel(f"{claimed_id} is not authorized in trial "
-                           f"{trial.trial_id}")
     if len(store) == 0:
         raise MissingData(f"no fingerprints available at SNR {snr_db}")
-    train_z = config.train_realizations
-    n_z_train = len(train_z)
-    per_z1 = max(1, config.n_train // n_z_train)
-    per_z2 = max(1, config.n_train_other // n_z_train)
-    others = [r for r in trial.authorized_ids if r != claimed_id]
-
-    rows1 = _training_rows(store, claimed_id, train_z, per_z1)
-    rows2 = [
-        np.concatenate([_training_rows(store, o, [z], per_z2)[0]
-                        for o in others])
-        for z in train_z
-    ]
-    X1 = np.concatenate(rows1)
-    X2 = np.concatenate(rows2)
-    if len(X1) == 0 or len(X2) == 0:
-        raise MissingData("training realizations missing from store")
-    pool = featsel.LabeledFingerprintSet(
-        X=np.concatenate([X1, X2]),
-        labels=np.concatenate([np.ones(len(X1)), np.full(len(X2), 2)]),
-    )
+    pool, rows1, rows2 = training_pool(store, trial, claimed_id, config)
     reducer = Reducer(method).fit(pool, config)
 
     candidates = []
+    n_z_train = len(rows1)
     k = config.k_folds
     for n_r in reducer.nr_values(config.nr_grid):
         Xr1 = [reducer.transform(r, n_r) for r in rows1]

@@ -1,4 +1,4 @@
-"""Burst synthesis, capture filtering, transient detection, and noise injection.
+"""Burst synthesis, capture filtering, noise injection, and cohort manifests.
 
 Bursts are baseband complex sample sequences. Each synthetic emitter carries a
 small set of front-end impairments (IQ imbalance, third-order nonlinearity,
@@ -10,7 +10,7 @@ bit-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,7 +22,6 @@ from .errors import (
     InvalidCutoff,
     InvalidLength,
     InvalidValue,
-    NoTransientFound,
 )
 
 MIN_BURST_LEN = 150  # samples consumed by one time-frequency block
@@ -164,31 +163,6 @@ def butterworth_filter(
     )
 
 
-def detect_transient(
-    record: ComplexBurst, window: int = 32, threshold: float = 0.05
-) -> int:
-    """Amplitude variance-trajectory transient detection.
-
-    Returns the first index whose sliding-window amplitude variance exceeds
-    ``threshold`` times the maximum window variance over the record.
-    """
-    if window < 2:
-        raise InvalidValue("window must be >= 2")
-    amp = np.abs(record.samples)
-    if len(amp) <= window:
-        raise InvalidLength("record shorter than detection window")
-    c1 = np.cumsum(np.concatenate(([0.0], amp)))
-    c2 = np.cumsum(np.concatenate(([0.0], amp**2)))
-    s1 = c1[window:] - c1[:-window]
-    s2 = c2[window:] - c2[:-window]
-    var = np.maximum(s2 / window - (s1 / window) ** 2, 0.0)
-    vmax = float(var.max())
-    if vmax <= 1e-30:
-        raise NoTransientFound("amplitude variance is zero everywhere")
-    idx = np.nonzero(var >= threshold * vmax)[0]
-    return int(idx[0])
-
-
 def add_awgn(
     burst: ComplexBurst,
     snr_db: float | None,
@@ -223,46 +197,8 @@ def add_awgn(
 
 
 # ---------------------------------------------------------------------------
-# IQ file + cohort manifest I/O
+# Cohort manifest input
 # ---------------------------------------------------------------------------
-
-def write_iq(path, burst: ComplexBurst, profile: EmitterProfile | None = None,
-             seed=None) -> None:
-    """Write interleaved float32 little-endian IQ plus a JSON sidecar."""
-    path = Path(path)
-    inter = np.empty(2 * len(burst.samples), dtype="<f4")
-    inter[0::2] = burst.samples.real
-    inter[1::2] = burst.samples.imag
-    path.write_bytes(inter.tobytes())
-    meta = {
-        "sample_rate": burst.sample_rate,
-        "radio_id": burst.radio_id,
-        "snr_db": burst.snr_db,
-        "seed": seed,
-    }
-    if profile is not None:
-        meta["profile"] = asdict(profile)
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(meta, indent=2)
-    )
-
-
-def read_iq(path) -> tuple[ComplexBurst, dict]:
-    path = Path(path)
-    inter = np.frombuffer(path.read_bytes(), dtype="<f4")
-    samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    burst = ComplexBurst(
-        samples, sample_rate=meta.get("sample_rate", 1.0),
-        radio_id=meta.get("radio_id", ""), snr_db=meta.get("snr_db"),
-    )
-    return burst, meta
-
-
-def save_manifest(path, profiles: list[EmitterProfile], n_bursts: int) -> None:
-    data = {"n_bursts": n_bursts, "profiles": [asdict(p) for p in profiles]}
-    Path(path).write_text(json.dumps(data, indent=2))
-
 
 def load_manifest(path) -> tuple[list[EmitterProfile], int]:
     data = json.loads(Path(path).read_text())

@@ -16,7 +16,6 @@ from rfdna.featsel import (
     LabeledFingerprintSet,
     bhattacharyya,
     export_ranking,
-    load_relevance,
     project_lda,
     project_pca,
     rank_bc,
@@ -74,11 +73,6 @@ class TestDra:
             rank_dra([-0.1, 0.5])
         with pytest.raises(InvalidShape):
             rank_dra(np.zeros((2, 2)))
-
-    def test_load_relevance(self, tmp_path):
-        path = tmp_path / "rel.txt"
-        path.write_text("0.25\n0.75\n1.0\n")
-        assert np.array_equal(load_relevance(path), [0.25, 0.75, 1.0])
 
 
 class TestGrlvq:

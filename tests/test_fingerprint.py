@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -138,9 +136,10 @@ class TestStore:
         assert len(back) == len(store)
         for rid in store.radio_ids():
             assert np.array_equal(store.select(rid), back.select(rid))
-        # SNR None round-trips through the NaN sentinel.
-        assert back._snr_db[:6] == [21.0] * 6
-        assert all(np.isnan(v) for v in back._snr_db[6:])
+        assert back.radio_ids() == store.radio_ids()
+        # SNR None round-trips through the NaN sentinel of the SNR column.
+        assert np.array_equal(back._snr_db[:6], [21.0] * 6)
+        assert np.isnan(back._snr_db[6:]).all()
 
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.rfdn"
@@ -148,14 +147,44 @@ class TestStore:
         with pytest.raises(InvalidValue):
             FingerprintStore.load(path)
 
-    def test_csv_roundtrip_values(self, tmp_path):
+    def test_load_rejects_truncated_file(self, tmp_path):
+        store = FingerprintStore()
+        for i in range(60):
+            store.add(Fingerprint(features=RNG.random(N_FEATURES),
+                                  radio_id=f"R{i % 3:02d}", snr_db=21.0,
+                                  realization=i % 2))
+        path = tmp_path / "store.rfdn"
+        store.save(path)
+        buf = path.read_bytes()
+        path.write_bytes(buf[:len(buf) // 2])
+        with pytest.raises(InvalidValue):
+            FingerprintStore.load(path)
+
+    def test_load_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "store.rfdn"
+        small_store().save(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(InvalidValue):
+            FingerprintStore.load(path)
+
+    def test_load_rejects_version_1(self, tmp_path):
+        path = tmp_path / "store.rfdn"
+        small_store().save(path)
+        buf = bytearray(path.read_bytes())
+        buf[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(buf))
+        with pytest.raises(InvalidValue):
+            FingerprintStore.load(path)
+
+    def test_add_after_load_appends(self, tmp_path):
         store = small_store()
-        path = tmp_path / "store.csv"
-        store.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1 + len(store)
-        assert rows[0][-3:] == ["radio_id", "snr_db", "realization"]
-        first = store.select("R01", [0])[0]
-        got = np.array([float(v) for v in rows[1][:N_FEATURES]])
-        assert np.array_equal(got, first)
+        path = tmp_path / "store.rfdn"
+        store.save(path)
+        back = FingerprintStore.load(path)
+        row = RNG.random(N_FEATURES)
+        back.add(Fingerprint(features=row, radio_id="R03", realization=1))
+        back.add(Fingerprint(features=row, radio_id="R01", realization=0))
+        assert len(back) == len(store) + 2
+        assert back.radio_ids() == ["R01", "R02", "R03"]
+        assert np.array_equal(back.select("R03"), row[None, :])
+        assert np.array_equal(back.select("R01", [0])[-1], row)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -328,25 +329,99 @@ class TestSweepElimination:
         assert (3.0, 1) not in calls
 
 
+def cli_config(**overrides):
+    # Two realizations, one for training: each radio's training realization
+    # holds 6 rows, above the per-realization quota of 4, so the training
+    # pool takes a prefix of every block.
+    return tiny_config(n_bursts=6, n_train=4, n_train_other=4, **overrides)
+
+
+@pytest.fixture(scope="class")
+def cli_run(tmp_path_factory):
+    """fingerprint -> select -> train -> evaluate through ``cli.main``."""
+    tmp = tmp_path_factory.mktemp("cli")
+    root = tmp / "data"
+    config_path = tmp / "config.json"
+    cli_config().to_json(config_path)
+    base = ["--data-root", str(root), "--config", str(config_path)]
+    rc = {cmd: cli.main(base + [cmd])
+          for cmd in ("fingerprint", "select", "train", "evaluate")}
+    return root, rc
+
+
 class TestCli:
-    def test_synth_fingerprint_report(self, tmp_path, cohort, report):
-        root = tmp_path / "data"
-        config_path = tmp_path / "config.json"
-        tiny_config(n_bursts=1).to_json(config_path)
-        rc = cli.main(["--data-root", str(root), "--config", str(config_path),
-                       "synth"])
-        assert rc == 0
-        assert len(list((root / "iq").glob("*.iq"))) == 18
-        assert (root / "cohort.json").exists()
-
-        rc = cli.main(["--data-root", str(root), "--config", str(config_path),
-                       "fingerprint"])
-        assert rc == 0
+    def test_fingerprint_report(self, cli_run, report):
+        root, rc = cli_run
+        assert rc["fingerprint"] == 0
         store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
-        assert len(store) == 18 * 1 * 2
+        assert len(store) == 18 * 6 * 2
 
-        emit_report([report], root / "reports")
+        emit_report([report], root / "reports_fixture")
         rc = cli.main(["--data-root", str(root), "report",
+                       "--reports", str(root / "reports_fixture" /
+                                        "reports.json"),
                        "--out", str(root / "reports2")])
         assert rc == 0
         assert (root / "reports2" / "reports.json").exists()
+
+    def test_select_ranks_the_training_pool(self, cli_run, trials):
+        root, rc = cli_run
+        assert rc["select"] == 0
+        store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
+        cand = train_best_model(trials[0], "R01", "relieff", 21.0, store,
+                                cli_config())
+        with open(root / "ranking_relieff_R01_snr21.csv", newline="") as fh:
+            exported = [int(row["feature_index"])
+                        for row in csv.DictReader(fh)]
+        assert exported == cand.meta["reducer"].ranking.order.tolist()
+
+    def test_train_exit_code_follows_gates(self, cli_run, trials):
+        root, rc = cli_run
+        store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
+        gates = []
+        for claimed in trials[0].authorized_ids:
+            cand = train_best_model(trials[0], claimed, "relieff", 21.0,
+                                    store, cli_config())
+            gates.append(cand.tvr_train >= 0.90
+                         and cand.fvr_others_train <= 0.10)
+            assert (root / f"model_relieff_{claimed}_snr21.json").exists()
+            with open(root / f"candidates_relieff_{claimed}_snr21.csv",
+                      newline="") as fh:
+                selected = [int(row["n_r"]) for row in csv.DictReader(fh)
+                            if row["selected"] == "1"]
+            assert selected == [cand.n_r]
+        assert rc["train"] == (0 if all(gates) else 1)
+
+    def test_evaluate_exit_code_follows_gates(self, cli_run, trials):
+        root, rc = cli_run
+        store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
+        want = harness.run_trial(trials[0], 21.0, "relieff", store,
+                                 cli_config())
+        data = json.loads((root / "reports" / "reports.json").read_text())
+        assert data == [json.loads(json.dumps(want.to_dict()))]
+        assert rc["evaluate"] == (0 if want.gates_pass() else 1)
+
+    def test_list_flags_repeat_before_subcommand(self, tmp_path,
+                                                 monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_fingerprint",
+                            lambda args: seen.append(cli._load_config(args))
+                            or 0)
+        rc = cli.main(["--data-root", str(tmp_path), "--snr", "27",
+                       "--snr", "21", "--methods", "bc", "--methods", "pca",
+                       "--nr-grid", "20", "--nr-grid", "5", "fingerprint"])
+        assert rc == 0
+        assert seen[0].snr_grid == [21.0, 27.0]
+        assert seen[0].methods == ["bc", "pca"]
+        assert seen[0].nr_grid == [5, 20]
+
+    def test_overrides_are_validated(self, tmp_path):
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(tmp_path), "--n-z", "1", "train"])
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_burst": 3}))
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(tmp_path), "--config", str(path),
+                      "fingerprint"])
