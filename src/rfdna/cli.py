@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import featsel, harness, signals
+from .errors import InvalidValue
 from .fingerprint import FingerprintStore
 from .harness import ExperimentConfig, default_cohort, default_trials
 from .modelsel import export_candidates
@@ -58,8 +59,7 @@ def _load_cohort(args, root: Path):
 
 
 def _store_path(root: Path, snr) -> Path:
-    tag = "clean" if snr is None else f"{snr:g}dB"
-    return root / f"fingerprints_{tag}.rfdn"
+    return root / f"fingerprints_{snr:g}dB.rfdn"
 
 
 def cmd_fingerprint(args) -> int:
@@ -82,7 +82,11 @@ def _trial_setup(args):
     root = _data_root(args)
     config = _load_config(args)
     profiles, _ = _load_cohort(args, root)
-    trial = default_trials([p.radio_id for p in profiles])[args.trial - 1]
+    trials = default_trials([p.radio_id for p in profiles])
+    if not 1 <= args.trial <= len(trials):
+        raise InvalidValue(f"--trial must lie in 1..{len(trials)}, got "
+                           f"{args.trial}")
+    trial = trials[args.trial - 1]
     snr = config.snr_grid[-1]
     return root, config, trial, snr, FingerprintStore.load(
         _store_path(root, snr))
@@ -148,8 +152,7 @@ def cmd_sweep(args) -> int:
         store.save(path)
         return store
 
-    reports = harness.snr_sweep(profiles, trials, config,
-                                dataset_loader=loader)
+    reports = harness.snr_sweep(trials, config, loader)
     harness.emit_report(reports, root / "reports")
     ok = all(r.gates_pass() for r in reports if r.entries)
     print(f"{len(reports)} reports -> {root / 'reports'}")

@@ -67,14 +67,11 @@ class FeatureRanking:
     method: str
     scores: np.ndarray              # one score per feature, feature-indexed
     order: np.ndarray               # best-first feature indices
-    retained_count: int | None = None
-    direction: str = "descending"   # how scores map to the order
     meta: dict = field(default_factory=dict)
 
 
 @dataclass
 class ProjectionBasis:
-    method: str
     basis: np.ndarray               # (n_features, n_components)
     mean: np.ndarray                # centering vector
     eigenvalues: np.ndarray | None = None
@@ -121,8 +118,7 @@ def rank_dra(relevance) -> FeatureRanking:
 
 def train_grlvq_relevance(
     fset: LabeledFingerprintSet,
-    epochs: int = 30,
-    learn_rates: tuple[float, float] = (0.05, 0.01),
+    epochs: int = 20,
     seed=0,
 ) -> np.ndarray:
     """Relevance-learning vector quantization surrogate.
@@ -130,11 +126,12 @@ def train_grlvq_relevance(
     One prototype per class; relevance entries are updated multiplicatively
     from the signed gradient of the relative-distance cost, renormalized to
     sum 1 after every update, and finally rescaled to a maximum of 1.
+    Prototypes learn at rate 0.05, relevances at 0.01.
     """
     rng = np.random.default_rng(seed)
     X, y = fset.X, fset.labels
     n, f = X.shape
-    eps_p, eps_l = learn_rates
+    eps_p, eps_l = 0.05, 0.01
 
     # Standardize so no feature dominates distances by raw scale.
     mu = X.mean(axis=0)
@@ -172,15 +169,15 @@ def train_grlvq_relevance(
 # LDA / PCA
 # ---------------------------------------------------------------------------
 
-def project_lda(fset: LabeledFingerprintSet,
-                ridge_scale: float = 1e-6) -> ProjectionBasis:
-    """Fisher discriminant direction w = S_w^-1 (mu1 - mu2), ridge-stabilized."""
+def project_lda(fset: LabeledFingerprintSet) -> ProjectionBasis:
+    """Fisher discriminant direction w = S_w^-1 (mu1 - mu2), stabilized by a
+    ridge of 1e-6 times the mean diagonal of S_w."""
     X1, X2 = fset.X1, fset.X2
     mu1, mu2 = X1.mean(axis=0), X2.mean(axis=0)
     d1, d2 = X1 - mu1, X2 - mu2
     s_w = d1.T @ d1 + d2.T @ d2
     f = fset.n_features
-    eps = ridge_scale * np.trace(s_w) / f
+    eps = 1e-6 * np.trace(s_w) / f
     s_w = s_w + eps * np.eye(f)
     try:
         w = np.linalg.solve(s_w, mu1 - mu2)
@@ -188,9 +185,7 @@ def project_lda(fset: LabeledFingerprintSet,
         raise SingularScatter("within-class scatter not invertible") from exc
     if not np.all(np.isfinite(w)):
         raise SingularScatter("within-class scatter ill-conditioned")
-    return ProjectionBasis(
-        method="lda", basis=w.reshape(-1, 1), mean=np.zeros(f),
-    )
+    return ProjectionBasis(basis=w.reshape(-1, 1), mean=np.zeros(f))
 
 
 def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
@@ -210,16 +205,14 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
         k = np.argmax(np.abs(basis[:, j]))
         if basis[k, j] < 0:
             basis[:, j] = -basis[:, j]
-    return ProjectionBasis(
-        method="pca", basis=basis, mean=mean, eigenvalues=evals[idx],
-    )
+    return ProjectionBasis(basis=basis, mean=mean, eigenvalues=evals[idx])
 
 
 # ---------------------------------------------------------------------------
 # NCA
 # ---------------------------------------------------------------------------
 
-def _nca_objective_and_grad(Z, same, w, psi, lam_r):
+def _nca_objective_and_grad(Z, same, w, lam_r):
     n, f = Z.shape
     u = w**2
     loss = 0.0
@@ -227,7 +220,7 @@ def _nca_objective_and_grad(Z, same, w, psi, lam_r):
     for i in range(n):
         D = np.abs(Z - Z[i])          # (n, f)
         d = D @ u
-        k = np.exp(-d / psi)
+        k = np.exp(-d)
         k[i] = 0.0
         tot = k.sum()
         if tot <= 0 or not np.isfinite(tot):
@@ -237,8 +230,8 @@ def _nca_objective_and_grad(Z, same, w, psi, lam_r):
         li[i] = 0.0
         pl = p * li
         loss += pl.sum()
-        # d(loss_i)/dw_r = (-2 w_r / psi) [ sum_j p l |D| - (sum p l)(sum p |D|) ]
-        grad += (-2.0 * w / psi) * (pl @ D - pl.sum() * (p @ D))
+        # d(loss_i)/dw_r = -2 w_r [ sum_j p l |D| - (sum p l)(sum p |D|) ]
+        grad += (-2.0 * w) * (pl @ D - pl.sum() * (p @ D))
     loss /= n
     grad /= n
     loss += lam_r * np.sum(u)
@@ -248,25 +241,18 @@ def _nca_objective_and_grad(Z, same, w, psi, lam_r):
 
 def rank_nca(
     fset: LabeledFingerprintSet,
-    lam_r: float | None = None,
-    psi: float = 1.0,
     iterations: int = 200,
-    seed=0,
 ) -> FeatureRanking:
     """Neighborhood component analysis feature weights.
 
-    Minimizes the regularized leave-one-out soft error over per-feature
-    weights with gradient descent; a halving backstep keeps the objective
-    non-increasing. Scores are the squared weights, descending.
+    Minimizes the leave-one-out soft error (kernel width 1), regularized by
+    1/n times the squared weight norm, over per-feature weights with gradient
+    descent; a halving backstep keeps the objective non-increasing. Scores
+    are the squared weights, descending.
     """
-    if psi <= 0:
-        raise InvalidValue("kernel width psi must be > 0")
     X, y = fset.X, fset.labels
     n, f = X.shape
-    if lam_r is None:
-        lam_r = 1.0 / n
-    if lam_r < 0:
-        raise InvalidValue("regularizer must be >= 0")
+    lam_r = 1.0 / n
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd[sd == 0] = 1.0
@@ -275,7 +261,7 @@ def rank_nca(
 
     w = np.ones(f)
     step = 1.0 / n
-    obj, grad = _nca_objective_and_grad(Z, same, w, psi, lam_r)
+    obj, grad = _nca_objective_and_grad(Z, same, w, lam_r)
     history = [obj]
     for _ in range(iterations):
         if not np.isfinite(obj):
@@ -283,7 +269,7 @@ def rank_nca(
         trial_step = step
         for _ in range(30):
             w_new = w - trial_step * grad
-            obj_new, grad_new = _nca_objective_and_grad(Z, same, w_new, psi, lam_r)
+            obj_new, grad_new = _nca_objective_and_grad(Z, same, w_new, lam_r)
             if obj_new <= obj + 1e-12:
                 break
             trial_step *= 0.5
@@ -298,7 +284,7 @@ def rank_nca(
     order = np.argsort(-scores, kind="stable")
     return FeatureRanking(
         method="nca", scores=scores, order=order,
-        meta={"objective_history": history, "psi": psi, "lambda_r": lam_r},
+        meta={"objective_history": history},
     )
 
 
@@ -318,32 +304,18 @@ def _poe_per_feature(fset: LabeledFingerprintSet, bins: int) -> np.ndarray:
     return poe
 
 
-def rank_poeacc(
-    fset: LabeledFingerprintSet,
-    w_rho: float = 0.5,
-    w_alpha: float = 0.5,
-    bins: int | None = None,
-) -> FeatureRanking:
+def rank_poeacc(fset: LabeledFingerprintSet) -> FeatureRanking:
     """Greedy probability-of-error + average-correlation ranking.
 
     The first feature minimizes the normalized POE; each later pick minimizes
-    the weighted sum of its normalized POE and its normalized mean absolute
-    correlation to the features already selected.
+    the equally weighted sum of its normalized POE and its normalized mean
+    absolute correlation to the features already selected.
     """
-    if not (0.0 < w_rho < 1.0 and 0.0 < w_alpha < 1.0):
-        raise InvalidValue("weights must lie strictly inside (0, 1)")
-    if abs(w_rho + w_alpha - 1.0) > 1e-12:
-        raise InvalidValue("weights must sum to 1")
     n, f = fset.X.shape
-    if bins is None:
-        bins = _default_bins(n)
-
-    poe = _poe_per_feature(fset, bins)
+    poe = _poe_per_feature(fset, _default_bins(n))
     span = poe.max() - poe.min()
     rho_bar = (poe - poe.min()) / span if span > 0 else np.zeros(f)
 
-    sd = fset.X.std(axis=0)
-    degenerate = sd == 0
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.abs(np.corrcoef(fset.X, rowvar=False))
     corr[~np.isfinite(corr)] = 0.0   # zero-variance features contribute 0
@@ -363,17 +335,14 @@ def rank_poeacc(
         acc = acc_sum[rem] / step
         span = acc.max() - acc.min()
         acc_norm = (acc - acc.min()) / span if span > 0 else np.zeros(len(rem))
-        combined = w_rho * rho_bar[rem] + w_alpha * acc_norm
+        combined = 0.5 * rho_bar[rem] + 0.5 * acc_norm
         pick = rem[int(np.argmin(combined))]
         order[step] = pick
         scores[pick] = combined[int(np.argmin(combined))]
         remaining[pick] = False
         acc_sum += corr[:, pick]
 
-    return FeatureRanking(
-        method="poeacc", scores=scores, order=order, direction="greedy",
-        meta={"poe": poe, "degenerate_features": np.nonzero(degenerate)[0]},
-    )
+    return FeatureRanking(method="poeacc", scores=scores, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +361,7 @@ def rank_bc(fset: LabeledFingerprintSet, bins: int | None = None) -> FeatureRank
         p1, p2 = _class_histograms(X1[:, r], X2[:, r], bins)
         bc[r] = bhattacharyya(p1, p2)
     order = np.argsort(bc, kind="stable")
-    return FeatureRanking(
-        method="bc", scores=bc, order=order, direction="ascending",
-    )
+    return FeatureRanking(method="bc", scores=bc, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +382,9 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(t), float(dof)
 
 
-def rank_ttest(fset: LabeledFingerprintSet, alpha: float = 0.05) -> FeatureRanking:
+def rank_ttest(fset: LabeledFingerprintSet) -> FeatureRanking:
     """Two-sided Welch t-test per feature; order by ascending p-value.
 
-    ``retained_count`` is the number of features significant at ``alpha``.
     Features with zero variance in both classes and equal means carry p = 1
     and are flagged as excluded.
     """
@@ -441,9 +407,8 @@ def rank_ttest(fset: LabeledFingerprintSet, alpha: float = 0.05) -> FeatureRanki
             pvals[r] = 2.0 * spstats.t.sf(abs(t), dof)
     order = np.argsort(pvals, kind="stable")
     return FeatureRanking(
-        method="ttest", scores=pvals, order=order, direction="ascending",
-        retained_count=int(np.sum(pvals < alpha)),
-        meta={"t": tvals, "alpha": alpha,
+        method="ttest", scores=pvals, order=order,
+        meta={"t": tvals,
               "excluded_features": np.array(excluded, dtype=np.int64)},
     )
 

@@ -34,14 +34,12 @@ class PatchGrid:
     """Ordered list of (t0, t1, f0, f1) half-open index regions."""
 
     patches: list[tuple[int, int, int, int]]
-    region_of_interest: tuple[int, int] = (FREQ_LO, FREQ_HI)
 
 
 @dataclass
 class Fingerprint:
     features: np.ndarray
     radio_id: str = ""
-    claimed_id: str | None = None
     snr_db: float | None = None
     realization: int = 0
 
@@ -105,8 +103,8 @@ def _block_stats(blocks: np.ndarray) -> np.ndarray:
 
 
 def gen_fingerprint(tf: TimeFrequencyMatrix, radio_id: str = "",
-                    snr_db: float | None = None, realization: int = 0,
-                    claimed_id: str | None = None) -> Fingerprint:
+                    snr_db: float | None = None,
+                    realization: int = 0) -> Fingerprint:
     if tf.values.shape != GRID_SHAPE:
         raise InvalidShape(f"expected {GRID_SHAPE} grid, got {tf.values.shape}")
     vals = tf.values
@@ -121,7 +119,6 @@ def gen_fingerprint(tf: TimeFrequencyMatrix, radio_id: str = "",
     return Fingerprint(
         features=np.concatenate([feats, global_feats]),
         radio_id=radio_id, snr_db=snr_db, realization=realization,
-        claimed_id=claimed_id,
     )
 
 
@@ -139,7 +136,7 @@ class FingerprintStore:
         self._pending: list[Fingerprint] = []
         self._features = np.empty((0, N_FEATURES))
         self._id_code = np.empty(0, dtype=np.int64)
-        self._snr_db = np.empty(0)              # NaN marks clean
+        self._snr_db = np.empty(0)              # NaN: no SNR recorded
         self._realization = np.empty(0, dtype=np.int64)
         self.access_log: list[str] = []
 
@@ -181,7 +178,7 @@ class FingerprintStore:
     # Layout (little-endian): magic, then version, feature count, row count
     # and radio-id count as u32, then the radio-id table (u32 byte length +
     # UTF-8 per id, in code order), then one block per column: id code (u32),
-    # SNR (f8, NaN for clean), realization (u32), features (f8, row-major).
+    # SNR (f8, NaN when none), realization (u32), features (f8, row-major).
 
     def save(self, path) -> None:
         self._flush()

@@ -46,9 +46,7 @@ class GaborParams:
 
 @dataclass
 class TimeFrequencyMatrix:
-    values: np.ndarray      # M x K_G, real
-    normalized: bool = True
-    centered: bool = True
+    values: np.ndarray      # M x K_G, real, normalized and centered
 
 
 def gaussian_window(length: int, sigma: float) -> np.ndarray:
@@ -98,4 +96,4 @@ def normalize_tf(G: np.ndarray) -> TimeFrequencyMatrix:
     if peak == 0.0:
         raise DegenerateTF("all-zero coefficient grid")
     values = np.fft.fftshift(mag2 / peak, axes=1)
-    return TimeFrequencyMatrix(values=values, normalized=True, centered=True)
+    return TimeFrequencyMatrix(values=values)

@@ -8,7 +8,10 @@ radios' fingerprints; rogues appear at evaluation time only.
 
 from __future__ import annotations
 
+import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -26,6 +29,9 @@ from .signals import (
     synth_burst,
 )
 from .svm import svm_decide, train_svm
+
+METHODS = ("dra", "lda", "pca", "nca", "poeacc", "bc", "ttest", "relieff")
+_ZETA_SCALE = 10.0      # SVM kernel width zeta = _ZETA_SCALE / N_r
 
 
 @dataclass
@@ -56,16 +62,18 @@ class ExperimentConfig:
     filter_order: int = 6
     filter_cutoff: float = 0.4
     n_test_realizations: int = 1
-    pmf_bins: int = 100
-    svm_c: float = 1.0
-    svm_zeta_scale: float = 10.0  # kernel width zeta = scale / N_r
-    svm_tolerance: float = 1e-3
-    svm_max_updates: int = 1_000_000
     relieff_neighbors: int = 10
-    grlvq_epochs: int = 20
 
     def __post_init__(self):
+        if not self.snr_grid or not all(
+                isinstance(s, numbers.Real) and not isinstance(s, bool)
+                and math.isfinite(s) for s in self.snr_grid):
+            raise InvalidValue(f"snr_grid must be finite SNRs in dB, got "
+                               f"{self.snr_grid!r}")
         self.snr_grid = sorted(self.snr_grid)
+        if not self.methods or not set(self.methods) <= set(METHODS):
+            raise InvalidValue(f"methods must be some of {METHODS}, got "
+                               f"{self.methods!r}")
         if self.n_z <= self.n_test_realizations:
             raise InvalidValue("need at least one training realization")
 
@@ -94,11 +102,11 @@ def _seed(master: int, *key: int):
 
 
 def _snr_key(snr_db) -> int:
-    return 0 if snr_db is None else int(round(snr_db * 1000)) + 1_000_000
+    return int(round(snr_db * 1000)) + 1_000_000
 
 
-def default_cohort(n_radios: int = 18) -> list[EmitterProfile]:
-    """Synthetic emitter cohort with moderately spread impairments.
+def default_cohort() -> list[EmitterProfile]:
+    """Synthetic 18-radio emitter cohort with moderately spread impairments.
 
     Carrier offsets are laid out in radio-id order, in three groups of six
     with an enlarged gap between groups. Verification trials draw authorized
@@ -106,6 +114,7 @@ def default_cohort(n_radios: int = 18) -> list[EmitterProfile]:
     neighbours end up inside its own trial (the verifier trains against
     them) while radios from other trials stay at least a triple step away.
     The remaining impairments are walked with coprime strides on top."""
+    n_radios = 18
     idx = np.arange(n_radios)
     step, gap = 0.01, 0.05
     cfo = (5 * step + gap) * (idx // 6) + step * (idx % 6)
@@ -195,9 +204,7 @@ class Reducer:
         m = self.method
         if m == "dra":
             lam = featsel.train_grlvq_relevance(
-                fset, epochs=config.grlvq_epochs,
-                seed=_seed(config.master_seed, 3),
-            )
+                fset, seed=_seed(config.master_seed, 3))
             self.ranking = featsel.rank_dra(lam)
         elif m == "lda":
             self.basis = featsel.project_lda(fset)
@@ -229,23 +236,13 @@ class Reducer:
     def transform(self, X: np.ndarray, n_r: int) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self.basis is not None:
-            if self.method == "lda":
-                return self.basis.transform(X)
-            proj = featsel.ProjectionBasis(
-                method=self.basis.method,
-                basis=self.basis.basis[:, :n_r],
-                mean=self.basis.mean,
-            )
-            return proj.transform(X)
+            return (X - self.basis.mean) @ self.basis.basis[:, :n_r]
         return X[:, featsel.select_top(self.ranking, n_r)]
 
     def indices(self, n_r: int):
         if self.ranking is not None:
             return featsel.select_top(self.ranking, n_r)
         return None
-
-
-METHODS = ("dra", "lda", "pca", "nca", "poeacc", "bc", "ttest", "relieff")
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +326,7 @@ def train_best_model(
                     continue
                 try:
                     model = train_svm(
-                        Xz[tr], yz[tr], c=config.svm_c,
-                        zeta=config.svm_zeta_scale / Xz.shape[1],
-                        tolerance=config.svm_tolerance,
-                        max_updates=config.svm_max_updates,
+                        Xz[tr], yz[tr], zeta=_ZETA_SCALE / Xz.shape[1],
                         feature_indices=reducer.indices(n_r),
                     )
                 except TrainingFailed as exc:
@@ -344,17 +338,16 @@ def train_best_model(
                     best = (err, model)
         if best is None:
             continue
-        err, model = best
+        model = best[1]
         Xp1 = np.concatenate(Xr1)
         Xp2 = np.concatenate(Xr2)
         tvr_train = float(np.mean(svm_decide(model, Xp1) == 1))
         fvr_others = float(np.mean(svm_decide(model, Xp2) == 1))
-        pair = build_margin_pmfs(model, Xp1, Xp2, bins=config.pmf_bins)
+        pair = build_margin_pmfs(model, Xp1, Xp2)
         candidates.append(CandidateModel(
             model=model, n_r=n_r, tvr_train=tvr_train,
-            fvr_others_train=fvr_others, pmf_pair=pair, cv_error=err,
-            meta={"reducer": reducer, "method": method,
-                  "claimed_id": claimed_id},
+            fvr_others_train=fvr_others, pmf_pair=pair,
+            meta={"reducer": reducer, "claimed_id": claimed_id},
         ))
     if not candidates:
         raise MissingData("no trainable candidate at any retained count")
@@ -400,9 +393,7 @@ class VerificationReport:
         return {
             "trial_id": self.trial_id, "snr_db": self.snr_db,
             "method": self.method, "entries": self.entries,
-            "meta": {k: v for k, v in self.meta.items()
-                     if isinstance(v, (bool, int, float, str, list, dict,
-                                       type(None)))},
+            "meta": dict(self.meta),
         }
 
     @classmethod
@@ -483,24 +474,20 @@ def run_trial(trial, snr_db, method, store, config) -> VerificationReport:
 
 
 def snr_sweep(
-    profiles: list[EmitterProfile],
     trials: list[TrialConfig],
     config: ExperimentConfig,
-    dataset_loader=None,
+    store_at,
 ) -> list[VerificationReport]:
-    """Evaluate every (SNR, method, trial) from the highest SNR downward.
+    """Evaluate every (SNR, method, trial) from the highest SNR downward;
+    ``store_at(snr)`` returns the fingerprint store of one SNR.
 
     A method failing either benchmark gate at some SNR is eliminated from all
     lower SNRs; skipped combinations are recorded as stub reports."""
     reports = []
     eliminated: dict[str, float] = {}
     for snr in sorted(config.snr_grid, reverse=True):
-        active = [m for m in config.methods if m not in eliminated]
-        if active:
-            if dataset_loader is not None:
-                store = dataset_loader(snr)
-            else:
-                store = generate_dataset(profiles, snr, config)
+        if any(m not in eliminated for m in config.methods):
+            store = store_at(snr)
         for method in config.methods:
             if method in eliminated:
                 for trial in trials:
@@ -528,62 +515,58 @@ def snr_sweep(
 # Report emission
 # ---------------------------------------------------------------------------
 
-def emit_report(reports: list[VerificationReport], outdir,
-                formats=("csv", "json", "plotdata")) -> list[Path]:
+def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
+    """Write ``reports.json``, ``reports.csv`` and one plot-data JSON per
+    report with entries; return the written paths."""
     if not reports:
         raise InvalidInput("no reports to emit")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = outdir / "reports.json"
-        path.write_text(json.dumps([r.to_dict() for r in reports], indent=2))
-        written.append(path)
-    if "csv" in formats:
-        import csv as _csv
+    path = outdir / "reports.json"
+    path.write_text(json.dumps([r.to_dict() for r in reports], indent=2))
+    written = [path]
 
-        path = outdir / "reports.csv"
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow([
-                "trial_id", "snr_db", "method", "kind", "claimed_id",
-                "actual_id", "n_r", "rate_verified", "rate_rejected", "n",
-            ])
-            for r in reports:
-                for e in r.entries:
-                    verified = e.get("tvr", e.get("fvr"))
-                    writer.writerow([
-                        r.trial_id, r.snr_db, r.method, e["kind"],
-                        e["claimed_id"], e["actual_id"], e["n_r"],
-                        repr(verified), repr(1.0 - verified), e["n"],
-                    ])
-        written.append(path)
-    if "plotdata" in formats:
+    path = outdir / "reports.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([
+            "trial_id", "snr_db", "method", "kind", "claimed_id",
+            "actual_id", "n_r", "rate_verified", "rate_rejected", "n",
+        ])
         for r in reports:
-            if not r.entries:
-                continue
-            groups = []
-            for e in r.rows(kind="authorized"):
-                claimed = e["claimed_id"]
-                groups.append({
-                    "claimed_id": claimed,
-                    "n_r": e["n_r"],
-                    "tvr": e["tvr"],
-                    "others_fvr": {
-                        o["actual_id"]: o["fvr"]
-                        for o in r.rows(kind="other", claimed_id=claimed)
-                    },
-                    "rogue_fvr": {
-                        o["actual_id"]: o["fvr"]
-                        for o in r.rows(kind="rogue", claimed_id=claimed)
-                    },
-                })
-            name = (f"plotdata_trial{r.trial_id}_snr{r.snr_db}_"
-                    f"{r.method}.json")
-            path = outdir / name
-            path.write_text(json.dumps({
-                "trial_id": r.trial_id, "snr_db": r.snr_db,
-                "method": r.method, "groups": groups,
-            }, indent=2))
-            written.append(path)
+            for e in r.entries:
+                verified = e.get("tvr", e.get("fvr"))
+                writer.writerow([
+                    r.trial_id, r.snr_db, r.method, e["kind"],
+                    e["claimed_id"], e["actual_id"], e["n_r"],
+                    repr(verified), repr(1.0 - verified), e["n"],
+                ])
+    written.append(path)
+
+    for r in reports:
+        if not r.entries:
+            continue
+        groups = []
+        for e in r.rows(kind="authorized"):
+            claimed = e["claimed_id"]
+            groups.append({
+                "claimed_id": claimed,
+                "n_r": e["n_r"],
+                "tvr": e["tvr"],
+                "others_fvr": {
+                    o["actual_id"]: o["fvr"]
+                    for o in r.rows(kind="other", claimed_id=claimed)
+                },
+                "rogue_fvr": {
+                    o["actual_id"]: o["fvr"]
+                    for o in r.rows(kind="rogue", claimed_id=claimed)
+                },
+            })
+        path = outdir / (f"plotdata_trial{r.trial_id}_snr{r.snr_db}_"
+                         f"{r.method}.json")
+        path.write_text(json.dumps({
+            "trial_id": r.trial_id, "snr_db": r.snr_db,
+            "method": r.method, "groups": groups,
+        }, indent=2))
+        written.append(path)
     return written

@@ -13,9 +13,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .featsel import bhattacharyya
-from .svm import SvmModel, margin, svm_score
-
-DEFAULT_PMF_BINS = 100
+from .svm import SvmModel, margin
 
 
 @dataclass
@@ -37,7 +35,6 @@ class CandidateModel:
     tvr_train: float
     fvr_others_train: float
     pmf_pair: MarginPmfPair
-    cv_error: float = float("nan")
     meta: dict = field(default_factory=dict)
 
 
@@ -45,7 +42,7 @@ def build_margin_pmfs(
     model: SvmModel,
     authorized_fps: np.ndarray,
     other_fps: np.ndarray,
-    bins: int = DEFAULT_PMF_BINS,
+    bins: int = 100,
 ) -> MarginPmfPair:
     """Histogram the verifier margins of both classes over shared bin edges.
 

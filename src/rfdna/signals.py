@@ -53,9 +53,6 @@ class ComplexBurst:
     """One near-transient burst of baseband complex samples."""
 
     samples: np.ndarray
-    sample_rate: float = 1.0
-    radio_id: str = ""
-    snr_db: float | None = None   # None marks a clean (noise-free) burst
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
@@ -71,8 +68,9 @@ def ramp_template(template_len: int, time_constant: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def preamble(template_len: int, n_tones: int = 41, half_band: float = 0.25):
-    """Fixed broadband multitone preamble shared by every radio.
+def preamble(template_len: int):
+    """Fixed broadband multitone preamble shared by every radio: 41 tones
+    in (-0.25, 0.25) of the sample rate.
 
     Wider than the capture filter, so the filter (not the emitter) sets the
     occupied band and every radio fills it. The tone grid is irregular, so
@@ -80,6 +78,7 @@ def preamble(template_len: int, n_tones: int = 41, half_band: float = 0.25):
     phases come from a fixed generator seed: the preamble is a deterministic
     constant of the pipeline. Unit mean power.
     """
+    n_tones, half_band = 41, 0.25
     rng = np.random.default_rng(20240518)
     freqs = np.sort(rng.uniform(-half_band, half_band, n_tones))
     phases = rng.uniform(0.0, 2.0 * np.pi, n_tones)
@@ -99,7 +98,6 @@ def synth_burst(
     profile: EmitterProfile,
     template_len: int,
     seed,
-    sample_rate: float = 1.0,
 ) -> ComplexBurst:
     """Synthesize one burst for ``profile``.
 
@@ -136,7 +134,7 @@ def synth_burst(
         theta = np.cumsum(rng.normal(0.0, profile.phase_noise_std, template_len))
         x = x * np.exp(1j * theta)
 
-    return ComplexBurst(x, sample_rate=sample_rate, radio_id=profile.radio_id)
+    return ComplexBurst(x)
 
 
 @lru_cache(maxsize=None)
@@ -156,16 +154,12 @@ def butterworth_filter(
     if not 0.0 < cutoff < 1.0:
         raise InvalidCutoff(f"cutoff {cutoff} outside (0, 1)")
     sos = _butter_sos(order, cutoff)
-    y = sps.sosfilt(sos, burst.samples)
-    return ComplexBurst(
-        y, sample_rate=burst.sample_rate, radio_id=burst.radio_id,
-        snr_db=burst.snr_db,
-    )
+    return ComplexBurst(sps.sosfilt(sos, burst.samples))
 
 
 def add_awgn(
     burst: ComplexBurst,
-    snr_db: float | None,
+    snr_db: float,
     filter_spec: tuple[int, float] = (6, 0.25),
     seed=0,
 ) -> ComplexBurst:
@@ -173,13 +167,8 @@ def add_awgn(
 
     Noise is shaped by the same Butterworth filter as the signal path and then
     rescaled so the ratio of burst power to filtered-noise power equals the
-    target exactly. ``snr_db=None`` returns the burst unchanged.
+    target exactly.
     """
-    if snr_db is None:
-        return ComplexBurst(
-            burst.samples.copy(), sample_rate=burst.sample_rate,
-            radio_id=burst.radio_id, snr_db=None,
-        )
     p_sig = burst.power()
     if p_sig <= 0.0:
         raise DegenerateSignal("burst power is zero")
@@ -190,10 +179,7 @@ def add_awgn(
     noise = sps.sosfilt(_butter_sos(order, cutoff), noise)
     p_noise = float(np.mean(np.abs(noise) ** 2))
     scale = np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return ComplexBurst(
-        burst.samples + scale * noise, sample_rate=burst.sample_rate,
-        radio_id=burst.radio_id, snr_db=float(snr_db),
-    )
+    return ComplexBurst(burst.samples + scale * noise)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +187,22 @@ def add_awgn(
 # ---------------------------------------------------------------------------
 
 def load_manifest(path) -> tuple[list[EmitterProfile], int]:
-    data = json.loads(Path(path).read_text())
-    profiles = [EmitterProfile(**p) for p in data["profiles"]]
-    return profiles, int(data["n_bursts"])
+    """Profiles and burst count of ``{"n_bursts": N, "profiles": [...]}``,
+    one object of :class:`EmitterProfile` fields per radio. A malformed
+    manifest raises :class:`InvalidValue`."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidValue(f"manifest is not JSON: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("profiles"),
+                                                    list):
+        raise InvalidValue("manifest needs a \"profiles\" list")
+    n_bursts = data.get("n_bursts")
+    if type(n_bursts) is not int or n_bursts < 1:
+        raise InvalidValue(
+            f"manifest n_bursts must be a positive integer, got {n_bursts!r}")
+    try:
+        profiles = [EmitterProfile(**p) for p in data["profiles"]]
+    except TypeError as exc:
+        raise InvalidValue(f"bad manifest profile: {exc}") from None
+    return profiles, n_bursts

@@ -186,7 +186,7 @@ def test_criterion_3_feature_selection_oracles():
                / np.max(np.abs(w)))
 
     hist = np.array(
-        rank_nca(fset, iterations=30, seed=0).meta["objective_history"]
+        rank_nca(fset, iterations=30).meta["objective_history"]
     )
     nca_ok = len(hist) >= 2 and np.all(np.diff(hist) <= 1e-12)
 

@@ -142,32 +142,18 @@ class TestPca:
 class TestNca:
     def test_objective_non_increasing(self):
         fset = two_class_set(n1=15, n2=15, f=5, shift=2.0, seed=4)
-        r = rank_nca(fset, iterations=40, seed=0)
+        r = rank_nca(fset, iterations=40)
         hist = np.array(r.meta["objective_history"])
         assert len(hist) >= 2
         assert np.all(np.diff(hist) <= 1e-12)
 
     def test_prefers_discriminative_feature(self):
         fset = two_class_set(n1=20, n2=20, f=4, shift=3.0, seed=6)
-        r = rank_nca(fset, iterations=60, seed=0)
+        r = rank_nca(fset, iterations=60)
         assert r.order[0] == 0
-
-    def test_validation(self):
-        fset = two_class_set()
-        with pytest.raises(InvalidValue):
-            rank_nca(fset, psi=0.0)
-        with pytest.raises(InvalidValue):
-            rank_nca(fset, lam_r=-1.0)
 
 
 class TestPoeAcc:
-    def test_weight_validation(self):
-        fset = two_class_set()
-        with pytest.raises(InvalidValue):
-            rank_poeacc(fset, w_rho=0.0, w_alpha=1.0)
-        with pytest.raises(InvalidValue):
-            rank_poeacc(fset, w_rho=0.6, w_alpha=0.6)
-
     def test_greedy_prefers_uncorrelated_second_pick(self):
         rng = np.random.default_rng(13)
         n = 60
@@ -242,6 +228,7 @@ class TestWelch:
             ref = spstats.ttest_ind(fset.X1[:, j], fset.X2[:, j],
                                     equal_var=False)
             assert abs(r.scores[j] - ref.pvalue) <= 1e-10
+        assert r.order[0] == np.argmin(r.scores)
 
     def test_degenerate_features(self):
         X1 = np.column_stack([np.full(5, 2.0), np.full(5, 1.0)])
@@ -254,12 +241,6 @@ class TestWelch:
         assert r.scores[0] == 1.0            # equal constants: no evidence
         assert r.scores[1] == 0.0            # distinct constants: infinite t
         assert list(r.meta["excluded_features"]) == [0]
-
-    def test_retained_count(self):
-        fset = two_class_set(n1=40, n2=40, shift=4.0, seed=7)
-        r = rank_ttest(fset, alpha=0.05)
-        assert r.retained_count == int(np.sum(r.scores < 0.05))
-        assert r.order[0] == np.argmin(r.scores)
 
     def test_needs_two_per_class(self):
         fset = LabeledFingerprintSet(X=np.arange(6.0).reshape(3, 2),

@@ -118,7 +118,6 @@ class TestNormalizeTf:
         assert tf.values.shape == (150, 150)
         assert tf.values.min() >= 0.0
         assert tf.values.max() == 1.0
-        assert tf.normalized and tf.centered
 
     def test_scale_invariance(self):
         G = dgt(rand_signal(150))

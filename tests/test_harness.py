@@ -88,6 +88,19 @@ class TestConfig:
     def test_snr_grid_sorted(self):
         assert tiny_config(snr_grid=[27, 3, 21]).snr_grid == [3, 21, 27]
 
+    @pytest.mark.parametrize("grid", [
+        [], [None], [21.0, None], [float("inf")], [float("nan")], ["21"],
+        [True],
+    ])
+    def test_snr_grid_must_be_finite_numbers(self, grid):
+        with pytest.raises(InvalidValue):
+            tiny_config(snr_grid=grid)
+
+    @pytest.mark.parametrize("methods", [["foo"], ["relieff", "foo"], []])
+    def test_unknown_method_rejected(self, methods):
+        with pytest.raises(InvalidValue):
+            tiny_config(methods=methods)
+
 
 class TestCohortAndTrials:
     def test_cohort_shape(self, cohort):
@@ -271,13 +284,25 @@ class TestEvaluation:
         bad2.entries[0]["tvr"] = 0.89
         assert not bad2.gates_pass()
 
-    def test_dict_roundtrip(self, report):
-        back = VerificationReport.from_dict(
-            json.loads(json.dumps(report.to_dict()))
-        )
+    def test_dict_roundtrip(self, trials, store21):
+        def roundtrip(r):
+            return VerificationReport.from_dict(
+                json.loads(json.dumps(r.to_dict())))
+
+        report = harness.run_trial(trials[0], 21.0, "relieff", store21,
+                                   tiny_config())
+        back = roundtrip(report)
         assert back.trial_id == report.trial_id
         assert back.snr_db == report.snr_db
         assert back.entries == report.entries
+        assert set(back.meta["selected_nr"]) == set(trials[0].authorized_ids)
+        assert back.meta == report.meta
+
+        stub = VerificationReport(
+            trial_id=1, snr_db=3.0, method="relieff", entries=[],
+            meta={"skipped": True, "eliminated": True,
+                  "eliminated_at_snr": 15.0})
+        assert roundtrip(stub).meta == stub.meta
 
 
 class TestEmission:
@@ -304,7 +329,7 @@ class TestEmission:
 
 class TestSweepElimination:
     def test_failing_method_is_skipped_below_failure_snr(self, monkeypatch):
-        calls = []
+        calls, loaded = [], []
 
         def fake_run_trial(trial, snr, method, store, config):
             calls.append((snr, trial.trial_id))
@@ -314,19 +339,22 @@ class TestSweepElimination:
                      "frr": 0.0 if ok else 0.5, "n": 4}
             return VerificationReport(trial.trial_id, snr, method, [entry])
 
+        def store_at(snr):
+            loaded.append(snr)
+            return FingerprintStore()
+
         monkeypatch.setattr(harness, "run_trial", fake_run_trial)
-        monkeypatch.setattr(harness, "generate_dataset",
-                            lambda profiles, snr, config: FingerprintStore())
         config = tiny_config(snr_grid=[3.0, 15.0, 21.0])
         trials = [TrialConfig(1, [f"A{i}" for i in range(6)],
                               [f"B{i}" for i in range(12)])]
-        reports = harness.snr_sweep([], trials, config)
+        reports = harness.snr_sweep(trials, config, store_at)
         assert [r.snr_db for r in reports] == [21.0, 15.0, 3.0]
         assert reports[0].gates_pass()
         assert reports[1].meta.get("eliminated") is True
         assert reports[2].meta.get("skipped") is True
         assert reports[2].meta.get("eliminated_at_snr") == 15.0
         assert (3.0, 1) not in calls
+        assert loaded == [21.0, 15.0]      # no store once all are eliminated
 
 
 def cli_config(**overrides):
@@ -425,3 +453,33 @@ class TestCli:
         with pytest.raises(InvalidValue):
             cli.main(["--data-root", str(tmp_path), "--config", str(path),
                       "fingerprint"])
+
+    @pytest.mark.parametrize("data", [
+        {"svm_c": 1.0},                   # a removed setting
+        {"snr_grid": [None]},
+        {"snr_grid": []},
+        {"methods": ["foo"]},
+    ])
+    def test_bad_config_rejected_before_any_store(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_bursts": 1, "n_z": 2, **data}))
+        root = tmp_path / "data"
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(root), "--config", str(path),
+                      "fingerprint"])
+        assert not list(root.glob("*.rfdn"))
+
+    @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
+    @pytest.mark.parametrize("trial", ["0", "4"])
+    def test_trial_out_of_range_rejected(self, tmp_path, command, trial):
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(tmp_path), command,
+                      "--trial", trial])
+
+    def test_malformed_manifest_rejected(self, tmp_path):
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps({"n_bursts": 0, "profiles": []}))
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(tmp_path), "--manifest", str(path),
+                      "fingerprint"])
+        assert not list(tmp_path.glob("*.rfdn"))

@@ -59,6 +59,34 @@ class TestTraining:
         assert abs(model.diagnostics["sum_alpha_y"]) <= 1e-6
         assert model.diagnostics["converged"]
 
+    @pytest.mark.parametrize("X, labels, zeta", [
+        (*blob_data(seed=1), None),
+        (*blob_data(n=40, gap=1.0, seed=4), None),    # overlapping classes
+        (np.array([[0.0, 0.0], [0.2, 0.1], [1.0, 1.1], [1.2, 0.9]]),
+         np.array([1, 1, 2, 2]), 0.7),
+        (np.array([[0.0, 0.0], [0.9, 1.0], [1.0, 1.1], [0.1, 0.1]]),
+         np.array([1, 1, 2, 2]), 1.5),
+    ])
+    def test_kkt_optimality(self, X, labels, zeta):
+        # Stopping at a violating-pair gap below the solver tolerance bounds
+        # every row's KKT violation by that tolerance.
+        tol = 1e-3 + 1e-9
+        model = train_svm(X, labels, c=1.0, zeta=zeta)
+        y = np.where(labels == 1, 1.0, -1.0)
+        Z = (X - model.scaler_mean) / model.scaler_scale
+        alpha = np.zeros(len(X))
+        for sv, coef in zip(model.support_vectors, model.dual_coeffs):
+            (row,) = np.nonzero(np.all(Z == sv, axis=1))[0]
+            alpha[row] = coef * y[row]
+        assert np.all(alpha >= 0) and np.all(alpha <= 1.0 + 1e-12)
+        yf = y * svm_score(model, X)
+        at_zero = alpha <= 1e-12
+        at_c = alpha >= 1.0 - 1e-12
+        free = ~at_zero & ~at_c
+        assert np.all(yf[at_zero] >= 1.0 - tol)
+        assert np.all(np.abs(yf[free] - 1.0) <= tol)
+        assert np.all(yf[at_c] <= 1.0 + tol)
+
     def test_default_zeta_is_inverse_feature_count(self):
         X, labels = blob_data()
         assert train_svm(X, labels).kernel_zeta == pytest.approx(1 / 3)
