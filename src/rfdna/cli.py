@@ -29,9 +29,16 @@ def _data_root(args) -> Path:
     return path
 
 
-def _load_config(args) -> ExperimentConfig:
-    """The config file (or defaults) with the command-line overrides applied,
-    validated once as a whole."""
+def _cohort_and_config(args, root: Path):
+    """The cohort (the manifest's, else the default) and the config file (or
+    defaults) with the command-line overrides applied, validated once as a
+    whole. The burst count is ``--n-bursts`` if given, else the manifest's,
+    else the config's, so every command sees one count per cohort."""
+    manifest = args.manifest or (root / "cohort.json")
+    if Path(manifest).exists():
+        profiles, n_bursts = signals.load_manifest(manifest)
+    else:
+        profiles, n_bursts = default_cohort(), None
     if args.config:
         config = ExperimentConfig.from_json(args.config)
     else:
@@ -41,21 +48,15 @@ def _load_config(args) -> ExperimentConfig:
         for name in ("n_bursts", "n_z", "k_folds", "master_seed")
         if getattr(args, name) is not None
     }
+    if n_bursts is not None:
+        overrides.setdefault("n_bursts", n_bursts)
     if args.snr:
         overrides["snr_grid"] = sorted(set(args.snr))
     if args.methods:
         overrides["methods"] = args.methods
     if args.nr_grid:
         overrides["nr_grid"] = sorted(set(args.nr_grid))
-    return dataclasses.replace(config, **overrides)
-
-
-def _load_cohort(args, root: Path):
-    manifest = args.manifest or (root / "cohort.json")
-    if Path(manifest).exists():
-        profiles, n_bursts = signals.load_manifest(manifest)
-        return profiles, n_bursts
-    return default_cohort(), None
+    return profiles, dataclasses.replace(config, **overrides)
 
 
 def _store_path(root: Path, snr) -> Path:
@@ -64,10 +65,7 @@ def _store_path(root: Path, snr) -> Path:
 
 def cmd_fingerprint(args) -> int:
     root = _data_root(args)
-    config = _load_config(args)
-    profiles, n_bursts = _load_cohort(args, root)
-    if n_bursts:
-        config = dataclasses.replace(config, n_bursts=n_bursts)
+    profiles, config = _cohort_and_config(args, root)
     for snr in config.snr_grid:
         store = harness.generate_dataset(profiles, snr, config)
         path = _store_path(root, snr)
@@ -80,8 +78,7 @@ def _trial_setup(args):
     """Data root, config, trial and the store at the highest configured SNR:
     the common inputs of the single-trial commands."""
     root = _data_root(args)
-    config = _load_config(args)
-    profiles, _ = _load_cohort(args, root)
+    profiles, config = _cohort_and_config(args, root)
     trials = default_trials([p.radio_id for p in profiles])
     if not 1 <= args.trial <= len(trials):
         raise InvalidValue(f"--trial must lie in 1..{len(trials)}, got "
@@ -140,8 +137,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     root = _data_root(args)
-    config = _load_config(args)
-    profiles, _ = _load_cohort(args, root)
+    profiles, config = _cohort_and_config(args, root)
     trials = default_trials([p.radio_id for p in profiles])
 
     def loader(snr):

@@ -36,6 +36,8 @@ class LabeledFingerprintSet:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.X.ndim != 2 or len(self.labels) != self.X.shape[0]:
             raise InvalidShape("matrix/label shape mismatch")
+        if not np.all(np.isfinite(self.X)):
+            raise InvalidValue("non-finite features")
         if not set(np.unique(self.labels)) <= {1, 2}:
             raise InvalidValue("labels must be 1 or 2")
         if self.n1 == 0 or self.n2 == 0:
@@ -212,30 +214,46 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
 # NCA
 # ---------------------------------------------------------------------------
 
+# Bytes of the reused |Z_B - Z| buffer: about 10 rows of a 64 x 204 pool,
+# one row of a 720 x 204 pool.
+_NCA_BLOCK_BYTES = 1 << 20
+
+
 def _nca_objective_and_grad(Z, same, w, lam_r):
+    """Leave-one-out soft error and its gradient in w, rows in blocks.
+
+    Row i's loss is sum_j p_ij l_ij, where p_i is the softmax of -|Z_i - Z|
+    weighted by w**2 (p_ii = 0) and l_ij = 1 for another class. Its gradient
+    is -2 w * [(p_i l_i - (sum_j p_ij l_ij) p_i) @ |Z_i - Z|]. A row whose
+    kernel sum is zero or non-finite adds nothing.
+    """
     n, f = Z.shape
     u = w**2
+    b = min(n, max(1, _NCA_BLOCK_BYTES // (n * f * 8)))
+    buf = np.empty((b, n, f))
     loss = 0.0
-    grad = np.zeros(f)
-    for i in range(n):
-        D = np.abs(Z - Z[i])          # (n, f)
-        d = D @ u
-        k = np.exp(-d)
-        k[i] = 0.0
-        tot = k.sum()
-        if tot <= 0 or not np.isfinite(tot):
-            continue
-        p = k / tot
-        li = (~same[i]).astype(np.float64)
-        li[i] = 0.0
-        pl = p * li
-        loss += pl.sum()
-        # d(loss_i)/dw_r = -2 w_r [ sum_j p l |D| - (sum p l)(sum p |D|) ]
-        grad += (-2.0 * w) * (pl @ D - pl.sum() * (p @ D))
+    gsum = np.zeros(f)
+    for i0 in range(0, n, b):
+        m = min(b, n - i0)
+        D = buf[:m]
+        np.subtract(Z[i0:i0 + m, None], Z, out=D)
+        np.abs(D, out=D)
+        k = np.exp(-(D.reshape(m * n, f) @ u)).reshape(m, n)
+        rows = np.arange(m)
+        k[rows, i0 + rows] = 0.0
+        other = ~same[i0:i0 + m]
+        tot = k.sum(axis=1)
+        ok = tot > 0          # false for a zero or NaN sum; k <= 1, so no inf
+        if not ok.all():
+            k, tot, other, D = k[ok], tot[ok], other[ok], D[ok]
+        p = k / tot[:, None]
+        pl = p * other
+        s = pl.sum(axis=1)
+        loss += s.sum()
+        gsum += (pl - s[:, None] * p).ravel() @ D.reshape(-1, f)
     loss /= n
-    grad /= n
     loss += lam_r * np.sum(u)
-    grad += 2.0 * lam_r * w
+    grad = (-2.0 * w) * gsum / n + 2.0 * lam_r * w
     return loss, grad
 
 

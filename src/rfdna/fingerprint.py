@@ -49,6 +49,8 @@ class Fingerprint:
             raise InvalidShape(
                 f"fingerprint must have {N_FEATURES} features"
             )
+        if not np.all(np.isfinite(self.features)):
+            raise InvalidValue("non-finite fingerprint features")
 
 
 def tile_patches(tf: TimeFrequencyMatrix) -> PatchGrid:
@@ -223,6 +225,8 @@ class FingerprintStore:
         code, snr, realization, features = columns
         if len(set(ids)) != n_ids or np.any(code >= n_ids):
             raise InvalidValue("radio-id table does not match the id column")
+        if not np.all(np.isfinite(features)):
+            raise InvalidValue("non-finite features in the store")
         store = cls()
         store._code_of = {rid: i for i, rid in enumerate(ids)}
         store._id_code = code.astype(np.int64)

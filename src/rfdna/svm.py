@@ -98,6 +98,8 @@ def train_svm(
     # Class tag 1 and label +1 both map to y = +1; tag 2 / label -1 to y = -1.
     y = np.where(labels == 1, 1.0, -1.0)
     n, f = X.shape
+    if not np.all(np.isfinite(X)):
+        raise InvalidValue("non-finite features")
     if len(np.unique(y)) < 2:
         raise InvalidValue("both classes must be present")
     if zeta is None:

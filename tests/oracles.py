@@ -158,3 +158,39 @@ def svm_dual_grid_oracle(X, y, c, zeta, coarse=0.02, fine=0.0005):
     hi = [min(c, best[i] + 2 * coarse) for i in range(3)]
     val, _ = search(lo, hi, fine)
     return val
+
+
+def nca_objective_loop(Z, same, w, lam_r):
+    """NCA leave-one-out soft error and its gradient in w, one row at a time.
+
+    For each row i: distances d_ij = sum_r w_r^2 |Z_ir - Z_jr|, kernel
+    exp(-d_ij) with the self term zeroed, softmax p_i, and loss
+    sum_j p_ij [class_j != class_i]. A row whose kernel sum is zero or
+    non-finite is skipped. The mean over rows is regularized by
+    lam_r * sum_r w_r^2.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    n, f = Z.shape
+    u = w**2
+    loss = 0.0
+    grad = np.zeros(f)
+    for i in range(n):
+        D = np.abs(Z - Z[i])          # (n, f)
+        d = D @ u
+        k = np.exp(-d)
+        k[i] = 0.0
+        tot = k.sum()
+        if tot <= 0 or not np.isfinite(tot):
+            continue
+        p = k / tot
+        li = (~same[i]).astype(np.float64)
+        li[i] = 0.0
+        pl = p * li
+        loss += pl.sum()
+        # d(loss_i)/dw_r = -2 w_r [ sum_j p l |D| - (sum p l)(sum p |D|) ]
+        grad += (-2.0 * w) * (pl @ D - pl.sum() * (p @ D))
+    loss /= n
+    grad /= n
+    loss += lam_r * np.sum(u)
+    grad += 2.0 * lam_r * w
+    return loss, grad

@@ -2,8 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
+from rfdna import featsel
 from rfdna.errors import (
     InvalidCount,
     InvalidNeighborCount,
@@ -29,7 +32,12 @@ from rfdna.featsel import (
     welch_t,
 )
 
-from oracles import bc_histogram_oracle, relieff_bruteforce, welch_oracle
+from oracles import (
+    bc_histogram_oracle,
+    nca_objective_loop,
+    relieff_bruteforce,
+    welch_oracle,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -59,6 +67,13 @@ class TestLabeledSet:
             LabeledFingerprintSet(X=np.zeros((2, 2)), labels=[1, 3])
         with pytest.raises(InvalidValue):
             LabeledFingerprintSet(X=np.zeros((2, 2)), labels=[1, 1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, value):
+        X = two_class_set().X
+        X[3, 2] = value
+        with pytest.raises(InvalidValue):
+            LabeledFingerprintSet(X=X, labels=two_class_set().labels)
 
 
 class TestDra:
@@ -151,6 +166,87 @@ class TestNca:
         fset = two_class_set(n1=20, n2=20, f=4, shift=3.0, seed=6)
         r = rank_nca(fset, iterations=60)
         assert r.order[0] == 0
+
+
+def nca_inputs(n, f, n1, scale=0.5, seed=0):
+    """Row matrix, same-class mask and weights of one NCA evaluation."""
+    rng = np.random.default_rng(seed)
+    Z = scale * rng.standard_normal((n, f))
+    y = np.where(np.arange(n) < n1, 1, 2)
+    Z[y == 2, :3] += scale                 # a little class signal
+    w = 1.0 + 0.3 * rng.standard_normal(f)
+    return Z, y[:, None] == y[None, :], w
+
+
+def assert_matches_loop(Z, same, w):
+    lam_r = 1.0 / len(Z)
+    loss, grad = featsel._nca_objective_and_grad(Z, same, w, lam_r)
+    want_loss, want_grad = nca_objective_loop(Z, same, w, lam_r)
+    assert np.isfinite(want_loss)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(
+        np.abs(want_grad))
+
+
+class TestNcaObjective:
+    """The blocked objective against the one-row-at-a-time reference."""
+
+    def test_one_partial_block(self):
+        Z, same, w = nca_inputs(n=7, f=5, n1=3)
+        assert 7 * 7 * 5 * 8 < featsel._NCA_BLOCK_BYTES   # all rows, one block
+        assert_matches_loop(Z, same, w)
+
+    def test_pool_spanning_several_blocks(self):
+        # A rank-sized pool (64 x 204). At this scale neighbour distances
+        # are near 30, so the class term of the objective is far above
+        # rounding.
+        Z, same, w = nca_inputs(n=64, f=204, n1=24, scale=0.12, seed=1)
+        assert 2 * 64 * 204 * 8 <= featsel._NCA_BLOCK_BYTES < 64 * 64 * 204 * 8
+        assert_matches_loop(Z, same, w)
+        assert_matches_loop(Z, same, np.ones(204))
+
+    def test_row_with_vanishing_kernel_is_skipped(self):
+        Z, same, w = nca_inputs(n=20, f=6, n1=8, seed=2)
+        Z[5] += 1e3                           # exp(-distance) underflows to 0
+        k = np.exp(-np.abs(Z - Z[5]) @ w**2)
+        k[5] = 0.0
+        assert k.sum() == 0.0
+        assert_matches_loop(Z, same, w)
+
+    def test_rows_with_non_finite_kernel_are_skipped(self):
+        Z, same, w = nca_inputs(n=20, f=6, n1=8, seed=2)
+        Z[5, 0] = np.nan                      # every kernel sum is NaN
+        assert_matches_loop(Z, same, w)
+
+    def test_gradient_matches_central_difference(self):
+        Z, same, w = nca_inputs(n=12, f=5, n1=5, seed=3)
+        lam_r = 1.0 / 12
+        _, grad = featsel._nca_objective_and_grad(Z, same, w, lam_r)
+        h = 1e-6
+        numeric = np.empty_like(w)
+        for r in range(len(w)):
+            e = np.zeros_like(w)
+            e[r] = h
+            hi, _ = featsel._nca_objective_and_grad(Z, same, w + e, lam_r)
+            lo, _ = featsel._nca_objective_and_grad(Z, same, w - e, lam_r)
+            numeric[r] = (hi - lo) / (2 * h)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 30), f=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_permutation_leaves_objective_unchanged(self, n, f, seed):
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((n, f))
+        y = rng.integers(1, 3, n)
+        w = rng.uniform(0.2, 1.5, f)
+        perm = rng.permutation(n)
+        same = y[:, None] == y[None, :]
+        loss, _ = featsel._nca_objective_and_grad(Z, same, w, 1.0 / n)
+        yp = y[perm]
+        loss_p, _ = featsel._nca_objective_and_grad(
+            Z[perm], yp[:, None] == yp[None, :], w, 1.0 / n)
+        assert abs(loss - loss_p) <= 1e-12 * max(1.0, abs(loss))
 
 
 class TestPoeAcc:

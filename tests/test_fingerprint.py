@@ -99,6 +99,13 @@ class TestGenFingerprint:
         with pytest.raises(InvalidShape):
             Fingerprint(features=np.zeros(203))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        feats = RNG.random(N_FEATURES)
+        feats[17] = value
+        with pytest.raises(InvalidValue):
+            Fingerprint(features=feats)
+
 
 def small_store():
     store = FingerprintStore()
@@ -164,6 +171,15 @@ class TestStore:
         path = tmp_path / "store.rfdn"
         small_store().save(path)
         path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(InvalidValue):
+            FingerprintStore.load(path)
+
+    def test_load_rejects_non_finite_features(self, tmp_path):
+        path = tmp_path / "store.rfdn"
+        small_store().save(path)
+        buf = path.read_bytes()
+        # The features block ends the file: make the last feature NaN.
+        path.write_bytes(buf[:-8] + np.array([np.nan], "<f8").tobytes())
         with pytest.raises(InvalidValue):
             FingerprintStore.load(path)
 

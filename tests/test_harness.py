@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -433,7 +434,8 @@ class TestCli:
                                                  monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "cmd_fingerprint",
-                            lambda args: seen.append(cli._load_config(args))
+                            lambda args: seen.append(
+                                cli._cohort_and_config(args, tmp_path)[1])
                             or 0)
         rc = cli.main(["--data-root", str(tmp_path), "--snr", "27",
                        "--snr", "21", "--methods", "bc", "--methods", "pca",
@@ -483,3 +485,33 @@ class TestCli:
             cli.main(["--data-root", str(tmp_path), "--manifest", str(path),
                       "fingerprint"])
         assert not list(tmp_path.glob("*.rfdn"))
+
+    @pytest.mark.parametrize("flags, n_bursts", [([], 2),
+                                                 (["--n-bursts", "5"], 5)])
+    def test_fingerprint_and_sweep_use_one_burst_count(
+            self, tmp_path, monkeypatch, flags, n_bursts):
+        # Burst count: --n-bursts if given, else the manifest's (2), never
+        # the config file's (3).
+        manifest = tmp_path / "cohort.json"
+        manifest.write_text(json.dumps({
+            "n_bursts": 2,
+            "profiles": [dataclasses.asdict(p) for p in default_cohort()]}))
+        config_path = tmp_path / "config.json"
+        tiny_config(n_bursts=3).to_json(config_path)
+
+        def sweep(trials, config, store_at):
+            store_at(config.snr_grid[-1])      # generates and saves a store
+            return []
+
+        monkeypatch.setattr(harness, "snr_sweep", sweep)
+        monkeypatch.setattr(harness, "emit_report", lambda reports, out: [])
+        rows = {}
+        for command in ("fingerprint", "sweep"):
+            root = tmp_path / command
+            assert cli.main(["--data-root", str(root), "--config",
+                             str(config_path), "--manifest", str(manifest)]
+                            + flags + [command]) == 0
+            rows[command] = len(FingerprintStore.load(
+                root / "fingerprints_21dB.rfdn"))
+        assert rows == {"fingerprint": 18 * n_bursts * 2,
+                        "sweep": 18 * n_bursts * 2}

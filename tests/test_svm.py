@@ -109,6 +109,13 @@ class TestTraining:
         with pytest.raises(InvalidValue):
             train_svm(np.zeros((4, 2)), np.ones(4))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, value):
+        X, labels = blob_data()
+        X[4, 1] = value
+        with pytest.raises(InvalidValue):
+            train_svm(X, labels)
+
     def test_bad_zeta_rejected(self):
         X, labels = blob_data()
         with pytest.raises(InvalidValue):
