@@ -19,7 +19,7 @@ from . import featsel, harness, signals
 from .errors import InvalidValue
 from .fingerprint import FingerprintStore
 from .harness import ExperimentConfig, default_cohort, default_trials
-from .modelsel import export_candidates
+from .modelsel import export_candidates, passes_gate
 
 
 def _data_root(args) -> Path:
@@ -92,7 +92,7 @@ def _trial_setup(args):
 def cmd_select(args) -> int:
     root, config, trial, snr, store = _trial_setup(args)
     claimed = args.claimed_id or trial.authorized_ids[0]
-    fset, _, _ = harness.training_pool(store, trial, claimed, config)
+    fset = harness.training_pool(store, trial, claimed, config)[0]
     for method in config.methods:
         reducer = harness.Reducer(method).fit(fset, config)
         if reducer.ranking is not None:
@@ -118,8 +118,7 @@ def cmd_train(args) -> int:
             cand.meta["candidates"], cand,
             root / f"candidates_{method}_{claimed}_snr{snr:g}.csv",
         )
-        gate = cand.tvr_train >= 0.90 and cand.fvr_others_train <= 0.10
-        ok = ok and gate
+        ok = ok and passes_gate(cand)
         print(f"{claimed}: N_r={cand.n_r} tvr_train={cand.tvr_train:.3f} "
               f"fvr_others={cand.fvr_others_train:.3f} -> {model_path}")
     return 0 if ok else 1

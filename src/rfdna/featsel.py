@@ -22,6 +22,7 @@ from .errors import (
     NumericalFailure,
     SingularScatter,
 )
+from .svm import standardize
 
 
 @dataclass
@@ -86,20 +87,31 @@ def _default_bins(n_rows: int) -> int:
     return max(2, int(np.ceil(np.sqrt(n_rows))))
 
 
-def _class_histograms(a: np.ndarray, b: np.ndarray, bins: int):
-    """Per-class histograms over shared pooled-range edges; probabilities."""
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if hi <= lo:
-        hi = lo + 1.0  # both classes constant and equal: one shared bin
-    edges = np.linspace(lo, hi, bins + 1)
-    pa, _ = np.histogram(a, bins=edges)
-    pb, _ = np.histogram(b, bins=edges)
-    return pa / len(a), pb / len(b)
+def class_histograms(A: np.ndarray, B: np.ndarray, bins: int):
+    """``(pa, pb, edges)``: (f, bins) per-class probabilities of every column
+    of ``A`` and ``B`` over (f, bins + 1) shared edges spanning the column's
+    pooled range, or (v - 0.5, v + 0.5) where both classes hold one constant
+    v. Bins are half-open except the last, as in ``np.histogram``."""
+    lo = np.minimum(A.min(axis=0), B.min(axis=0))
+    hi = np.maximum(A.max(axis=0), B.max(axis=0))
+    flat = hi <= lo
+    edges = np.linspace(np.where(flat, lo - 0.5, lo),
+                        np.where(flat, hi + 0.5, hi), bins + 1, axis=-1)
+    f = edges.shape[0]
+    offset = bins * np.arange(f)
+
+    def probabilities(X):
+        idx = np.sum(X[:, :, None] >= edges[:, 1:-1], axis=2) + offset
+        counts = np.bincount(idx.ravel(), minlength=f * bins)
+        return counts.reshape(f, bins) / len(X)
+
+    return probabilities(A), probabilities(B), edges
 
 
-def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sum(np.sqrt(np.asarray(p) * np.asarray(q))))
+def bhattacharyya(p: np.ndarray, q: np.ndarray):
+    """sum(sqrt(p q)) over the last axis: a float for two PMFs."""
+    bc = np.sum(np.sqrt(np.asarray(p) * np.asarray(q)), axis=-1)
+    return float(bc) if bc.ndim == 0 else bc
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +147,7 @@ def train_grlvq_relevance(
     n, f = X.shape
     eps_p, eps_l = 0.05, 0.01
 
-    # Standardize so no feature dominates distances by raw scale.
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd[sd == 0] = 1.0
-    Z = (X - mu) / sd
+    Z = standardize(X)[0]   # no feature dominates distances by raw scale
 
     protos = np.stack([Z[y == 1].mean(axis=0), Z[y == 2].mean(axis=0)])
     protos += rng.normal(0, 1e-3, protos.shape)
@@ -203,10 +211,8 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
     evals, evecs = np.linalg.eigh(cov)
     idx = np.argsort(evals)[::-1][:n_r]
     basis = evecs[:, idx]
-    for j in range(basis.shape[1]):
-        k = np.argmax(np.abs(basis[:, j]))
-        if basis[k, j] < 0:
-            basis[:, j] = -basis[:, j]
+    peak = basis[np.argmax(np.abs(basis), axis=0), np.arange(n_r)]
+    basis *= np.where(peak < 0, -1.0, 1.0)
     return ProjectionBasis(basis=basis, mean=mean, eigenvalues=evals[idx])
 
 
@@ -271,10 +277,7 @@ def rank_nca(
     X, y = fset.X, fset.labels
     n, f = X.shape
     lam_r = 1.0 / n
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd[sd == 0] = 1.0
-    Z = (X - mu) / sd
+    Z = standardize(X)[0]
     same = y[:, None] == y[None, :]
 
     w = np.ones(f)
@@ -313,13 +316,8 @@ def rank_nca(
 def _poe_per_feature(fset: LabeledFingerprintSet, bins: int) -> np.ndarray:
     """Histogram-overlap Bayes-error estimate per feature, with class priors."""
     n = fset.X.shape[0]
-    pi1, pi2 = fset.n1 / n, fset.n2 / n
-    poe = np.empty(fset.n_features)
-    X1, X2 = fset.X1, fset.X2
-    for r in range(fset.n_features):
-        p1, p2 = _class_histograms(X1[:, r], X2[:, r], bins)
-        poe[r] = np.sum(np.minimum(pi1 * p1, pi2 * p2))
-    return poe
+    p1, p2, _ = class_histograms(fset.X1, fset.X2, bins)
+    return np.sum(np.minimum(fset.n1 / n * p1, fset.n2 / n * p2), axis=1)
 
 
 def rank_poeacc(fset: LabeledFingerprintSet) -> FeatureRanking:
@@ -373,11 +371,8 @@ def rank_bc(fset: LabeledFingerprintSet, bins: int | None = None) -> FeatureRank
         raise InvalidValue("need at least 2 histogram bins")
     if bins is None:
         bins = _default_bins(fset.X.shape[0])
-    X1, X2 = fset.X1, fset.X2
-    bc = np.empty(fset.n_features)
-    for r in range(fset.n_features):
-        p1, p2 = _class_histograms(X1[:, r], X2[:, r], bins)
-        bc[r] = bhattacharyya(p1, p2)
+    p1, p2, _ = class_histograms(fset.X1, fset.X2, bins)
+    bc = bhattacharyya(p1, p2)
     order = np.argsort(bc, kind="stable")
     return FeatureRanking(method="bc", scores=bc, order=order)
 
@@ -386,48 +381,50 @@ def rank_bc(fset: LabeledFingerprintSet, bins: int | None = None) -> FeatureRank
 # Welch t-test
 # ---------------------------------------------------------------------------
 
-def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Welch t statistic and Welch-Satterthwaite degrees of freedom."""
-    n1, n2 = len(a), len(b)
-    v1, v2 = a.var(ddof=1), b.var(ddof=1)
+def _sample_moments(x):
+    """(count, mean, ddof-1 variance) of each column of a sample, or of a
+    1-D sample. Each column is summed as one contiguous row, the order a
+    1-D sample sums in."""
+    rows = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+    return rows.shape[-1], rows.mean(axis=-1), rows.var(axis=-1, ddof=1)
+
+
+def welch_t(a: np.ndarray, b: np.ndarray):
+    """Welch t and Welch-Satterthwaite degrees of freedom of each column
+    (floats for 1-D samples). A zero standard error gives t = +-inf, or 0
+    for equal means, with n1 + n2 - 2 degrees of freedom."""
+    (n1, m1, v1), (n2, m2, v2) = _sample_moments(a), _sample_moments(b)
     se2 = v1 / n1 + v2 / n2
-    dmean = a.mean() - b.mean()
-    if se2 == 0.0:
-        t = np.inf * np.sign(dmean) if dmean != 0 else 0.0
-        return float(t), float(n1 + n2 - 2)
-    t = dmean / np.sqrt(se2)
-    dof = se2**2 / (v1**2 / ((n1 - 1) * n1**2) + v2**2 / ((n2 - 1) * n2**2))
-    return float(t), float(dof)
+    dmean = m1 - m2
+    zero = se2 == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(zero & (dmean == 0), 0.0, dmean / np.sqrt(se2))
+        dof = np.where(zero, float(n1 + n2 - 2), se2**2 / (
+            v1**2 / ((n1 - 1) * n1**2) + v2**2 / ((n2 - 1) * n2**2)))
+    if t.ndim == 0:
+        return float(t), float(dof)
+    return t, dof
 
 
 def rank_ttest(fset: LabeledFingerprintSet) -> FeatureRanking:
     """Two-sided Welch t-test per feature; order by ascending p-value.
 
-    Features with zero variance in both classes and equal means carry p = 1
-    and are flagged as excluded.
+    A feature with zero variance in both classes carries p = 1 and is
+    flagged as excluded if its class means are equal, and p = 0 otherwise.
     """
     if fset.n1 < 2 or fset.n2 < 2:
         raise InvalidValue("both classes need at least 2 samples")
     X1, X2 = fset.X1, fset.X2
-    f = fset.n_features
-    pvals = np.empty(f)
-    tvals = np.empty(f)
-    excluded = []
-    for r in range(f):
-        t, dof = welch_t(X1[:, r], X2[:, r])
-        tvals[r] = t
-        if t == 0.0 and X1[:, r].var(ddof=1) == 0 and X2[:, r].var(ddof=1) == 0:
-            pvals[r] = 1.0
-            excluded.append(r)
-        elif np.isinf(t):
-            pvals[r] = 0.0
-        else:
-            pvals[r] = 2.0 * spstats.t.sf(abs(t), dof)
+    t, dof = welch_t(X1, X2)
+    excluded = ((t == 0.0) & (_sample_moments(X1)[2] == 0)
+                & (_sample_moments(X2)[2] == 0))
+    pvals = 2.0 * spstats.t.sf(np.abs(t), dof)
+    pvals[np.isinf(t)] = 0.0
+    pvals[excluded] = 1.0
     order = np.argsort(pvals, kind="stable")
     return FeatureRanking(
         method="ttest", scores=pvals, order=order,
-        meta={"t": tvals,
-              "excluded_features": np.array(excluded, dtype=np.int64)},
+        meta={"t": t, "excluded_features": np.flatnonzero(excluded)},
     )
 
 

@@ -75,21 +75,14 @@ def patch_stats(cells) -> tuple[float, float, float, float]:
     x = np.asarray(cells, dtype=np.float64).ravel()
     if not np.all(np.isfinite(x)):
         raise InvalidValue("non-finite cell values")
-    if x.size == 0 or np.all(x == x[0]):
+    if x.size == 0:
         return (0.0, 0.0, 0.0, 0.0)
-    mu = x.mean()
-    d = x - mu
-    var = np.mean(d**2)
-    if var == 0.0:
-        return (0.0, 0.0, 0.0, 0.0)
-    sd = np.sqrt(var)
-    skew = np.mean(d**3) / sd**3
-    kurt = np.mean(d**4) / var**2
-    return (float(sd), float(var), float(skew), float(kurt))
+    return tuple(float(v) for v in _block_stats(x[None])[0])
 
 
 def _block_stats(blocks: np.ndarray) -> np.ndarray:
-    """Vectorized (sigma, var, skew, kurt) over axis 1 of an (n, cells) array."""
+    """(sigma, var, skew, kurt) of each row of an (n, cells) array; a
+    constant row maps to all zeros."""
     mu = blocks.mean(axis=1, keepdims=True)
     d = blocks - mu
     var = np.mean(d**2, axis=1)

@@ -21,7 +21,8 @@ from . import featsel
 from .errors import InvalidInput, InvalidModel, InvalidValue, MissingData, TrainingFailed
 from .fingerprint import FingerprintStore, gen_fingerprint
 from .gabor import GaborParams, dgt, normalize_tf
-from .modelsel import CandidateModel, build_margin_pmfs, select_best
+from .modelsel import (CandidateModel, build_margin_pmfs, passes_gate,
+                       select_best)
 from .signals import (
     EmitterProfile,
     add_awgn,
@@ -251,7 +252,8 @@ class Reducer:
 
 def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
                   config: ExperimentConfig):
-    """Training pool of one claimed radio: ``(pool, rows1, rows2)``.
+    """Training pool of one claimed radio: ``(pool, rows1, rows2,
+    underfilled)``.
 
     ``rows1[i]`` holds the first ``n_train // n_z_train`` rows of the claimed
     radio in the i-th training realization; ``rows2[i]`` stacks the first
@@ -263,7 +265,7 @@ def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
     A realization holding fewer rows than its quota (``n_bursts`` below
     ``n_train // n_z_train`` or ``n_train_other // n_z_train``) contributes
     all of its rows: the pool is then smaller than the config asks for, and
-    nothing reports it."""
+    ``underfilled`` is true."""
     if claimed not in trial.authorized_ids:
         raise InvalidModel(f"{claimed} is not authorized in trial "
                            f"{trial.trial_id}")
@@ -282,7 +284,9 @@ def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
         X=np.concatenate([X1, X2]),
         labels=np.concatenate([np.ones(len(X1)), np.full(len(X2), 2)]),
     )
-    return pool, rows1, rows2
+    underfilled = (len(X1) < per_z1 * len(train_z)
+                   or len(X2) < per_z2 * len(others) * len(train_z))
+    return pool, rows1, rows2, underfilled
 
 
 def train_best_model(
@@ -297,10 +301,12 @@ def train_best_model(
     margin-PMF-selected verifier.
 
     For each count, one SVM is trained per (training realization, fold) pair
-    and the lowest-validation-error one represents that count."""
+    and the lowest-validation-error one represents that count. The meta
+    records whether no candidate passed the gate (``gate_fallback``) and
+    whether the training pool fell short of its quota (``pool_underfilled``)."""
     if len(store) == 0:
         raise MissingData(f"no fingerprints available at SNR {snr_db}")
-    pool, rows1, rows2 = training_pool(store, trial, claimed_id, config)
+    pool, rows1, rows2, short = training_pool(store, trial, claimed_id, config)
     reducer = Reducer(method).fit(pool, config)
 
     candidates = []
@@ -353,6 +359,8 @@ def train_best_model(
         raise MissingData("no trainable candidate at any retained count")
     selected = select_best(candidates)
     selected.meta["candidates"] = candidates
+    selected.meta["gate_fallback"] = not any(map(passes_gate, candidates))
+    selected.meta["pool_underfilled"] = short
     return selected
 
 
@@ -470,6 +478,9 @@ def run_trial(trial, snr_db, method, store, config) -> VerificationReport:
     report.meta["selected_nr"] = {
         claimed: int(models[claimed].n_r) for claimed in trial.authorized_ids
     }
+    for key in ("gate_fallback", "pool_underfilled"):
+        report.meta[key] = {claimed: models[claimed].meta[key]
+                            for claimed in trial.authorized_ids}
     return report
 
 

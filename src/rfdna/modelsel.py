@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .featsel import bhattacharyya
+from .featsel import bhattacharyya, class_histograms
 from .svm import SvmModel, margin
 
 
@@ -54,13 +54,8 @@ def build_margin_pmfs(
         raise InvalidInput("both fingerprint sets must be non-empty")
     m_pos = margin(model, authorized_fps, +1)
     m_neg = margin(model, other_fps, -1)
-    lo = min(m_pos.min(), m_neg.min())
-    hi = max(m_pos.max(), m_neg.max())
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, bins + 1)
-    pmf_pos = np.histogram(m_pos, bins=edges)[0] / len(m_pos)
-    pmf_neg = np.histogram(m_neg, bins=edges)[0] / len(m_neg)
+    (pmf_pos,), (pmf_neg,), (edges,) = class_histograms(
+        m_pos[:, None], m_neg[:, None], bins)
     return MarginPmfPair(
         pmf_pos=pmf_pos, pmf_neg=pmf_neg, bin_edges=edges,
         mean_pos=float(m_pos.mean()), mean_neg=float(m_neg.mean()),
@@ -76,17 +71,19 @@ def model_quality(pair: MarginPmfPair) -> tuple[float, float, float]:
     return mean_distance, pair.bc, variance_sum
 
 
+def passes_gate(cand: CandidateModel) -> bool:
+    """Training TVR >= 0.90 and others-FVR <= 0.10."""
+    return cand.tvr_train >= 0.90 and cand.fvr_others_train <= 0.10
+
+
 def select_best(candidates: list[CandidateModel]) -> CandidateModel:
-    """Gate on training TVR >= 0.90 and others-FVR <= 0.10, then choose
-    lexicographically: smallest overlap, largest mean distance, smallest
-    summed variance, smallest retained count. With no gate survivor, fall
-    back to the highest-TVR candidate (ties toward fewer features)."""
+    """Gate with :func:`passes_gate`, then choose lexicographically: smallest
+    overlap, largest mean distance, smallest summed variance, smallest
+    retained count. With no gate survivor, fall back to the highest-TVR
+    candidate (ties toward fewer features)."""
     if not candidates:
         raise InvalidInput("empty candidate list")
-    survivors = [
-        cand for cand in candidates
-        if cand.tvr_train >= 0.90 and cand.fvr_others_train <= 0.10
-    ]
+    survivors = [cand for cand in candidates if passes_gate(cand)]
     if survivors:
         def key(cand: CandidateModel):
             mean_distance, bc, variance_sum = model_quality(cand.pmf_pair)

@@ -70,11 +70,13 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, zeta: float) -> np.ndarray:
     return np.exp(-zeta * d2)
 
 
-def _fit_scaler(X: np.ndarray):
+def standardize(X: np.ndarray):
+    """Column standardizer: ``(Z, mean, scale)`` with
+    ``Z = (X - mean) / scale``; a constant column gets scale 1."""
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale == 0] = 1.0
-    return mean, scale
+    return (X - mean) / scale, mean, scale
 
 
 def train_svm(
@@ -107,8 +109,7 @@ def train_svm(
     if zeta <= 0:
         raise InvalidValue("zeta must be > 0")
 
-    mean, scale = _fit_scaler(X)
-    Z = (X - mean) / scale
+    Z, mean, scale = standardize(X)
     K = rbf_kernel(Z, Z, zeta)
     Q = (y[:, None] * y[None, :]) * K
 

@@ -194,3 +194,95 @@ def nca_objective_loop(Z, same, w, lam_r):
     loss += lam_r * np.sum(u)
     grad += 2.0 * lam_r * w
     return loss, grad
+
+
+def moments_scalar(cells) -> tuple[float, float, float, float]:
+    """(sigma, variance, skewness, non-excess kurtosis) of one cell vector in
+    float64, one scalar step at a time; a constant vector maps to zeros."""
+    x = np.asarray(cells, dtype=np.float64).ravel()
+    if x.size == 0 or np.all(x == x[0]):
+        return (0.0, 0.0, 0.0, 0.0)
+    mu = x.mean()
+    d = x - mu
+    var = np.mean(d**2)
+    if var == 0.0:
+        return (0.0, 0.0, 0.0, 0.0)
+    sd = np.sqrt(var)
+    return (float(sd), float(var), float(np.mean(d**3) / sd**3),
+            float(np.mean(d**4) / var**2))
+
+
+def class_histograms_loop(A, B, bins):
+    """Per-column class probabilities over shared pooled-range edges, one
+    ``np.histogram`` call per column and class; a column constant and equal
+    in both classes gets the range (v - 0.5, v + 0.5)."""
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    f = A.shape[1]
+    pa, pb = np.empty((f, bins)), np.empty((f, bins))
+    edges = np.empty((f, bins + 1))
+    for r in range(f):
+        lo = min(A[:, r].min(), B[:, r].min())
+        hi = max(A[:, r].max(), B[:, r].max())
+        if hi <= lo:
+            lo, hi = lo - 0.5, hi + 0.5
+        edges[r] = np.linspace(lo, hi, bins + 1)
+        pa[r] = np.histogram(A[:, r], bins=edges[r])[0] / len(A)
+        pb[r] = np.histogram(B[:, r], bins=edges[r])[0] / len(B)
+    return pa, pb, edges
+
+
+def poe_loop(X1, X2, bins):
+    """Per-feature prior-weighted histogram overlap (probability of error),
+    one feature at a time."""
+    pa, pb, _ = class_histograms_loop(X1, X2, bins)
+    n1, n2 = len(X1), len(X2)
+    pi1, pi2 = n1 / (n1 + n2), n2 / (n1 + n2)
+    return np.array([np.sum(np.minimum(pi1 * p, pi2 * q))
+                     for p, q in zip(pa, pb)])
+
+
+def ttest_loop(X1, X2):
+    """Two-sided Welch test per feature: ``(p, t, excluded)``.
+
+    A feature with zero variance in both classes gets t = +-inf (p = 0) for
+    different means, or t = 0 and p = 1 (excluded) for equal ones, with
+    n1 + n2 - 2 degrees of freedom."""
+    from scipy import stats
+
+    X1 = np.asarray(X1, dtype=np.float64)
+    X2 = np.asarray(X2, dtype=np.float64)
+    n1, n2 = len(X1), len(X2)
+    f = X1.shape[1]
+    pvals, tvals, excluded = np.empty(f), np.empty(f), []
+    for r in range(f):
+        a, b = X1[:, r], X2[:, r]
+        v1, v2 = a.var(ddof=1), b.var(ddof=1)
+        se2 = v1 / n1 + v2 / n2
+        dmean = a.mean() - b.mean()
+        if se2 == 0.0:
+            t = np.inf * np.sign(dmean) if dmean != 0 else 0.0
+            dof = float(n1 + n2 - 2)
+        else:
+            t = dmean / np.sqrt(se2)
+            dof = se2**2 / (v1**2 / ((n1 - 1) * n1**2)
+                            + v2**2 / ((n2 - 1) * n2**2))
+        tvals[r] = t
+        if t == 0.0 and v1 == 0 and v2 == 0:
+            pvals[r] = 1.0
+            excluded.append(r)
+        elif np.isinf(t):
+            pvals[r] = 0.0
+        else:
+            pvals[r] = 2.0 * stats.t.sf(abs(t), dof)
+    return pvals, tvals, np.array(excluded, dtype=np.int64)
+
+
+def pca_signs_loop(basis):
+    """Flip each column so its largest-magnitude entry is positive."""
+    basis = np.array(basis, dtype=np.float64)
+    for j in range(basis.shape[1]):
+        k = np.argmax(np.abs(basis[:, j]))
+        if basis[k, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return basis

@@ -18,6 +18,7 @@ from rfdna.featsel import (
     FeatureRanking,
     LabeledFingerprintSet,
     bhattacharyya,
+    class_histograms,
     export_ranking,
     project_lda,
     project_pca,
@@ -34,8 +35,12 @@ from rfdna.featsel import (
 
 from oracles import (
     bc_histogram_oracle,
+    class_histograms_loop,
     nca_objective_loop,
+    pca_signs_loop,
+    poe_loop,
     relieff_bruteforce,
+    ttest_loop,
     welch_oracle,
 )
 
@@ -51,6 +56,28 @@ def two_class_set(n1=12, n2=14, f=6, shift=1.5, seed=5):
         X=np.concatenate([X1, X2]),
         labels=np.concatenate([np.ones(n1), np.full(n2, 2)]),
     )
+
+
+def tie_heavy_set(n1, n2, f, seed):
+    """Values on a coarse grid, so many land exactly on histogram edges,
+    plus a constant column, a column constant within each class and a
+    column with one distinct value."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 8, (n1 + n2, f)) * 0.25
+    X[:, 0] = 3.3
+    X[:n1, 1], X[n1:, 1] = 1.0, 2.0
+    X[0, 2] = 9.0
+    return LabeledFingerprintSet(
+        X=X, labels=np.concatenate([np.ones(n1), np.full(n2, 2)]))
+
+
+# Pools the whole-matrix statistics are checked on against their loops.
+POOLS = [
+    ("normal", lambda: two_class_set(n1=30, n2=40, f=9, seed=10)),
+    ("large", lambda: two_class_set(n1=200, n2=600, f=12, seed=3)),
+    ("ties", lambda: tie_heavy_set(20, 44, 10, seed=1)),
+    ("ties-small", lambda: tie_heavy_set(3, 5, 6, seed=2)),
+]
 
 
 class TestLabeledSet:
@@ -146,6 +173,10 @@ class TestPca:
         basis = project_pca(fset, 3).basis
         for j in range(3):
             assert basis[np.argmax(np.abs(basis[:, j])), j] > 0
+        Xc = fset.X - fset.X.mean(axis=0)
+        evals, evecs = np.linalg.eigh(Xc.T @ Xc / len(Xc))
+        want = pca_signs_loop(evecs[:, np.argsort(evals)[::-1][:3]])
+        assert np.array_equal(basis, want)
 
     def test_count_validation(self):
         with pytest.raises(InvalidCount):
@@ -249,7 +280,31 @@ class TestNcaObjective:
         assert abs(loss - loss_p) <= 1e-12 * max(1.0, abs(loss))
 
 
+class TestClassHistograms:
+    @pytest.mark.parametrize("name,make", POOLS)
+    @pytest.mark.parametrize("bins", [2, 7, 29])
+    def test_matches_per_column_histograms(self, name, make, bins):
+        fset = make()
+        got = class_histograms(fset.X1, fset.X2, bins)
+        want = class_histograms_loop(fset.X1, fset.X2, bins)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_equal_constants_share_one_centred_bin(self):
+        pa, pb, edges = class_histograms(np.full((3, 1), 2.0),
+                                         np.full((4, 1), 2.0), 4)
+        assert np.array_equal(edges[0], [1.5, 1.75, 2.0, 2.25, 2.5])
+        assert np.array_equal(pa, pb) and np.array_equal(pa[0], [0, 0, 1, 0])
+
+
 class TestPoeAcc:
+    @pytest.mark.parametrize("name,make", POOLS)
+    def test_poe_matches_feature_loop(self, name, make):
+        fset = make()
+        bins = featsel._default_bins(fset.X.shape[0])
+        want = poe_loop(fset.X1, fset.X2, bins)
+        assert np.array_equal(featsel._poe_per_feature(fset, bins), want)
+
     def test_greedy_prefers_uncorrelated_second_pick(self):
         rng = np.random.default_rng(13)
         n = 60
@@ -275,13 +330,16 @@ class TestPoeAcc:
 
 class TestBc:
     def test_matches_direct_histogram_overlap(self):
-        fset = two_class_set(n1=30, n2=40, f=5, seed=10)
-        bins = max(2, int(np.ceil(np.sqrt(70))))
-        r = rank_bc(fset)
-        for j in range(5):
-            want = bc_histogram_oracle(fset.X1[:, j], fset.X2[:, j], bins)
-            assert abs(r.scores[j] - want) <= 1e-12
-            assert 0.0 <= r.scores[j] <= 1.0 + 1e-12
+        for name, make in POOLS:
+            fset = make()
+            bins = max(2, int(np.ceil(np.sqrt(fset.X.shape[0]))))
+            r = rank_bc(fset)
+            for j in range(fset.n_features):
+                want = bc_histogram_oracle(fset.X1[:, j], fset.X2[:, j], bins)
+                assert r.scores[j] == want, (name, j)
+                assert 0.0 <= r.scores[j] <= 1.0 + 1e-12
+            if name.startswith("ties"):
+                assert r.scores[0] == 1.0   # equal constants overlap fully
 
     def test_identical_samples_overlap_fully(self):
         x = RNG.standard_normal(20)
@@ -338,11 +396,52 @@ class TestWelch:
         assert r.scores[1] == 0.0            # distinct constants: infinite t
         assert list(r.meta["excluded_features"]) == [0]
 
+    @pytest.mark.parametrize("name,make", POOLS)
+    def test_columns_match_feature_loop(self, name, make):
+        fset = make()
+        p, t, excluded = ttest_loop(fset.X1, fset.X2)
+        r = rank_ttest(fset)
+        assert np.array_equal(r.meta["t"], t)
+        np.testing.assert_allclose(r.scores, p, rtol=1e-12, atol=0)
+        assert np.array_equal(r.order, np.argsort(p, kind="stable"))
+        assert np.array_equal(r.meta["excluded_features"], excluded)
+
+    def test_matrix_input_matches_each_column(self):
+        fset = two_class_set(n1=13, n2=19, f=5, seed=8)
+        t, dof = welch_t(fset.X1, fset.X2)
+        for j in range(5):
+            assert (t[j], dof[j]) == welch_t(fset.X1[:, j], fset.X2[:, j])
+
     def test_needs_two_per_class(self):
         fset = LabeledFingerprintSet(X=np.arange(6.0).reshape(3, 2),
                                      labels=[1, 2, 2])
         with pytest.raises(InvalidValue):
             rank_ttest(fset)
+
+
+class TestRowPermutation:
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.integers(2, 30), n2=st.integers(2, 30),
+           f=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_bc_poe_welch_ignore_row_order(self, n1, n2, f, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n1 + n2, f))
+        X[n1:] += rng.uniform(0.0, 1.0, f)     # |t| stays moderate
+        labels = np.concatenate([np.ones(n1), np.full(n2, 2)])
+        perm = rng.permutation(n1 + n2)
+        fset = LabeledFingerprintSet(X=X, labels=labels)
+        fperm = LabeledFingerprintSet(X=X[perm], labels=labels[perm])
+        bins = featsel._default_bins(n1 + n2)
+        for score in (lambda s: rank_bc(s).scores,
+                      lambda s: featsel._poe_per_feature(s, bins),
+                      lambda s: rank_ttest(s).scores):
+            a, b = score(fset), score(fperm)
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+            assert np.array_equal(np.argsort(a, kind="stable"),
+                                  np.argsort(b, kind="stable"))
+        assert np.array_equal(rank_bc(fset).order, rank_bc(fperm).order)
+        assert np.array_equal(rank_ttest(fset).order,
+                              rank_ttest(fperm).order)
 
 
 class TestRelieff:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfdna.errors import InvalidShape, InvalidValue
 from rfdna.fingerprint import (
@@ -14,9 +16,11 @@ from rfdna.fingerprint import (
     patch_stats,
     tile_patches,
 )
-from rfdna.gabor import TimeFrequencyMatrix
+from rfdna.gabor import TimeFrequencyMatrix, dgt, normalize_tf
+from rfdna.harness import default_cohort
+from rfdna.signals import ComplexBurst, add_awgn, butterworth_filter, synth_burst
 
-from oracles import moments_extended
+from oracles import moments_extended, moments_scalar
 
 RNG = np.random.default_rng(77)
 
@@ -56,8 +60,17 @@ class TestPatchStats:
             want = np.array(moments_extended(x))
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_matches_scalar_float64_moments(self):
+        # Array and scalar powers may round sd**3 differently (numpy's SIMD
+        # pow against libm's), so the two agree to a few ulps, not bitwise.
+        for _ in range(40):
+            x = RNG.random(GRID_SHAPE) ** 3
+            np.testing.assert_allclose(patch_stats(x), moments_scalar(x),
+                                       rtol=1e-15, atol=0)
+
     def test_constant_patch_is_all_zero(self):
         assert patch_stats(np.full(150, 0.37)) == (0.0, 0.0, 0.0, 0.0)
+        assert patch_stats([]) == (0.0, 0.0, 0.0, 0.0)
 
     def test_known_values(self):
         # Symmetric two-point mass: sd = 1, skew = 0, kurtosis = 1.
@@ -117,6 +130,22 @@ def small_store():
                                       snr_db=None if rid == "R02" else 21.0,
                                       realization=z))
     return store
+
+
+class TestScaleInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
+           radio=st.integers(0, 17))
+    def test_scaled_burst_gives_same_fingerprint(self, c, seed, radio):
+        burst = butterworth_filter(
+            synth_burst(default_cohort()[radio], 200, seed=seed), 6, 0.4)
+        burst = add_awgn(burst, 15.0, filter_spec=(6, 0.4), seed=seed + 1)
+        want = gen_fingerprint(normalize_tf(dgt(burst))).features
+        got = gen_fingerprint(normalize_tf(dgt(
+            ComplexBurst(c * burst.samples)))).features
+        # Relative to the largest feature: a near-zero skewness keeps only
+        # the absolute rounding error of the others.
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestStore:

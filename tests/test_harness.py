@@ -8,7 +8,7 @@ import pytest
 
 import rfdna.harness as harness
 from rfdna.errors import InvalidModel, InvalidValue, MissingData
-from rfdna.fingerprint import N_FEATURES, FingerprintStore
+from rfdna.fingerprint import N_FEATURES, Fingerprint, FingerprintStore
 from rfdna.harness import (
     ExperimentConfig,
     Reducer,
@@ -20,7 +20,9 @@ from rfdna.harness import (
     evaluate_trial,
     generate_dataset,
     train_best_model,
+    training_pool,
 )
+from rfdna.modelsel import passes_gate
 from rfdna import cli
 
 
@@ -237,6 +239,58 @@ class TestTraining:
         assert a.n_r == b.n_r
         assert np.array_equal(a.model.support_vectors, b.model.support_vectors)
         assert a.model.bias == b.model.bias
+
+
+class TestDegradationMeta:
+    """The selected candidate and the report say whether model choice fell
+    back and whether the training pool fell short of its quota."""
+
+    def test_no_gate_survivor_sets_fallback(self, trial1_models):
+        models, _ = trial1_models
+        cand = models["R04"]
+        assert not any(map(passes_gate, cand.meta["candidates"]))
+        assert cand.meta["gate_fallback"] is True
+
+    def test_normal_config_sets_neither(self, trials, store21, trial1_models):
+        models, _ = trial1_models
+        cand = models["R01"]
+        assert any(map(passes_gate, cand.meta["candidates"]))
+        assert cand.meta["gate_fallback"] is False
+        assert cand.meta["pool_underfilled"] is False
+        assert training_pool(store21, trials[0], "R01", tiny_config())[3] \
+            is False
+
+    def test_report_meta_has_both_per_claimed_radio(self, trials, store21):
+        ids = trials[0].authorized_ids
+        report = harness.run_trial(trials[0], 21.0, "relieff", store21,
+                                   tiny_config())
+        assert report.meta["gate_fallback"] == {r: r == "R04" for r in ids}
+        assert report.meta["pool_underfilled"] == dict.fromkeys(ids, False)
+
+    @pytest.mark.parametrize("n_train,n_train_other,short", [
+        (10, 10, False), (12, 10, True), (10, 12, True)])
+    def test_pool_quota_per_class(self, trials, n_train, n_train_other,
+                                  short):
+        # Five rows per radio and realization; two training realizations,
+        # so a quota of 6 rows per realization is one row short.
+        store = FingerprintStore()
+        rows = np.random.default_rng(0).random((6 * 3 * 5, N_FEATURES))
+        for k, row in enumerate(rows):
+            store.add(Fingerprint(row, radio_id=trials[0].authorized_ids[
+                k // 15], realization=k // 5 % 3))
+        config = tiny_config(n_bursts=5, n_z=3, n_train=n_train,
+                             n_train_other=n_train_other)
+        assert training_pool(store, trials[0], "R01", config)[3] is short
+
+    def test_replay_config_is_underfilled(self, cohort, trials):
+        # Criterion 7's replay config: one training realization of 6 bursts
+        # against a quota of 30 rows per other authorized radio.
+        config = tiny_config(n_bursts=6, n_train=6, n_train_other=30,
+                             nr_grid=[10])
+        store = generate_dataset(cohort, 21.0, config)
+        report = harness.run_trial(trials[0], 21.0, "relieff", store, config)
+        assert report.meta["pool_underfilled"] == dict.fromkeys(
+            trials[0].authorized_ids, True)
 
 
 class TestEvaluation:

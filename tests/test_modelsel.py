@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfdna.errors import InvalidInput
 from rfdna.featsel import bhattacharyya
@@ -79,6 +81,22 @@ class TestBuildMarginPmfs:
         pair = build_margin_pmfs(model, np.zeros((10, 1)), np.zeros((10, 1)))
         # m_pos = +2.5 for all rows, m_neg = -2.5: distance is exactly 5.
         assert model_quality(pair)[0] == pytest.approx(5.0, abs=1e-15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_pos=st.integers(1, 60), n_neg=st.integers(1, 60),
+           bins=st.integers(2, 120), constant=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_pmf_sums_to_one(self, n_pos, n_neg, bins, constant, seed):
+        rng = np.random.default_rng(seed)
+        # A zero-weight model scores every row 0.3: both margins constant.
+        model = manual_model([[0.0, 0.0]], [0.0], 0.3) if constant \
+            else odd_model()
+        pair = build_margin_pmfs(model, rng.standard_normal((n_pos, 2)),
+                                 rng.standard_normal((n_neg, 2)) + 0.5,
+                                 bins=bins)
+        assert len(pair.pmf_pos) == len(pair.pmf_neg) == bins
+        assert abs(pair.pmf_pos.sum() - 1.0) <= 1e-12
+        assert abs(pair.pmf_neg.sum() - 1.0) <= 1e-12
 
     def test_empty_inputs_rejected(self):
         model = odd_model()

@@ -6,6 +6,7 @@ from rfdna.svm import (
     SvmModel,
     margin,
     rbf_kernel,
+    standardize,
     svm_decide,
     svm_score,
     train_svm,
@@ -32,6 +33,22 @@ class TestKernel:
         assert np.allclose(np.diag(K), 1.0)
         assert K[0, 1] == pytest.approx(np.exp(-0.5), abs=1e-15)
         assert np.allclose(K, K.T)
+
+
+class TestStandardize:
+    def test_unit_columns_and_constant_column(self):
+        X = np.column_stack([RNG.standard_normal(20) * 3 + 1, np.full(20, 4.0)])
+        Z, mean, scale = standardize(X)
+        np.testing.assert_allclose(Z[:, 0].mean(), 0.0, atol=1e-15)
+        np.testing.assert_allclose(Z[:, 0].std(), 1.0, rtol=1e-14)
+        assert scale[1] == 1.0 and np.all(Z[:, 1] == 0.0)
+
+    def test_train_svm_stores_the_scaler(self):
+        X, labels = blob_data()
+        model = train_svm(X, labels)
+        _, mean, scale = standardize(X)
+        assert np.array_equal(model.scaler_mean, mean)
+        assert np.array_equal(model.scaler_scale, scale)
 
 
 class TestTraining:
