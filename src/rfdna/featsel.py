@@ -440,6 +440,8 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
     normalized by that feature's max-min over the whole training set (a
     constant feature contributes zero). Weights rank descending.
     """
+    if n_k < 1:
+        raise InvalidNeighborCount(f"n_k must be at least 1, got {n_k}")
     X, y = fset.X, fset.labels
     n, f = X.shape
     for c in (1, 2):

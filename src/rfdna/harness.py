@@ -12,6 +12,8 @@ import csv
 import json
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -19,11 +21,12 @@ import numpy as np
 
 from . import featsel
 from .errors import InvalidInput, InvalidModel, InvalidValue, MissingData, TrainingFailed
-from .fingerprint import FingerprintStore, gen_fingerprint
+from .fingerprint import Fingerprint, FingerprintStore, gen_fingerprint
 from .gabor import GaborParams, dgt, normalize_tf
 from .modelsel import (CandidateModel, build_margin_pmfs, passes_gate,
                        select_best)
 from .signals import (
+    MIN_BURST_LEN,
     EmitterProfile,
     add_awgn,
     butterworth_filter,
@@ -48,6 +51,11 @@ class TrialConfig:
             raise InvalidValue("authorized and rogue sets must be disjoint")
 
 
+def _is_a(value, kind) -> bool:
+    """``value`` is an instance of the numeric ``kind`` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     snr_grid: list = field(default_factory=lambda: list(range(-3, 28, 3)))
@@ -67,16 +75,40 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.snr_grid or not all(
-                isinstance(s, numbers.Real) and not isinstance(s, bool)
-                and math.isfinite(s) for s in self.snr_grid):
+                _is_a(s, numbers.Real) and math.isfinite(s)
+                for s in self.snr_grid):
             raise InvalidValue(f"snr_grid must be finite SNRs in dB, got "
                                f"{self.snr_grid!r}")
         self.snr_grid = sorted(self.snr_grid)
         if not self.methods or not set(self.methods) <= set(METHODS):
             raise InvalidValue(f"methods must be some of {METHODS}, got "
                                f"{self.methods!r}")
-        if self.n_z <= self.n_test_realizations:
+        for name, low in (("n_bursts", 1), ("k_folds", 2),
+                          ("relieff_neighbors", 1),
+                          ("template_len", MIN_BURST_LEN),
+                          ("filter_order", 1), ("n_test_realizations", 0)):
+            value = getattr(self, name)
+            if not _is_a(value, numbers.Integral) or value < low:
+                raise InvalidValue(f"{name} must be an integer >= {low}, "
+                                   f"got {value!r}")
+        if (not _is_a(self.n_z, numbers.Integral)
+                or self.n_z <= self.n_test_realizations):
             raise InvalidValue("need at least one training realization")
+        n_z_train = self.n_z - self.n_test_realizations
+        for name in ("n_train", "n_train_other"):
+            value = getattr(self, name)
+            if not _is_a(value, numbers.Integral) or value < n_z_train:
+                raise InvalidValue(
+                    f"{name} must be at least one row per training "
+                    f"realization ({n_z_train}), got {value!r}")
+        if not self.nr_grid or not all(
+                _is_a(n, numbers.Integral) and n >= 1 for n in self.nr_grid):
+            raise InvalidValue(f"nr_grid must be positive integers, got "
+                               f"{self.nr_grid!r}")
+        if not (_is_a(self.filter_cutoff, numbers.Real)
+                and 0.0 < self.filter_cutoff < 1.0):
+            raise InvalidValue(f"filter_cutoff must lie in (0, 1), got "
+                               f"{self.filter_cutoff!r}")
 
     @property
     def train_realizations(self) -> list[int]:
@@ -157,16 +189,35 @@ def default_trials(radio_ids: list[str]) -> list[TrialConfig]:
 # Dataset generation
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def generate_dataset(
     profiles: list[EmitterProfile],
     snr_db,
     config: ExperimentConfig,
 ) -> FingerprintStore:
-    """Fingerprint every burst x noise realization of the cohort at one SNR."""
+    """Fingerprint every burst x noise realization of the cohort at one SNR.
+
+    Radios are fingerprinted in parallel on a thread pool with one worker
+    per usable CPU (numpy's FFT and power and scipy's filter release the
+    GIL). Each radio's bursts and noise are seeded by radio index, and only
+    this thread adds rows to the store, in cohort order, so the store is the
+    same to the byte for any worker count. A radio's error is raised for the
+    first failing radio in cohort order."""
+    if not (_is_a(snr_db, numbers.Real) and math.isfinite(snr_db)):
+        raise InvalidValue(f"snr_db must be a finite number, got {snr_db!r}")
     params = GaborParams()
-    store = FingerprintStore()
     fspec = (config.filter_order, config.filter_cutoff)
-    for ridx, profile in enumerate(profiles):
+
+    def radio_rows(ridx: int, profile: EmitterProfile) -> list[Fingerprint]:
+        rows = []
         for b in range(config.n_bursts):
             clean = synth_burst(
                 profile, config.template_len,
@@ -180,10 +231,18 @@ def generate_dataset(
                                _snr_key(snr_db)),
                 )
                 tf = normalize_tf(dgt(noisy, params))
-                store.add(gen_fingerprint(
+                rows.append(gen_fingerprint(
                     tf, radio_id=profile.radio_id, snr_db=snr_db,
                     realization=z,
                 ))
+        return rows
+
+    store = FingerprintStore()
+    workers = max(1, min(_usable_cpus(), len(profiles)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for rows in pool.map(radio_rows, range(len(profiles)), profiles):
+            for fp in rows:
+                store.add(fp)
     return store
 
 
@@ -270,8 +329,8 @@ def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
         raise InvalidModel(f"{claimed} is not authorized in trial "
                            f"{trial.trial_id}")
     train_z = config.train_realizations
-    per_z1 = max(1, config.n_train // len(train_z))
-    per_z2 = max(1, config.n_train_other // len(train_z))
+    per_z1 = config.n_train // len(train_z)
+    per_z2 = config.n_train_other // len(train_z)
     others = [r for r in trial.authorized_ids if r != claimed]
     rows1 = [store.select(claimed, [z])[:per_z1] for z in train_z]
     rows2 = [np.concatenate([store.select(o, [z])[:per_z2] for o in others])

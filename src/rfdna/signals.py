@@ -205,4 +205,7 @@ def load_manifest(path) -> tuple[list[EmitterProfile], int]:
         profiles = [EmitterProfile(**p) for p in data["profiles"]]
     except TypeError as exc:
         raise InvalidValue(f"bad manifest profile: {exc}") from None
+    ids = [p.radio_id for p in profiles]
+    if len(set(ids)) != len(ids):
+        raise InvalidValue(f"manifest lists a radio_id twice: {ids}")
     return profiles, n_bursts

@@ -7,7 +7,9 @@ meaningful evidence of correctness rather than a tautology.
 
 import numpy as np
 
-from rfdna.gabor import GaborParams, gaussian_window
+from rfdna.fingerprint import FingerprintStore, gen_fingerprint
+from rfdna.gabor import GaborParams, dgt, gaussian_window, normalize_tf
+from rfdna.signals import add_awgn, butterworth_filter, synth_burst
 
 
 def dgt_direct(samples, params: GaborParams) -> np.ndarray:
@@ -286,3 +288,30 @@ def pca_signs_loop(basis):
         if basis[k, j] < 0:
             basis[:, j] = -basis[:, j]
     return basis
+
+
+def generate_dataset_serial(profiles, snr_db, config) -> FingerprintStore:
+    """The cohort fingerprinted in one thread, radio by radio, burst by
+    burst, realization by realization, with each row added to the store as
+    it is made. Bursts are seeded by ``SeedSequence([master, 1, radio,
+    burst])`` and noise by ``SeedSequence([master, 2, radio, burst, z,
+    round(1000 * snr) + 10^6])``."""
+    params = GaborParams()
+    fspec = (config.filter_order, config.filter_cutoff)
+    snr_key = int(round(snr_db * 1000)) + 1_000_000
+    master = int(config.master_seed)
+    store = FingerprintStore()
+    for ridx, profile in enumerate(profiles):
+        for b in range(config.n_bursts):
+            clean = synth_burst(profile, config.template_len,
+                                seed=np.random.SeedSequence([master, 1, ridx,
+                                                             b]))
+            clean = butterworth_filter(clean, *fspec)
+            for z in range(config.n_z):
+                noisy = add_awgn(clean, snr_db, filter_spec=fspec,
+                                 seed=np.random.SeedSequence(
+                                     [master, 2, ridx, b, z, snr_key]))
+                store.add(gen_fingerprint(
+                    normalize_tf(dgt(noisy, params)),
+                    radio_id=profile.radio_id, snr_db=snr_db, realization=z))
+    return store

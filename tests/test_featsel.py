@@ -468,6 +468,11 @@ class TestRelieff:
         with pytest.raises(InvalidNeighborCount):
             rank_relieff(fset, n_k=5)
 
+    @pytest.mark.parametrize("n_k", [0, -1])
+    def test_needs_a_neighbor(self, n_k):
+        with pytest.raises(InvalidNeighborCount):
+            rank_relieff(two_class_set(n1=20, n2=20), n_k=n_k)
+
 
 class TestSelection:
     def test_select_top_prefix(self):

@@ -2,12 +2,14 @@ import copy
 import csv
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
 import rfdna.harness as harness
-from rfdna.errors import InvalidModel, InvalidValue, MissingData
+from rfdna.errors import (DegenerateSignal, InvalidLength, InvalidModel,
+                          InvalidValue, MissingData)
 from rfdna.fingerprint import N_FEATURES, Fingerprint, FingerprintStore
 from rfdna.harness import (
     ExperimentConfig,
@@ -24,6 +26,8 @@ from rfdna.harness import (
 )
 from rfdna.modelsel import passes_gate
 from rfdna import cli
+
+from oracles import generate_dataset_serial
 
 
 def tiny_config(**overrides):
@@ -104,6 +108,41 @@ class TestConfig:
         with pytest.raises(InvalidValue):
             tiny_config(methods=methods)
 
+    @pytest.mark.parametrize("overrides", [
+        {"n_bursts": 0}, {"n_bursts": 2.5}, {"n_bursts": True},
+        {"k_folds": 0}, {"k_folds": 1},
+        {"n_train": 0}, {"n_train_other": 0},
+        {"n_z": 4, "n_train": 2},         # 3 training realizations
+        {"n_z": 4, "n_train_other": 2},
+        {"relieff_neighbors": 0},
+        {"nr_grid": []}, {"nr_grid": [0]}, {"nr_grid": [-5, 10]},
+        {"nr_grid": [2.5]}, {"nr_grid": [True]},
+        {"template_len": 10}, {"template_len": 149},
+        {"filter_order": 0},
+        {"filter_cutoff": 1.5}, {"filter_cutoff": 0.0},
+        {"filter_cutoff": 1.0}, {"filter_cutoff": float("nan")},
+        {"n_test_realizations": -1},
+    ])
+    def test_bad_values_rejected(self, overrides):
+        with pytest.raises(InvalidValue):
+            tiny_config(**overrides)
+
+    def test_smallest_values_accepted(self, trials):
+        config = tiny_config(n_bursts=1, n_z=3, k_folds=2, n_train=2,
+                             n_train_other=2, relieff_neighbors=1,
+                             nr_grid=[1], template_len=150, filter_order=1,
+                             n_test_realizations=1)
+        store = FingerprintStore()
+        for rid in trials[0].authorized_ids:
+            for z in range(3):
+                store.add(Fingerprint(np.full(N_FEATURES, z + 1.0),
+                                      radio_id=rid, realization=z))
+        pool, rows1, rows2, short = training_pool(store, trials[0], "R01",
+                                                  config)
+        assert [len(r) for r in rows1] == [1, 1]
+        assert [len(r) for r in rows2] == [5, 5]
+        assert short is False
+
 
 class TestCohortAndTrials:
     def test_cohort_shape(self, cohort):
@@ -159,6 +198,65 @@ class TestDataset:
         lo = generate_dataset(cohort[:1], 0.0, config)
         hi = generate_dataset(cohort[:1], 27.0, config)
         assert not np.array_equal(lo.select("R01"), hi.select("R01"))
+
+
+class TestParallelDataset:
+    """Radios are fingerprinted on a thread pool; the store must not depend
+    on the worker count."""
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3),
+                                               (64, 4)])
+    def test_store_bytes_match_serial_loop(self, cohort, tmp_path,
+                                           monkeypatch, cpus, workers):
+        config = tiny_config(n_bursts=2, master_seed=7)
+        pools = []
+        real_pool = harness.ThreadPoolExecutor
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers)
+                            or real_pool(max_workers=max_workers))
+        got, want = tmp_path / "threaded.rfdn", tmp_path / "serial.rfdn"
+        generate_dataset(cohort[:4], 15.0, config).save(got)
+        generate_dataset_serial(cohort[:4], 15.0, config).save(want)
+        assert pools == [workers]
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_worker_error_reaches_caller(self, cohort, monkeypatch):
+        # A NaN impairment passes the profile check and makes a NaN grid,
+        # which gen_fingerprint refuses inside the worker.
+        profiles = list(cohort[:3])
+        profiles[1] = dataclasses.replace(profiles[1],
+                                          pa_nonlinearity=float("nan"))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        with pytest.raises(InvalidValue, match="non-finite") as info:
+            generate_dataset(profiles, 15.0, tiny_config(n_bursts=1))
+        assert info.type is InvalidValue
+
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), None, "21"])
+    def test_bad_snr_rejected(self, cohort, snr):
+        with pytest.raises(InvalidValue):
+            generate_dataset(cohort[:2], snr, tiny_config(n_bursts=1))
+
+    def test_first_failing_radio_in_cohort_order_wins(self, cohort,
+                                                      monkeypatch):
+        # R02 fails after R03 in time; the caller still sees R02's error.
+        real_synth = harness.synth_burst
+
+        def synth(profile, *args, **kwargs):
+            if profile.radio_id == "R02":
+                time.sleep(0.2)
+                raise DegenerateSignal("R02")
+            if profile.radio_id == "R03":
+                raise InvalidLength("R03")
+            return real_synth(profile, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "synth_burst", synth)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        with pytest.raises(DegenerateSignal, match="R02"):
+            generate_dataset(cohort[:3], 15.0, tiny_config(n_bursts=1))
+
+    def test_empty_cohort_gives_empty_store(self):
+        assert len(generate_dataset([], 15.0, tiny_config())) == 0
 
 
 class TestReducer:
@@ -515,6 +613,14 @@ class TestCli:
         {"snr_grid": [None]},
         {"snr_grid": []},
         {"methods": ["foo"]},
+        {"n_bursts": 0},
+        {"k_folds": 1},
+        {"n_train": 0},
+        {"relieff_neighbors": 0},
+        {"nr_grid": [0]},
+        {"template_len": 10},
+        {"filter_cutoff": 1.5},
+        {"n_test_realizations": -1},
     ])
     def test_bad_config_rejected_before_any_store(self, tmp_path, data):
         path = tmp_path / "config.json"

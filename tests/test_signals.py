@@ -182,6 +182,9 @@ class TestIo:
         {"n_bursts": -3, "profiles": [{"radio_id": "R01"}]},
         {"profiles": [{"radio_id": "R01"}]},               # no n_bursts
         [{"radio_id": "R01"}],
+        {"n_bursts": 4, "profiles": [{"radio_id": "R01"},  # id twice
+                                     {"radio_id": "R02"},
+                                     {"radio_id": "R01"}]},
     ]] + ["{n_bursts: 4"])                                 # not JSON
     def test_malformed_manifest_rejected(self, tmp_path, text):
         path = tmp_path / "cohort.json"
