@@ -23,10 +23,11 @@ from . import featsel
 from .errors import InvalidInput, InvalidModel, InvalidValue, MissingData, TrainingFailed
 from .fingerprint import Fingerprint, FingerprintStore, gen_fingerprint
 from .gabor import GaborParams, dgt, normalize_tf
-from .modelsel import (CandidateModel, build_margin_pmfs, passes_gate,
-                       select_best)
+from .modelsel import (FVR_GATE, TVR_GATE, CandidateModel, build_margin_pmfs,
+                       passes_gate, select_best)
 from .signals import (
-    MIN_BURST_LEN,
+    CAPTURE_FILTER,
+    TEMPLATE_LEN,
     EmitterProfile,
     add_awgn,
     butterworth_filter,
@@ -67,11 +68,11 @@ class ExperimentConfig:
     nr_grid: list = field(default_factory=lambda: list(range(1, 201)))
     methods: list = field(default_factory=lambda: ["relieff"])
     master_seed: int = 0
-    template_len: int = 200
-    filter_order: int = 6
-    filter_cutoff: float = 0.4
     n_test_realizations: int = 1
     relieff_neighbors: int = 10
+    # The fixed capture chain, readable from a config; not settings.
+    template_len = TEMPLATE_LEN
+    filter_order, filter_cutoff = CAPTURE_FILTER
 
     def __post_init__(self):
         if not self.snr_grid or not all(
@@ -85,8 +86,7 @@ class ExperimentConfig:
                                f"{self.methods!r}")
         for name, low in (("n_bursts", 1), ("k_folds", 2),
                           ("relieff_neighbors", 1),
-                          ("template_len", MIN_BURST_LEN),
-                          ("filter_order", 1), ("n_test_realizations", 0)):
+                          ("n_test_realizations", 0)):
             value = getattr(self, name)
             if not _is_a(value, numbers.Integral) or value < low:
                 raise InvalidValue(f"{name} must be an integer >= {low}, "
@@ -97,18 +97,15 @@ class ExperimentConfig:
         n_z_train = self.n_z - self.n_test_realizations
         for name in ("n_train", "n_train_other"):
             value = getattr(self, name)
-            if not _is_a(value, numbers.Integral) or value < n_z_train:
+            if (not _is_a(value, numbers.Integral) or value < n_z_train
+                    or value % n_z_train):
                 raise InvalidValue(
-                    f"{name} must be at least one row per training "
-                    f"realization ({n_z_train}), got {value!r}")
+                    f"{name} must be a positive multiple of the training "
+                    f"realization count ({n_z_train}), got {value!r}")
         if not self.nr_grid or not all(
                 _is_a(n, numbers.Integral) and n >= 1 for n in self.nr_grid):
             raise InvalidValue(f"nr_grid must be positive integers, got "
                                f"{self.nr_grid!r}")
-        if not (_is_a(self.filter_cutoff, numbers.Real)
-                and 0.0 < self.filter_cutoff < 1.0):
-            raise InvalidValue(f"filter_cutoff must lie in (0, 1), got "
-                               f"{self.filter_cutoff!r}")
 
     @property
     def train_realizations(self) -> list[int]:
@@ -155,7 +152,7 @@ def default_cohort() -> list[EmitterProfile]:
     tau = np.linspace(6.0, 48.0, n_radios)[(7 * idx) % n_radios]
     pn = np.linspace(0.002, 0.012, n_radios)[(11 * idx) % n_radios]
     pa = np.linspace(0.0, 0.45, n_radios)[(13 * idx) % n_radios]
-    gain = np.linspace(0.90, 1.10, n_radios)[(5 * idx + 2) % n_radios]
+    gain = np.linspace(0.9, 1.1, n_radios)[(5 * idx + 2) % n_radios]
     phase = np.linspace(-0.12, 0.12, n_radios)[(13 * idx + 7) % n_radios]
     return [
         EmitterProfile(
@@ -214,19 +211,17 @@ def generate_dataset(
     if not (_is_a(snr_db, numbers.Real) and math.isfinite(snr_db)):
         raise InvalidValue(f"snr_db must be a finite number, got {snr_db!r}")
     params = GaborParams()
-    fspec = (config.filter_order, config.filter_cutoff)
 
     def radio_rows(ridx: int, profile: EmitterProfile) -> list[Fingerprint]:
         rows = []
         for b in range(config.n_bursts):
-            clean = synth_burst(
-                profile, config.template_len,
+            clean = butterworth_filter(synth_burst(
+                profile, TEMPLATE_LEN,
                 seed=_seed(config.master_seed, 1, ridx, b),
-            )
-            clean = butterworth_filter(clean, *fspec)
+            ))
             for z in range(config.n_z):
                 noisy = add_awgn(
-                    clean, snr_db, filter_spec=fspec,
+                    clean, snr_db,
                     seed=_seed(config.master_seed, 2, ridx, b, z,
                                _snr_key(snr_db)),
                 )
@@ -447,12 +442,12 @@ class VerificationReport:
         return len(self.rows(kind="rogue"))
 
     def gates_pass(self) -> bool:
-        """TVR >= 0.90 for every authorized radio and FVR <= 0.10 for every
-        other-authorized and rogue presentation."""
+        """Every authorized TVR and every other-authorized and rogue FVR
+        within the gates of :mod:`rfdna.modelsel`."""
         for e in self.entries:
-            if e["kind"] == "authorized" and e["tvr"] < 0.90:
+            if e["kind"] == "authorized" and e["tvr"] < TVR_GATE:
                 return False
-            if e["kind"] in ("other", "rogue") and e["fvr"] > 0.10:
+            if e["kind"] in ("other", "rogue") and e["fvr"] > FVR_GATE:
                 return False
         return True
 

@@ -15,6 +15,8 @@ from .errors import InvalidInput
 from .featsel import bhattacharyya, class_histograms
 from .svm import SvmModel, margin
 
+TVR_GATE, FVR_GATE = 0.90, 0.10  # pass at TVR >= 90% and FVR <= 10%
+
 
 @dataclass
 class MarginPmfPair:
@@ -72,8 +74,8 @@ def model_quality(pair: MarginPmfPair) -> tuple[float, float, float]:
 
 
 def passes_gate(cand: CandidateModel) -> bool:
-    """Training TVR >= 0.90 and others-FVR <= 0.10."""
-    return cand.tvr_train >= 0.90 and cand.fvr_others_train <= 0.10
+    """Training TVR and others-FVR within the gates."""
+    return cand.tvr_train >= TVR_GATE and cand.fvr_others_train <= FVR_GATE
 
 
 def select_best(candidates: list[CandidateModel]) -> CandidateModel:

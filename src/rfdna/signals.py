@@ -10,7 +10,8 @@ bit-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from .errors import (
 )
 
 MIN_BURST_LEN = 150  # samples consumed by one time-frequency block
+TEMPLATE_LEN = 200   # near-transient burst length of the capture chain
+CAPTURE_FILTER = (6, 0.4)  # Butterworth order and cutoff (fraction of Nyquist)
 
 
 @dataclass(frozen=True)
@@ -40,12 +43,16 @@ class EmitterProfile:
     ramp_time_constant: float = 20.0    # samples
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self)[1:])):
+            raise InvalidValue(f"{self.radio_id!r} has a non-finite impairment")
         if self.iq_gain_imbalance <= 0:
             raise InvalidValue("iq_gain_imbalance must be > 0")
         if not -0.5 < self.carrier_freq_offset < 0.5:
             raise InvalidValue("carrier_freq_offset must lie in (-0.5, 0.5)")
         if self.phase_noise_std < 0:
             raise InvalidValue("phase_noise_std must be >= 0")
+        if self.ramp_time_constant <= 0:
+            raise InvalidValue("ramp_time_constant must be > 0")
 
 
 @dataclass
@@ -144,9 +151,8 @@ def _butter_sos(order: int, cutoff: float):
     return sos
 
 
-def butterworth_filter(
-    burst: ComplexBurst, order: int = 6, cutoff: float = 0.25
-) -> ComplexBurst:
+def butterworth_filter(burst: ComplexBurst, order: int = CAPTURE_FILTER[0],
+                       cutoff: float = CAPTURE_FILTER[1]) -> ComplexBurst:
     """Forward-only low-pass Butterworth filter (cascaded biquads).
 
     ``cutoff`` is a fraction of the Nyquist frequency.
@@ -160,14 +166,15 @@ def butterworth_filter(
 def add_awgn(
     burst: ComplexBurst,
     snr_db: float,
-    filter_spec: tuple[int, float] = (6, 0.25),
+    filter_spec: tuple[int, float] = CAPTURE_FILTER,
     seed=0,
 ) -> ComplexBurst:
     """Add like-filtered complex AWGN at the target post-filter SNR.
 
     Noise is shaped by the same Butterworth filter as the signal path and then
     rescaled so the ratio of burst power to filtered-noise power equals the
-    target exactly.
+    target exactly. An SNR whose noise scale is not a finite positive
+    float raises :class:`InvalidValue`.
     """
     p_sig = burst.power()
     if p_sig <= 0.0:
@@ -178,7 +185,12 @@ def add_awgn(
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
     noise = sps.sosfilt(_butter_sos(order, cutoff), noise)
     p_noise = float(np.mean(np.abs(noise) ** 2))
-    scale = np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
+    try:
+        scale = np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise InvalidValue(f"no finite noise scale gives SNR {snr_db} dB")
     return ComplexBurst(burst.samples + scale * noise)
 
 

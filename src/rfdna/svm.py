@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidShape, InvalidValue, TrainingFailed
 
 _TOLERANCE = 1e-3
+_MAX_UPDATES = 1_000_000
 
 
 @dataclass
@@ -84,7 +85,6 @@ def train_svm(
     labels: np.ndarray,
     c: float = 1.0,
     zeta: float | None = None,
-    max_updates: int = 1_000_000,
     feature_indices=None,
 ) -> SvmModel:
     """Train the verifier on raw (unscaled) feature rows.
@@ -118,7 +118,7 @@ def train_svm(
     n_updates = 0
     converged = False
 
-    while n_updates < max_updates:
+    while n_updates < _MAX_UPDATES:
         yg = -y * grad
         up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
         low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))

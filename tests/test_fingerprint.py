@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rfdna.errors import InvalidShape, InvalidValue
 from rfdna.fingerprint import (
@@ -233,3 +234,43 @@ class TestStore:
         assert back.radio_ids() == ["R01", "R02", "R03"]
         assert np.array_equal(back.select("R03"), row[None, :])
         assert np.array_equal(back.select("R01", [0])[-1], row)
+
+
+@st.composite
+def stores(draw):
+    """Stores of up to 8 rows over up to 4 unicode ids (the empty id and the
+    empty store included), with any SNR (None, NaN and infinities
+    included) and any realization the u32 column holds."""
+    ids = draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=6),
+                        min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.none() | st.floats(),
+        st.integers(0, 2**32 - 1),
+        hnp.arrays(np.float64, N_FEATURES, elements=st.floats(
+            allow_nan=False, allow_infinity=False))), max_size=8))
+    store = FingerprintStore()
+    for rid, snr, z, x in rows:
+        store.add(Fingerprint(x, radio_id=rid, snr_db=snr, realization=z))
+    return store
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestStoreRoundtripProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(store=stores())
+    def test_save_load_is_bitwise(self, tmp_path_factory, store):
+        path = tmp_path_factory.mktemp("store") / "store.rfdn"
+        store.save(path)
+        back = FingerprintStore.load(path)
+        assert back.radio_ids() == store.radio_ids()
+        for column in ("_features", "_id_code", "_snr_db", "_realization"):
+            assert same_bits(getattr(back, column), getattr(store, column))
+        for rid in store.radio_ids() + ["not in the store"]:
+            assert same_bits(back.select(rid), store.select(rid))
+            for z in set(store._realization.tolist()):
+                assert same_bits(back.select(rid, [z]),
+                                 store.select(rid, [z]))

@@ -25,6 +25,7 @@ from rfdna.harness import (
     training_pool,
 )
 from rfdna.modelsel import passes_gate
+from rfdna.signals import CAPTURE_FILTER, TEMPLATE_LEN
 from rfdna import cli
 
 from oracles import generate_dataset_serial
@@ -78,7 +79,8 @@ def report(trials, store21, trial1_models):
 
 class TestConfig:
     def test_realization_split(self):
-        config = tiny_config(n_z=4, n_test_realizations=1)
+        config = tiny_config(n_z=4, n_test_realizations=1, n_train=9,
+                             n_train_other=9)
         assert config.train_realizations == [0, 1, 2]
         assert config.test_realizations == [3]
 
@@ -91,6 +93,13 @@ class TestConfig:
         path = tmp_path / "config.json"
         config.to_json(path)
         assert ExperimentConfig.from_json(path) == config
+
+    def test_capture_chain_is_not_a_setting(self):
+        config = tiny_config()
+        assert config.template_len == TEMPLATE_LEN
+        assert (config.filter_order, config.filter_cutoff) == CAPTURE_FILTER
+        assert not {"template_len", "filter_order", "filter_cutoff"} & {
+            f.name for f in dataclasses.fields(config)}
 
     def test_snr_grid_sorted(self):
         assert tiny_config(snr_grid=[27, 3, 21]).snr_grid == [3, 21, 27]
@@ -112,15 +121,15 @@ class TestConfig:
         {"n_bursts": 0}, {"n_bursts": 2.5}, {"n_bursts": True},
         {"k_folds": 0}, {"k_folds": 1},
         {"n_train": 0}, {"n_train_other": 0},
-        {"n_z": 4, "n_train": 2},         # 3 training realizations
-        {"n_z": 4, "n_train_other": 2},
+        # 3 training realizations; the other quota is valid in each case
+        {"n_z": 4, "n_train": 2, "n_train_other": 9},
+        {"n_z": 4, "n_train": 9, "n_train_other": 2},
+        {"n_z": 4, "n_train": 8, "n_train_other": 9},   # does not split
+        {"n_z": 4, "n_train": 9, "n_train_other": 10},
+        {"n_z": 3, "n_train": 5},                       # 2 realizations
         {"relieff_neighbors": 0},
         {"nr_grid": []}, {"nr_grid": [0]}, {"nr_grid": [-5, 10]},
         {"nr_grid": [2.5]}, {"nr_grid": [True]},
-        {"template_len": 10}, {"template_len": 149},
-        {"filter_order": 0},
-        {"filter_cutoff": 1.5}, {"filter_cutoff": 0.0},
-        {"filter_cutoff": 1.0}, {"filter_cutoff": float("nan")},
         {"n_test_realizations": -1},
     ])
     def test_bad_values_rejected(self, overrides):
@@ -130,8 +139,7 @@ class TestConfig:
     def test_smallest_values_accepted(self, trials):
         config = tiny_config(n_bursts=1, n_z=3, k_folds=2, n_train=2,
                              n_train_other=2, relieff_neighbors=1,
-                             nr_grid=[1], template_len=150, filter_order=1,
-                             n_test_realizations=1)
+                             nr_grid=[1], n_test_realizations=1)
         store = FingerprintStore()
         for rid in trials[0].authorized_ids:
             for z in range(3):
@@ -222,14 +230,11 @@ class TestParallelDataset:
         assert got.read_bytes() == want.read_bytes()
 
     def test_worker_error_reaches_caller(self, cohort, monkeypatch):
-        # A NaN impairment passes the profile check and makes a NaN grid,
-        # which gen_fingerprint refuses inside the worker.
-        profiles = list(cohort[:3])
-        profiles[1] = dataclasses.replace(profiles[1],
-                                          pa_nonlinearity=float("nan"))
+        # -4000 dB passes the finite-SNR check; add_awgn refuses it inside
+        # every worker, since no finite noise scale gives that SNR.
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        with pytest.raises(InvalidValue, match="non-finite") as info:
-            generate_dataset(profiles, 15.0, tiny_config(n_bursts=1))
+        with pytest.raises(InvalidValue, match="noise scale") as info:
+            generate_dataset(cohort[:3], -4000.0, tiny_config(n_bursts=1))
         assert info.type is InvalidValue
 
     @pytest.mark.parametrize("snr", [float("nan"), float("inf"), None, "21"])

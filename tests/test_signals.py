@@ -12,6 +12,7 @@ from rfdna.errors import (
     InvalidValue,
 )
 from rfdna.signals import (
+    CAPTURE_FILTER,
     ComplexBurst,
     EmitterProfile,
     add_awgn,
@@ -38,6 +39,19 @@ class TestProfile:
             EmitterProfile("X", carrier_freq_offset=0.5)
         with pytest.raises(InvalidValue):
             EmitterProfile("X", phase_noise_std=-0.1)
+
+    @pytest.mark.parametrize("impairment", [
+        {"pa_nonlinearity": float("nan")},
+        {"iq_gain_imbalance": float("inf")},
+        {"iq_phase_imbalance": float("-inf")},
+        {"phase_noise_std": float("nan")},
+        {"carrier_freq_offset": float("nan")},
+        {"ramp_time_constant": float("inf")},
+        {"ramp_time_constant": 0.0}, {"ramp_time_constant": -5.0},
+    ])
+    def test_non_finite_or_non_positive_ramp_rejected(self, impairment):
+        with pytest.raises(InvalidValue):
+            EmitterProfile("X", **impairment)
 
 
 class TestTemplates:
@@ -161,6 +175,21 @@ class TestAddAwgn:
         with pytest.raises(DegenerateSignal):
             add_awgn(ComplexBurst(np.zeros(64)), 10.0)
 
+    @pytest.mark.parametrize("snr", [-4000.0, -3100.0, 3090.0, 4000.0,
+                                     float("nan")])
+    def test_snr_without_finite_noise_scale_rejected(self, snr):
+        # -4000 dB underflows the power ratio to zero, -3100 dB makes the
+        # scale infinite, +3090 and +4000 dB overflow the power ratio.
+        with pytest.raises(InvalidValue, match="noise scale"):
+            add_awgn(burst_of(EmitterProfile("a")), snr)
+
+    def test_default_filter_is_the_capture_filter(self):
+        b = burst_of(EmitterProfile("a"))
+        assert np.array_equal(add_awgn(b, 9.0, seed=4).samples,
+                              add_awgn(b, 9.0, CAPTURE_FILTER, seed=4).samples)
+        assert np.array_equal(butterworth_filter(b).samples,
+                              butterworth_filter(b, *CAPTURE_FILTER).samples)
+
 
 class TestIo:
     def test_manifest_roundtrip(self, tmp_path):
@@ -185,6 +214,12 @@ class TestIo:
         {"n_bursts": 4, "profiles": [{"radio_id": "R01"},  # id twice
                                      {"radio_id": "R02"},
                                      {"radio_id": "R01"}]},
+        {"n_bursts": 4, "profiles": [{"radio_id": "R01",   # emitted as NaN
+                                      "pa_nonlinearity": float("nan")}]},
+        {"n_bursts": 4, "profiles": [{"radio_id": "R01",   # as Infinity
+                                      "iq_gain_imbalance": float("inf")}]},
+        {"n_bursts": 4, "profiles": [{"radio_id": "R01",
+                                      "ramp_time_constant": -5.0}]},
     ]] + ["{n_bursts: 4"])                                 # not JSON
     def test_malformed_manifest_rejected(self, tmp_path, text):
         path = tmp_path / "cohort.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rfdna import svm
 from rfdna.errors import InvalidShape, InvalidValue, TrainingFailed
 from rfdna.svm import (
     SvmModel,
@@ -138,10 +139,11 @@ class TestTraining:
         with pytest.raises(InvalidValue):
             train_svm(X, labels, zeta=0.0)
 
-    def test_iteration_cap_carries_partial_model(self):
+    def test_iteration_cap_carries_partial_model(self, monkeypatch):
         X, labels = blob_data(n=50, gap=0.2, seed=7)
+        monkeypatch.setattr(svm, "_MAX_UPDATES", 3)
         with pytest.raises(TrainingFailed) as exc:
-            train_svm(X, labels, max_updates=3)
+            train_svm(X, labels)
         assert isinstance(exc.value.model, SvmModel)
         assert exc.value.diagnostics["n_updates"] == 3
 
