@@ -9,6 +9,7 @@ frequency blocks of 10.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,12 @@ class Fingerprint:
             )
         if not np.all(np.isfinite(self.features)):
             raise InvalidValue("non-finite fingerprint features")
+        # A store keeps realizations as u32.
+        z = self.realization
+        if (not isinstance(z, numbers.Integral) or isinstance(z, bool)
+                or not 0 <= z < 2**32):
+            raise InvalidValue(f"realization must be an integer in "
+                               f"[0, 2**32), got {z!r}")
 
 
 def tile_patches(tf: TimeFrequencyMatrix) -> PatchGrid:

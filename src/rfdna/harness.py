@@ -37,6 +37,7 @@ from .svm import svm_decide, train_svm
 
 METHODS = ("dra", "lda", "pca", "nca", "poeacc", "bc", "ttest", "relieff")
 _ZETA_SCALE = 10.0      # SVM kernel width zeta = _ZETA_SCALE / N_r
+MAX_ABS_SNR_DB = 1000.0     # a config SNR is within +-MAX_ABS_SNR_DB dB
 
 
 @dataclass
@@ -76,9 +77,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.snr_grid or not all(
-                _is_a(s, numbers.Real) and math.isfinite(s)
+                _is_a(s, numbers.Real) and abs(s) <= MAX_ABS_SNR_DB
                 for s in self.snr_grid):
-            raise InvalidValue(f"snr_grid must be finite SNRs in dB, got "
+            raise InvalidValue(f"snr_grid must be SNRs within "
+                               f"+-{MAX_ABS_SNR_DB:g} dB, got "
                                f"{self.snr_grid!r}")
         self.snr_grid = sorted(self.snr_grid)
         if not self.methods or not set(self.methods) <= set(METHODS):

@@ -93,7 +93,9 @@ def train_svm(
     standardizer is fit on the training rows and stored with the model;
     ``zeta`` defaults to 1 / n_features after standardization. Training
     stops once the gap of the maximally violating pair falls below 1e-3,
-    which bounds every row's KKT violation by that gap.
+    which bounds every row's KKT violation by that gap;
+    ``diagnostics["kkt_gap"]`` is that gap when training stops (0.0 when
+    either index set is empty).
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
@@ -111,22 +113,28 @@ def train_svm(
 
     Z, mean, scale = standardize(X)
     K = rbf_kernel(Z, Z, zeta)
-    Q = (y[:, None] * y[None, :]) * K
+    Q = (y[:, None] * y[None, :]) * K     # for the dual objective
+    cols = np.ascontiguousarray(K.T)     # cols[i] is the kernel column K[:, i]
 
+    # The solver state is yg = -y * grad, where grad = Q alpha - e is the
+    # gradient of 1/2 a'Qa - e'a. yg_up and yg_low are copies masked to
+    # -inf outside the up set and to +inf outside the low set. An update
+    # moves only rows i and j between sets, so only they are refreshed.
     alpha = np.zeros(n)
-    grad = -np.ones(n)               # gradient of 1/2 a'Qa - e'a
+    yg = y.copy()
+    up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
+    yg_up = np.where(up, yg, -np.inf)
+    yg_low = np.where(low, yg, np.inf)
     n_updates = 0
     converged = False
 
     while n_updates < _MAX_UPDATES:
-        yg = -y * grad
-        up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
-        if not up.any() or not low.any():
+        i = int(yg_up.argmax())
+        j = int(yg_low.argmin())
+        if yg_up[i] == -np.inf or yg_low[j] == np.inf:
             converged = True
             break
-        i = int(np.argmax(np.where(up, yg, -np.inf)))
-        j = int(np.argmin(np.where(low, yg, np.inf)))
         gap = yg[i] - yg[j]
         if gap < _TOLERANCE:
             converged = True
@@ -148,23 +156,31 @@ def train_svm(
         if d <= 0:
             converged = True
             break
-        da_i = y[i] * d
-        da_j = -y[j] * d
-        alpha[i] += da_i
-        alpha[j] += da_j
-        grad += Q[:, i] * da_i + Q[:, j] * da_j
+        alpha[i] += y[i] * d
+        alpha[j] -= y[j] * d
+        # grad += Q[:, i] y_i d - Q[:, j] y_j d, in yg form; y = +-1 makes
+        # the sign changes exact, so the rounding is the gradient's own.
+        step = cols[j] * d - cols[i] * d
+        yg += step
+        yg_up += step
+        yg_low += step
+        for r in (i, j):
+            if y[r] > 0:
+                is_up, is_low = alpha[r] < c - 1e-12, alpha[r] > 1e-12
+            else:
+                is_up, is_low = alpha[r] > 1e-12, alpha[r] < c - 1e-12
+            yg_up[r] = yg[r] if is_up else -np.inf
+            yg_low[r] = yg[r] if is_low else np.inf
         n_updates += 1
 
-    yg = -y * grad
+    hi, lo = yg_up.max(), yg_low.min()
+    kkt_gap = float(hi - lo) if hi > -np.inf and lo < np.inf else 0.0
     free = (alpha > 1e-8) & (alpha < c - 1e-8)
     if free.any():
         bias = float(np.mean(yg[free]))
     else:
-        up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
-        hi = yg[up].max() if up.any() else 0.0
-        lo = yg[low].min() if low.any() else 0.0
-        bias = float((hi + lo) / 2.0)
+        bias = float(((hi if hi > -np.inf else 0.0)
+                      + (lo if lo < np.inf else 0.0)) / 2.0)
 
     sv = alpha > 1e-12
     # Dual objective in maximization form: e'a - 1/2 a'Qa.
@@ -175,6 +191,7 @@ def train_svm(
         "dual_objective": dual_objective,
         "alphas": alpha[sv],
         "sum_alpha_y": float(np.sum(alpha * y)),
+        "kkt_gap": kkt_gap,
     }
     model = SvmModel(
         support_vectors=Z[sv],

@@ -7,6 +7,8 @@ meaningful evidence of correctness rather than a tautology.
 
 import numpy as np
 
+from rfdna import svm
+from rfdna.errors import InvalidValue, TrainingFailed
 from rfdna.fingerprint import FingerprintStore, gen_fingerprint
 from rfdna.gabor import GaborParams, dgt, gaussian_window, normalize_tf
 from rfdna.signals import add_awgn, butterworth_filter, synth_burst
@@ -315,3 +317,118 @@ def generate_dataset_serial(profiles, snr_db, config) -> FingerprintStore:
                     normalize_tf(dgt(noisy, params)),
                     radio_id=profile.radio_id, snr_db=snr_db, realization=z))
     return store
+
+
+def train_svm_reference(
+    X: np.ndarray,
+    labels: np.ndarray,
+    c: float = 1.0,
+    zeta: float | None = None,
+    feature_indices=None,
+):
+    """``svm.train_svm`` as a literal SMO loop: every pair update rebuilds
+    ``-y * grad`` and both KKT index sets over all rows, and updates the
+    gradient from the signed matrix ``Q``. Reads ``svm._TOLERANCE`` and
+    ``svm._MAX_UPDATES`` at call time, so a patched cap applies to both.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels)
+    # Class tag 1 and label +1 both map to y = +1; tag 2 / label -1 to y = -1.
+    y = np.where(labels == 1, 1.0, -1.0)
+    n, f = X.shape
+    if not np.all(np.isfinite(X)):
+        raise InvalidValue("non-finite features")
+    if len(np.unique(y)) < 2:
+        raise InvalidValue("both classes must be present")
+    if zeta is None:
+        zeta = 1.0 / f
+    if zeta <= 0:
+        raise InvalidValue("zeta must be > 0")
+
+    Z, mean, scale = svm.standardize(X)
+    K = svm.rbf_kernel(Z, Z, zeta)
+    Q = (y[:, None] * y[None, :]) * K
+
+    alpha = np.zeros(n)
+    grad = -np.ones(n)               # gradient of 1/2 a'Qa - e'a
+    n_updates = 0
+    converged = False
+
+    while n_updates < svm._MAX_UPDATES:
+        yg = -y * grad
+        up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        i = int(np.argmax(np.where(up, yg, -np.inf)))
+        j = int(np.argmin(np.where(low, yg, np.inf)))
+        gap = yg[i] - yg[j]
+        if gap < svm._TOLERANCE:
+            converged = True
+            break
+
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 1e-12:
+            quad = 1e-12
+        d = gap / quad
+        # Box limits: alpha_i + y_i d in [0, c], alpha_j - y_j d in [0, c].
+        if y[i] > 0:
+            d = min(d, c - alpha[i])
+        else:
+            d = min(d, alpha[i])
+        if y[j] > 0:
+            d = min(d, alpha[j])
+        else:
+            d = min(d, c - alpha[j])
+        if d <= 0:
+            converged = True
+            break
+        da_i = y[i] * d
+        da_j = -y[j] * d
+        alpha[i] += da_i
+        alpha[j] += da_j
+        grad += Q[:, i] * da_i + Q[:, j] * da_j
+        n_updates += 1
+
+    yg = -y * grad
+    free = (alpha > 1e-8) & (alpha < c - 1e-8)
+    if free.any():
+        bias = float(np.mean(yg[free]))
+    else:
+        up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
+        hi = yg[up].max() if up.any() else 0.0
+        lo = yg[low].min() if low.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+
+    sv = alpha > 1e-12
+    # Dual objective in maximization form: e'a - 1/2 a'Qa.
+    dual_objective = float(alpha.sum() - 0.5 * alpha @ (Q @ alpha))
+    diagnostics = {
+        "n_updates": n_updates,
+        "converged": converged,
+        "dual_objective": dual_objective,
+        "alphas": alpha[sv],
+        "sum_alpha_y": float(np.sum(alpha * y)),
+    }
+    model = svm.SvmModel(
+        support_vectors=Z[sv],
+        dual_coeffs=alpha[sv] * y[sv],
+        bias=bias,
+        kernel_zeta=zeta,
+        cost_c=c,
+        feature_indices=(
+            None if feature_indices is None
+            else np.asarray(feature_indices, dtype=np.int64)
+        ),
+        scaler_mean=mean,
+        scaler_scale=scale,
+        diagnostics=diagnostics,
+    )
+    if not converged:
+        raise TrainingFailed(
+            f"no convergence after {n_updates} pair updates",
+            model=model, diagnostics=diagnostics,
+        )
+    return model

@@ -120,6 +120,12 @@ class TestGenFingerprint:
         with pytest.raises(InvalidValue):
             Fingerprint(features=feats)
 
+    @pytest.mark.parametrize("z", [-1, 2**32, 2.5, 1.0, "1", None, True])
+    def test_realization_outside_u32_rejected(self, z):
+        # The store's u32 column would wrap -1 and 2**32 and truncate 2.5.
+        with pytest.raises(InvalidValue):
+            Fingerprint(features=np.zeros(N_FEATURES), realization=z)
+
 
 def small_store():
     store = FingerprintStore()
@@ -177,6 +183,16 @@ class TestStore:
         # SNR None round-trips through the NaN sentinel of the SNR column.
         assert np.array_equal(back._snr_db[:6], [21.0] * 6)
         assert np.isnan(back._snr_db[6:]).all()
+
+    @pytest.mark.parametrize("z", [0, 2**32 - 1, np.uint32(2**32 - 1)])
+    def test_realization_range_ends_roundtrip(self, tmp_path, z):
+        store = FingerprintStore()
+        store.add(Fingerprint(np.zeros(N_FEATURES), radio_id="R01",
+                              realization=z))
+        store.save(tmp_path / "store.rfdn")
+        back = FingerprintStore.load(tmp_path / "store.rfdn")
+        assert back._realization.tolist() == [int(z)]
+        assert back.select("R01", [z]).shape == (1, N_FEATURES)
 
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.rfdn"

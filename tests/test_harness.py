@@ -131,10 +131,18 @@ class TestConfig:
         {"nr_grid": []}, {"nr_grid": [0]}, {"nr_grid": [-5, 10]},
         {"nr_grid": [2.5]}, {"nr_grid": [True]},
         {"n_test_realizations": -1},
+        # beyond harness.MAX_ABS_SNR_DB
+        {"snr_grid": [21.0, 5000.0]}, {"snr_grid": [-5000.0, 21.0]},
+        {"snr_grid": [1000.5]},
     ])
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(InvalidValue):
             tiny_config(**overrides)
+
+    def test_snr_limits_accepted(self):
+        limit = harness.MAX_ABS_SNR_DB
+        assert tiny_config(snr_grid=[limit, -limit]).snr_grid == [-limit,
+                                                                   limit]
 
     def test_smallest_values_accepted(self, trials):
         config = tiny_config(n_bursts=1, n_z=3, k_folds=2, n_train=2,
@@ -626,6 +634,7 @@ class TestCli:
         {"template_len": 10},
         {"filter_cutoff": 1.5},
         {"n_test_realizations": -1},
+        {"snr_grid": [21.0, 5000.0]},     # 21 dB alone is a valid grid
     ])
     def test_bad_config_rejected_before_any_store(self, tmp_path, data):
         path = tmp_path / "config.json"

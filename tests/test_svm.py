@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfdna import svm
 from rfdna.errors import InvalidShape, InvalidValue, TrainingFailed
@@ -13,7 +15,7 @@ from rfdna.svm import (
     train_svm,
 )
 
-from oracles import svm_dual_grid_oracle
+from oracles import svm_dual_grid_oracle, train_svm_reference
 
 RNG = np.random.default_rng(2024)
 
@@ -24,6 +26,54 @@ def blob_data(n=30, gap=3.0, seed=0):
     X2 = rng.standard_normal((n, 3)) + gap
     X = np.concatenate([X1, X2])
     labels = np.concatenate([np.ones(n), np.full(n, 2)])
+    return X, labels
+
+
+def full_alphas(model, X, labels):
+    """Every row's alpha, read back from the support vectors of a model
+    trained on ``X`` (rows must be distinct)."""
+    y = np.where(labels == 1, 1.0, -1.0)
+    Z = (X - model.scaler_mean) / model.scaler_scale
+    alpha = np.zeros(len(X))
+    for sv, coef in zip(model.support_vectors, model.dual_coeffs):
+        (row,) = np.nonzero(np.all(Z == sv, axis=1))[0]
+        alpha[row] = coef * y[row]
+    return alpha
+
+
+def fit(train, X, labels, **kwargs):
+    """``(model, converged)``; a fit stopped by the update cap gives its
+    partial model."""
+    try:
+        return train(X, labels, **kwargs), True
+    except TrainingFailed as exc:
+        return exc.model, False
+
+
+def assert_same_fit(X, labels, **kwargs):
+    """``train_svm`` and the reference loop agree in every model field and
+    every diagnostic, compared with ``==``, so only a zero's sign may
+    differ. Returns the ``train_svm`` model."""
+    got, got_ok = fit(train_svm, X, labels, **kwargs)
+    want, want_ok = fit(train_svm_reference, X, labels, **kwargs)
+    assert got_ok == want_ok
+    for name in ("support_vectors", "dual_coeffs", "bias", "kernel_zeta",
+                 "cost_c", "feature_indices", "scaler_mean", "scaler_scale"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), name
+    assert set(got.diagnostics) == set(want.diagnostics) | {"kkt_gap"}
+    for name, value in want.diagnostics.items():
+        assert np.array_equal(got.diagnostics[name], value), name
+    return got
+
+
+def overlapping(n1, n2, f, seed, dup=False):
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([rng.standard_normal((n1, f)),
+                        rng.standard_normal((n2, f)) + 0.7])
+    labels = np.concatenate([np.ones(n1), np.full(n2, 2)])
+    if dup:
+        X, labels = np.concatenate([X, X]), np.concatenate([labels, labels])
     return X, labels
 
 
@@ -91,11 +141,7 @@ class TestTraining:
         tol = 1e-3 + 1e-9
         model = train_svm(X, labels, c=1.0, zeta=zeta)
         y = np.where(labels == 1, 1.0, -1.0)
-        Z = (X - model.scaler_mean) / model.scaler_scale
-        alpha = np.zeros(len(X))
-        for sv, coef in zip(model.support_vectors, model.dual_coeffs):
-            (row,) = np.nonzero(np.all(Z == sv, axis=1))[0]
-            alpha[row] = coef * y[row]
+        alpha = full_alphas(model, X, labels)
         assert np.all(alpha >= 0) and np.all(alpha <= 1.0 + 1e-12)
         yf = y * svm_score(model, X)
         at_zero = alpha <= 1e-12
@@ -146,6 +192,84 @@ class TestTraining:
             train_svm(X, labels)
         assert isinstance(exc.value.model, SvmModel)
         assert exc.value.diagnostics["n_updates"] == 3
+
+
+class TestAgainstReferenceLoop:
+    """The incremental loop against ``tests/oracles.train_svm_reference``,
+    which rescans every row on each update."""
+
+    @pytest.mark.parametrize("c", [0.02, 0.1, 1.0, 50.0])
+    def test_box_bound_alphas(self, c):
+        X, labels = overlapping(30, 25, 3, seed=21)
+        model = assert_same_fit(X, labels, c=c)
+        if c <= 0.1:
+            assert np.any(model.diagnostics["alphas"] >= c - 1e-12)
+
+    @pytest.mark.parametrize("c", [0.05, 1.0])
+    def test_duplicated_rows_tie(self, c):
+        X, labels = overlapping(12, 14, 2, seed=22, dup=True)
+        assert_same_fit(X, labels, c=c)
+
+    @pytest.mark.parametrize("single", [1, 2])
+    def test_class_with_one_row(self, single):
+        X, _ = overlapping(1, 20, 4, seed=23)
+        labels = np.where(np.arange(21) == 0, single, 3 - single)
+        assert_same_fit(X, labels, c=1.0)
+        assert_same_fit(X, labels, c=0.05)
+
+    def test_update_cap(self, monkeypatch):
+        monkeypatch.setattr(svm, "_MAX_UPDATES", 3)
+        X, labels = blob_data(n=50, gap=0.2, seed=7)
+        model = assert_same_fit(X, labels, c=1.0)
+        assert model.diagnostics["n_updates"] == 3
+        assert not model.diagnostics["converged"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.integers(1, 25), n2=st.integers(1, 25), f=st.integers(1, 6),
+           c=st.sampled_from([0.01, 0.3, 1.0, 10.0]), dup=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_problems(self, n1, n2, f, c, dup, seed):
+        X, labels = overlapping(n1, n2, f, seed, dup=dup)
+        assert_same_fit(X, labels, c=c)
+
+
+class TestKktGap:
+    @pytest.mark.parametrize("X, labels, c, cap", [
+        (*blob_data(seed=1), 1.0, None),
+        (*blob_data(n=40, gap=1.0, seed=4), 1.0, None),
+        (*overlapping(30, 25, 3, seed=21), 0.05, None),
+        (*overlapping(1, 20, 4, seed=23), 1.0, None),
+        (*blob_data(n=50, gap=0.2, seed=7), 1.0, 3),
+        (*blob_data(n=50, gap=0.2, seed=7), 1.0, 40),
+    ])
+    def test_gap_matches_recomputed_gradient(self, monkeypatch, X, labels, c,
+                                             cap):
+        if cap is not None:
+            monkeypatch.setattr(svm, "_MAX_UPDATES", cap)
+        model, converged = fit(train_svm, X, labels, c=c)
+        gap = model.diagnostics["kkt_gap"]
+        y = np.where(labels == 1, 1.0, -1.0)
+        alpha = full_alphas(model, X, labels)
+        Z = (X - model.scaler_mean) / model.scaler_scale
+        Q = np.outer(y, y) * rbf_kernel(Z, Z, model.kernel_zeta)
+        yg = -y * (Q @ alpha - 1.0)
+        up = np.where(y > 0, alpha < c - 1e-12, alpha > 1e-12)
+        low = np.where(y > 0, alpha > 1e-12, alpha < c - 1e-12)
+        assert abs(gap - (yg[up].max() - yg[low].min())) <= 1e-9
+        # The gap rule is what stops a converged fit: no alpha leaves a
+        # box limit of zero width while both sets are non-empty.
+        assert converged == (cap is None)
+        if converged:
+            assert gap < svm._TOLERANCE
+        else:
+            assert gap >= svm._TOLERANCE
+
+    def test_gap_is_zero_without_a_pair(self):
+        # With c below the 1e-12 set margin, no row is in either set.
+        X, labels = blob_data(seed=2)
+        model = train_svm(X, labels, c=1e-13)
+        assert model.diagnostics["kkt_gap"] == 0.0
+        assert model.diagnostics["n_updates"] == 0
 
 
 @pytest.fixture(scope="module")
