@@ -95,10 +95,11 @@ def _block_stats(blocks: np.ndarray) -> np.ndarray:
     var = np.mean(d**2, axis=1)
     nz = (var > 0.0) & ~np.all(blocks == blocks[:, :1], axis=1)
     sd = np.sqrt(var)
-    skew = np.zeros_like(var)
-    kurt = np.zeros_like(var)
-    skew[nz] = np.mean(d[nz] ** 3, axis=1) / sd[nz] ** 3
-    kurt[nz] = np.mean(d[nz] ** 4, axis=1) / var[nz] ** 2
+    # Every row's moments, then zeros on the constant rows (whose 0/0 the
+    # mask discards), so no row is copied out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skew = np.where(nz, np.mean(d**3, axis=1) / sd**3, 0.0)
+        kurt = np.where(nz, np.mean(d**4, axis=1) / var**2, 0.0)
     sd = np.where(nz, sd, 0.0)
     var = np.where(nz, var, 0.0)
     return np.column_stack([sd, var, skew, kurt])
@@ -117,7 +118,7 @@ def gen_fingerprint(tf: TimeFrequencyMatrix, radio_id: str = "",
     blocks = region.reshape(N_TIME_BLOCKS, PATCH_T, N_FREQ_BLOCKS, PATCH_F)
     blocks = blocks.transpose(2, 0, 1, 3).reshape(N_PATCHES, PATCH_T * PATCH_F)
     feats = _block_stats(blocks).ravel()
-    global_feats = np.array(patch_stats(vals.ravel()))
+    global_feats = _block_stats(vals.reshape(1, -1))[0]
     return Fingerprint(
         features=np.concatenate([feats, global_feats]),
         radio_id=radio_id, snr_db=snr_db, realization=realization,

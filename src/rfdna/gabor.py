@@ -9,7 +9,10 @@ grid center.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +29,21 @@ class GaborParams:
     block_index_l: int = 0
 
     def __post_init__(self):
+        for name in ("M", "K_G", "N_delta", "block_index_l"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise InvalidValue(f"{name} must be an integer, got {v!r}")
         if self.M < 1 or self.K_G < 1 or self.N_delta < 1:
             raise InvalidValue("M, K_G, N_delta must be positive")
+        if self.block_index_l < 0:
+            raise InvalidValue("block_index_l must be >= 0")
+        sigma = self.window_sigma
+        if sigma is not None and not (
+                isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+                and math.isfinite(sigma) and sigma > 0):
+            raise InvalidValue(
+                f"window_sigma must be None or a finite float > 0, "
+                f"got {sigma!r}")
         if (self.M * self.N_delta) % self.K_G != 0:
             raise InvalidValue("(M * N_delta) must be a multiple of K_G")
         if self.K_G <= self.N_delta:
@@ -57,6 +73,21 @@ def gaussian_window(length: int, sigma: float) -> np.ndarray:
     return np.exp(-(d**2) / (2.0 * sigma**2))
 
 
+@lru_cache(maxsize=None)
+def _analysis_matrix(params: GaborParams) -> np.ndarray:
+    """The M x L conjugated windows conj(nu(n - m*N_delta)), rolled by one
+    column as :func:`dgt` folds them; built once per parameter set and
+    read-only, because every caller shares it."""
+    L = params.block_len
+    win = gaussian_window(L, params.sigma)
+    n = np.arange(1, L + 1)
+    m = np.arange(1, params.M + 1)
+    idx = (n[None, :] - (m * params.N_delta)[:, None]) % L
+    W = np.roll(np.conj(win[idx]), 1, axis=1)
+    W.setflags(write=False)
+    return W
+
+
 def dgt(burst, params: GaborParams = GaborParams()) -> np.ndarray:
     """Compute the Gabor coefficient grid G[m, k] for m = 1..M, k = 0..K_G-1.
 
@@ -74,17 +105,13 @@ def dgt(burst, params: GaborParams = GaborParams()) -> np.ndarray:
         )
     s = np.asarray(samples[start:start + L], dtype=np.complex128)
 
-    win = gaussian_window(L, params.sigma)
-    n = np.arange(1, L + 1)
-    m = np.arange(1, params.M + 1)
-    idx = (n[None, :] - (m * params.N_delta)[:, None]) % L
-    x = s[None, :] * np.conj(win[idx])
-
     # Fold the length-L sum onto K_G phase residues, then take a DFT. The
     # exponent depends on n only through n mod K_G; rolling by one aligns
-    # array position 0 with residue 0 (n runs from 1, not 0).
+    # array position 0 with residue 0 (n runs from 1, not 0). The analysis
+    # matrix is stored rolled, so rolling the samples rolls each product.
     q = L // params.K_G
-    folded = np.roll(x, 1, axis=1).reshape(params.M, q, params.K_G).sum(axis=1)
+    x = np.roll(s, 1)[None, :] * _analysis_matrix(params)
+    folded = x.reshape(params.M, q, params.K_G).sum(axis=1)
     return np.fft.fft(folded, axis=1)
 
 

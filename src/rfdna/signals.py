@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -144,8 +145,20 @@ def synth_burst(
     return ComplexBurst(x)
 
 
-@lru_cache(maxsize=None)
 def _butter_sos(order: int, cutoff: float):
+    """Second-order sections of the low-pass Butterworth design; the spec
+    is checked before the cache sees it."""
+    if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
+            or order < 1):
+        raise InvalidValue(f"filter order must be an integer >= 1, "
+                           f"got {order!r}")
+    if not (isinstance(cutoff, numbers.Real) and 0.0 < cutoff < 1.0):
+        raise InvalidCutoff(f"cutoff {cutoff} outside (0, 1)")
+    return _butter_design(order, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _butter_design(order: int, cutoff: float):
     sos = sps.butter(order, cutoff, btype="low", output="sos")
     sos.setflags(write=False)
     return sos
@@ -155,10 +168,11 @@ def butterworth_filter(burst: ComplexBurst, order: int = CAPTURE_FILTER[0],
                        cutoff: float = CAPTURE_FILTER[1]) -> ComplexBurst:
     """Forward-only low-pass Butterworth filter (cascaded biquads).
 
-    ``cutoff`` is a fraction of the Nyquist frequency.
+    ``cutoff`` is a fraction of the Nyquist frequency. An ``order`` that is
+    not an integer >= 1 raises :class:`InvalidValue`, a cutoff outside
+    (0, 1) :class:`InvalidCutoff`; ``add_awgn`` checks its ``filter_spec``
+    the same way.
     """
-    if not 0.0 < cutoff < 1.0:
-        raise InvalidCutoff(f"cutoff {cutoff} outside (0, 1)")
     sos = _butter_sos(order, cutoff)
     return ComplexBurst(sps.sosfilt(sos, burst.samples))
 

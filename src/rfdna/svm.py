@@ -112,14 +112,13 @@ def train_svm(
         raise InvalidValue("zeta must be > 0")
 
     Z, mean, scale = standardize(X)
-    K = rbf_kernel(Z, Z, zeta)
-    Q = (y[:, None] * y[None, :]) * K     # for the dual objective
-    cols = np.ascontiguousarray(K.T)     # cols[i] is the kernel column K[:, i]
+    K = rbf_kernel(Z, Z, zeta)     # bitwise symmetric: row K[i] is column i
 
     # The solver state is yg = -y * grad, where grad = Q alpha - e is the
-    # gradient of 1/2 a'Qa - e'a. yg_up and yg_low are copies masked to
-    # -inf outside the up set and to +inf outside the low set. An update
-    # moves only rows i and j between sets, so only they are refreshed.
+    # gradient of 1/2 a'Qa - e'a and Q = yy' * K (never formed). yg_up and
+    # yg_low are copies masked to -inf outside the up set and to +inf
+    # outside the low set. An update moves only rows i and j between sets,
+    # so only they are refreshed.
     alpha = np.zeros(n)
     yg = y.copy()
     up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
@@ -160,7 +159,7 @@ def train_svm(
         alpha[j] -= y[j] * d
         # grad += Q[:, i] y_i d - Q[:, j] y_j d, in yg form; y = +-1 makes
         # the sign changes exact, so the rounding is the gradient's own.
-        step = cols[j] * d - cols[i] * d
+        step = K[j] * d - K[i] * d
         yg += step
         yg_up += step
         yg_low += step
@@ -183,8 +182,10 @@ def train_svm(
                       + (lo if lo < np.inf else 0.0)) / 2.0)
 
     sv = alpha > 1e-12
-    # Dual objective in maximization form: e'a - 1/2 a'Qa.
-    dual_objective = float(alpha.sum() - 0.5 * alpha @ (Q @ alpha))
+    # Dual objective in maximization form: e'a - 1/2 a'Qa, where
+    # a'Qa = v'Kv with v = alpha * y.
+    v = alpha * y
+    dual_objective = float(alpha.sum() - 0.5 * v @ (K @ v))
     diagnostics = {
         "n_updates": n_updates,
         "converged": converged,

@@ -53,6 +53,23 @@ def dgt_triple_loop(samples, params: GaborParams) -> np.ndarray:
     return G
 
 
+def dgt_percall(samples, params: GaborParams) -> np.ndarray:
+    """The folded-FFT DGT that builds its conjugated window matrix on every
+    call and rolls the windowed products: the arithmetic ``dgt`` must match
+    bit for bit."""
+    L = params.block_len
+    start = params.block_index_l * L
+    s = np.asarray(samples, dtype=np.complex128)[start:start + L]
+    win = gaussian_window(L, params.sigma)
+    n = np.arange(1, L + 1)
+    m = np.arange(1, params.M + 1)
+    idx = (n[None, :] - (m * params.N_delta)[:, None]) % L
+    x = s[None, :] * np.conj(win[idx])
+    q = L // params.K_G
+    folded = np.roll(x, 1, axis=1).reshape(params.M, q, params.K_G).sum(axis=1)
+    return np.fft.fft(folded, axis=1)
+
+
 def moments_extended(cells) -> tuple[float, float, float, float]:
     """(sigma, variance, skewness, non-excess kurtosis) in extended precision."""
     x = np.asarray(cells, dtype=np.longdouble).ravel()
@@ -214,6 +231,24 @@ def moments_scalar(cells) -> tuple[float, float, float, float]:
     sd = np.sqrt(var)
     return (float(sd), float(var), float(np.mean(d**3) / sd**3),
             float(np.mean(d**4) / var**2))
+
+
+def block_stats_masked(blocks) -> np.ndarray:
+    """(sigma, var, skew, kurt) of each row, with the non-constant rows
+    copied out for the third and fourth moments: the arithmetic
+    ``fingerprint._block_stats`` must match bit for bit."""
+    mu = blocks.mean(axis=1, keepdims=True)
+    d = blocks - mu
+    var = np.mean(d**2, axis=1)
+    nz = (var > 0.0) & ~np.all(blocks == blocks[:, :1], axis=1)
+    sd = np.sqrt(var)
+    skew = np.zeros_like(var)
+    kurt = np.zeros_like(var)
+    skew[nz] = np.mean(d[nz] ** 3, axis=1) / sd[nz] ** 3
+    kurt[nz] = np.mean(d[nz] ** 4, axis=1) / var[nz] ** 2
+    sd = np.where(nz, sd, 0.0)
+    var = np.where(nz, var, 0.0)
+    return np.column_stack([sd, var, skew, kurt])
 
 
 def class_histograms_loop(A, B, bins):

@@ -419,18 +419,24 @@ class TestWelch:
             rank_ttest(fset)
 
 
+def permuted_sets(n1, n2, f, seed):
+    """A two-class set with moderate |t| and the same rows in a random
+    order."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n1 + n2, f))
+    X[n1:] += rng.uniform(0.0, 1.0, f)
+    labels = np.concatenate([np.ones(n1), np.full(n2, 2)])
+    perm = rng.permutation(n1 + n2)
+    return (LabeledFingerprintSet(X=X, labels=labels),
+            LabeledFingerprintSet(X=X[perm], labels=labels[perm]))
+
+
 class TestRowPermutation:
     @settings(max_examples=25, deadline=None)
     @given(n1=st.integers(2, 30), n2=st.integers(2, 30),
            f=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_bc_poe_welch_ignore_row_order(self, n1, n2, f, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n1 + n2, f))
-        X[n1:] += rng.uniform(0.0, 1.0, f)     # |t| stays moderate
-        labels = np.concatenate([np.ones(n1), np.full(n2, 2)])
-        perm = rng.permutation(n1 + n2)
-        fset = LabeledFingerprintSet(X=X, labels=labels)
-        fperm = LabeledFingerprintSet(X=X[perm], labels=labels[perm])
+        fset, fperm = permuted_sets(n1, n2, f, seed)
         bins = featsel._default_bins(n1 + n2)
         for score in (lambda s: rank_bc(s).scores,
                       lambda s: featsel._poe_per_feature(s, bins),
@@ -442,6 +448,15 @@ class TestRowPermutation:
         assert np.array_equal(rank_bc(fset).order, rank_bc(fperm).order)
         assert np.array_equal(rank_ttest(fset).order,
                               rank_ttest(fperm).order)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.integers(2, 30), n2=st.integers(2, 30),
+           f=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_relieff_ignores_row_order(self, n1, n2, f, seed):
+        fset, fperm = permuted_sets(n1, n2, f, seed)
+        a, b = rank_relieff(fset, n_k=1), rank_relieff(fperm, n_k=1)
+        np.testing.assert_allclose(b.scores, a.scores, rtol=1e-12, atol=0)
+        assert np.array_equal(a.order, b.order)
 
 
 class TestRelieff:

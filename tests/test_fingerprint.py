@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rfdna import fingerprint
 from rfdna.errors import InvalidShape, InvalidValue
 from rfdna.fingerprint import (
     FREQ_HI,
@@ -21,7 +22,7 @@ from rfdna.gabor import TimeFrequencyMatrix, dgt, normalize_tf
 from rfdna.harness import default_cohort
 from rfdna.signals import ComplexBurst, add_awgn, butterworth_filter, synth_burst
 
-from oracles import moments_extended, moments_scalar
+from oracles import block_stats_masked, moments_extended, moments_scalar
 
 RNG = np.random.default_rng(77)
 
@@ -82,6 +83,22 @@ class TestPatchStats:
             patch_stats([1.0, np.nan])
 
 
+class TestBlockStats:
+    @pytest.mark.parametrize("shape", [(50, 150), (1, 22_500)])
+    def test_matches_masked_oracle_bitwise(self, shape):
+        rng = np.random.default_rng(shape[0])
+        for trial in range(20):
+            blocks = rng.random(shape) ** rng.uniform(1.0, 4.0)
+            # Constant rows (zero, the grid peak, any level) mixed in; the
+            # one-row input alternates between constant and not.
+            const = rng.random(shape[0]) < 0.3 if shape[0] > 1 else (
+                np.array([trial % 2 == 1]))
+            blocks[const] = rng.choice([0.0, 1.0, rng.random()])
+            got = fingerprint._block_stats(blocks)
+            assert np.array_equal(got, block_stats_masked(blocks))
+            assert np.all(got[const] == 0.0)
+
+
 class TestGenFingerprint:
     def test_shape_and_patch_agreement(self):
         tf = random_tf()
@@ -92,8 +109,7 @@ class TestGenFingerprint:
             want = patch_stats(tf.values[t0:t1, f0:f1])
             assert np.allclose(fp.features[4 * p:4 * p + 4], want,
                                rtol=0, atol=1e-12)
-        assert np.allclose(fp.features[-4:], patch_stats(tf.values),
-                           rtol=0, atol=1e-12)
+        assert np.array_equal(fp.features[-4:], patch_stats(tf.values))
 
     def test_constant_region_yields_zero_block(self):
         vals = RNG.random(GRID_SHAPE)

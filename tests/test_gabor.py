@@ -1,17 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rfdna import gabor
 from rfdna.errors import DegenerateTF, InvalidLength, InvalidValue
 from rfdna.gabor import GaborParams, dgt, gaussian_window, normalize_tf
-from rfdna.signals import ComplexBurst
+from rfdna.harness import default_cohort
+from rfdna.signals import ComplexBurst, add_awgn, butterworth_filter, synth_burst
 
-from oracles import dgt_direct, dgt_triple_loop
+from oracles import dgt_direct, dgt_percall, dgt_triple_loop
 
 RNG = np.random.default_rng(1234)
+
+# The default grid, a coarser frequency grid, an oversampled grid with
+# q = 3 residues per bin, a narrow window and the second block.
+ORACLE_PARAMS = [
+    GaborParams(),
+    GaborParams(K_G=75),
+    GaborParams(M=75, K_G=50, N_delta=2),
+    GaborParams(window_sigma=7.0),
+    GaborParams(block_index_l=1),
+]
 
 
 def rand_signal(n):
     return RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
+
+
+def seeded_signal(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def captured_bursts(n=20, length=300):
+    """Filtered bursts of the cohort at SNRs from -3 to 27 dB, long enough
+    for block 1."""
+    cohort = default_cohort()
+    out = []
+    for b, snr in enumerate(np.linspace(-3.0, 27.0, n)):
+        burst = butterworth_filter(
+            synth_burst(cohort[b % len(cohort)], length, seed=b))
+        out.append(add_awgn(burst, float(snr), seed=1000 + b).samples)
+    return out
 
 
 class TestGaborParams:
@@ -37,6 +68,32 @@ class TestGaborParams:
     def test_rejects_critically_sampled(self):
         with pytest.raises(InvalidValue):
             GaborParams(M=10, K_G=2, N_delta=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("M", 150.0), ("M", True), ("M", "150"), ("K_G", 150.0),
+        ("N_delta", True), ("N_delta", None), ("block_index_l", 0.0),
+        ("block_index_l", False), ("M", -150), ("K_G", 0), ("N_delta", -1),
+        ("block_index_l", -1), ("window_sigma", float("nan")),
+        ("window_sigma", 0.0), ("window_sigma", -5.0),
+        ("window_sigma", float("inf")), ("window_sigma", True),
+        ("window_sigma", "25"),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(InvalidValue):
+            GaborParams(**{field: value})
+
+    def test_integer_types_and_sigma_accepted(self):
+        p = GaborParams(M=np.int64(150), window_sigma=np.float64(9.5))
+        assert p == GaborParams(window_sigma=9.5)
+        assert GaborParams(window_sigma=9).sigma == 9
+
+    def test_analysis_matrix_is_cached_and_read_only(self):
+        W = gabor._analysis_matrix(GaborParams())
+        assert W is gabor._analysis_matrix(GaborParams())
+        assert W.shape == (150, 150) and W.nbytes == 180_000
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 0.0
 
 
 class TestGaussianWindow:
@@ -79,12 +136,36 @@ class TestDgt:
         s = rand_signal(150)
         assert np.array_equal(dgt(ComplexBurst(s)), dgt(s))
 
-    def test_linearity(self):
-        x, y = rand_signal(150), rand_signal(150)
-        a, b = 0.7 - 0.2j, -1.3 + 0.4j
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=str)
+    def test_matches_percall_oracle_bitwise(self, params):
+        for s in captured_bursts():
+            assert np.array_equal(dgt(s, params), dgt_percall(s, params))
+
+    complex_coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                                        allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=complex_coeffs, b=complex_coeffs,
+           seed=st.integers(0, 2**32 - 1))
+    def test_linearity(self, a, b, seed):
+        x, y = seeded_signal(150, seed), seeded_signal(150, seed + 1)
         lhs = dgt(a * x + b * y)
         rhs = a * dgt(x) + b * dgt(y)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("params", [
+        GaborParams(), GaborParams(M=50, K_G=50, N_delta=2)], ids=str)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_circular_time_shift(self, params, seed):
+        # Delaying the block by one time step moves every row down one
+        # step and turns each bin by exp(-2j pi k N_delta / K_G).
+        s = seeded_signal(params.block_len, seed)
+        k = np.arange(params.K_G)
+        want = (np.roll(dgt(s, params), 1, axis=0)
+                * np.exp(-2j * np.pi * k * params.N_delta / params.K_G))
+        got = dgt(np.roll(s, params.N_delta), params)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_impulse(self):
         # s(n) = delta(n - n0) collapses the sum to one windowed phasor.

@@ -150,6 +150,16 @@ class TestButterworth:
         with pytest.raises(InvalidCutoff):
             butterworth_filter(b, 6, 1.0)
 
+    @pytest.mark.parametrize("order, cutoff, error", [
+        (-2, 0.4, InvalidValue), (2.5, 0.4, InvalidValue),
+        (0, 0.4, InvalidValue), (True, 0.4, InvalidValue),
+        (6.0, 0.4, InvalidValue), (6, 1.5, InvalidCutoff),
+        (6, float("nan"), InvalidCutoff), (6, "0.4", InvalidCutoff),
+    ])
+    def test_invalid_spec(self, order, cutoff, error):
+        with pytest.raises(error):
+            butterworth_filter(ComplexBurst(np.ones(16)), order, cutoff)
+
 
 class TestAddAwgn:
     def test_exact_post_filter_snr(self):
@@ -182,6 +192,16 @@ class TestAddAwgn:
         # scale infinite, +3090 and +4000 dB overflow the power ratio.
         with pytest.raises(InvalidValue, match="noise scale"):
             add_awgn(burst_of(EmitterProfile("a")), snr)
+
+    @pytest.mark.parametrize("filter_spec, error", [
+        ((6, 1.5), InvalidCutoff), ((6, float("nan")), InvalidCutoff),
+        ((6, 0.0), InvalidCutoff), ((0, 0.4), InvalidValue),
+        ((-2, 0.4), InvalidValue), ((2.5, 0.4), InvalidValue),
+        ((True, 0.4), InvalidValue),
+    ])
+    def test_invalid_filter_spec(self, filter_spec, error):
+        with pytest.raises(error):
+            add_awgn(burst_of(EmitterProfile("a")), 9.0, filter_spec)
 
     def test_default_filter_is_the_capture_filter(self):
         b = burst_of(EmitterProfile("a"))

@@ -85,6 +85,15 @@ class TestKernel:
         assert K[0, 1] == pytest.approx(np.exp(-0.5), abs=1e-15)
         assert np.allclose(K, K.T)
 
+    @pytest.mark.parametrize("n, f", [(3, 1), (7, 5), (40, 12), (64, 204),
+                                      (320, 120), (333, 7), (800, 200)])
+    def test_gram_is_bitwise_symmetric(self, n, f):
+        # train_svm reads kernel columns as rows, which needs K == K.T.
+        rng = np.random.default_rng(n * f)
+        Z = standardize(rng.standard_normal((n, f)) * rng.uniform(0.1, 10, f))[0]
+        K = rbf_kernel(Z, Z, 1.0 / f)
+        assert np.array_equal(K, K.T)
+
 
 class TestStandardize:
     def test_unit_columns_and_constant_column(self):
