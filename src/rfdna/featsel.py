@@ -456,9 +456,15 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.fill_diagonal(d2, np.inf)
 
+    # Sum the references in an order set by their contents (class, then raw
+    # row bytes), so the weights do not depend on the order rows are stored.
+    rows = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * f)))
+    by_row = np.argsort(rows.ravel(), kind="stable")
+    refs = by_row[np.argsort(y[by_row], kind="stable")]
+
     priors = {c: float(np.mean(y == c)) for c in (1, 2)}
     w = np.zeros(f)
-    for i in range(n):
+    for i in refs:
         ci = y[i]
         cj = 3 - ci
         hit_pool = np.nonzero(y == ci)[0]
