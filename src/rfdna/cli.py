@@ -1,22 +1,21 @@
 """Command-line entry points for the verification pipeline.
 
-Subcommands mirror the pipeline stages: fingerprint -> select / train /
-evaluate -> sweep -> report. The data root comes from --data-root or
-the RFDNA_DATA environment variable. Exit code is 0 only when every gate
-requested by the command passes.
+Subcommands mirror the pipeline stages: fingerprint -> select / train
+(writes verifiers) -> evaluate (reads them) -> sweep -> report. The data
+root comes from --data-root or the RFDNA_DATA environment variable. Exit
+code is 0 only when every gate requested by the command passes.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import featsel, harness, signals
-from .errors import InvalidValue
+from .errors import InvalidValue, MissingData
 from .fingerprint import FingerprintStore
 from .harness import ExperimentConfig, default_cohort, default_trials
 from .modelsel import export_candidates, passes_gate
@@ -35,7 +34,7 @@ def _cohort_and_config(args, root: Path):
     whole. The burst count is ``--n-bursts`` if given, else the manifest's,
     else the config's, so every command sees one count per cohort."""
     manifest = args.manifest or (root / "cohort.json")
-    if Path(manifest).exists():
+    if args.manifest or Path(manifest).exists():
         profiles, n_bursts = signals.load_manifest(manifest)
     else:
         profiles, n_bursts = default_cohort(), None
@@ -74,6 +73,13 @@ def cmd_fingerprint(args) -> int:
     return 0
 
 
+def _require(path: Path, command: str) -> Path:
+    if not path.exists():
+        raise MissingData(f"{path} does not exist: run 'rfdna {command}' "
+                          f"first")
+    return path
+
+
 def _trial_setup(args):
     """Data root, config, trial and the store at the highest configured SNR:
     the common inputs of the single-trial commands."""
@@ -86,7 +92,11 @@ def _trial_setup(args):
     trial = trials[args.trial - 1]
     snr = config.snr_grid[-1]
     return root, config, trial, snr, FingerprintStore.load(
-        _store_path(root, snr))
+        _require(_store_path(root, snr), "fingerprint"))
+
+
+def _verifier_path(root: Path, method, claimed, snr) -> Path:
+    return root / f"verifier_{method}_{claimed}_snr{snr:g}.npz"
 
 
 def cmd_select(args) -> int:
@@ -107,27 +117,30 @@ def cmd_select(args) -> int:
 def cmd_train(args) -> int:
     root, config, trial, snr, store = _trial_setup(args)
     method = config.methods[0]
-    ok = True
-    for claimed in trial.authorized_ids:
-        cand = harness.train_best_model(
-            trial, claimed, method, snr, store, config
-        )
-        model_path = root / f"model_{method}_{claimed}_snr{snr:g}.json"
-        cand.model.save(model_path)
+    models = harness.train_trial(trial, snr, method, store, config)
+    for claimed, cand in models.items():
+        path = _verifier_path(root, method, claimed, snr)
+        harness.Verifier.of(cand, method, snr).save(path)
         export_candidates(
             cand.meta["candidates"], cand,
             root / f"candidates_{method}_{claimed}_snr{snr:g}.csv",
         )
-        ok = ok and passes_gate(cand)
         print(f"{claimed}: N_r={cand.n_r} tvr_train={cand.tvr_train:.3f} "
-              f"fvr_others={cand.fvr_others_train:.3f} -> {model_path}")
-    return 0 if ok else 1
+              f"fvr_others={cand.fvr_others_train:.3f} -> {path}")
+    return 0 if all(map(passes_gate, models.values())) else 1
 
 
 def cmd_evaluate(args) -> int:
     root, config, trial, snr, store = _trial_setup(args)
     method = config.methods[0]
-    report = harness.run_trial(trial, snr, method, store, config)
+    verifiers = {
+        claimed: harness.Verifier.load(
+            _require(_verifier_path(root, method, claimed, snr), "train"),
+            claimed, method, snr)
+        for claimed in trial.authorized_ids
+    }
+    report = harness.evaluate_trial(trial, snr, method, verifiers, store,
+                                    config)
     harness.emit_report([report], root / "reports")
     print(f"trial {trial.trial_id} @ {snr:g} dB: gates "
           f"{'pass' if report.gates_pass() else 'FAIL'}")
@@ -156,8 +169,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     root = _data_root(args)
-    src = Path(args.reports or (root / "reports" / "reports.json"))
-    data = json.loads(src.read_text())
+    src = args.reports or (root / "reports" / "reports.json")
+    data = signals.read_json(src, "reports")
+    if not isinstance(data, list):
+        raise InvalidValue(f"{src} does not hold a list of reports")
     reports = [harness.VerificationReport.from_dict(d) for d in data]
     harness.emit_report(reports, args.out or (root / "reports"))
     print(f"re-emitted {len(reports)} reports")
@@ -187,9 +202,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("select", help="export feature rankings")
     p.add_argument("--trial", type=int, default=1)
     p.add_argument("--claimed-id", default=None)
-    p = sub.add_parser("train", help="train per-radio best models")
+    p = sub.add_parser("train", help="train and save per-radio verifiers")
     p.add_argument("--trial", type=int, default=1)
-    p = sub.add_parser("evaluate", help="evaluate one trial")
+    p = sub.add_parser("evaluate", help="score one trial's saved verifiers")
     p.add_argument("--trial", type=int, default=1)
     sub.add_parser("sweep", help="full SNR sweep with elimination")
     p = sub.add_parser("report", help="re-emit result tables")

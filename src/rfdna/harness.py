@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import featsel
 from .errors import InvalidInput, InvalidModel, InvalidValue, MissingData, TrainingFailed
-from .fingerprint import Fingerprint, FingerprintStore, gen_fingerprint
+from .fingerprint import (N_FEATURES, Fingerprint, FingerprintStore,
+                          gen_fingerprint)
 from .gabor import GaborParams, dgt, normalize_tf
 from .modelsel import (FVR_GATE, TVR_GATE, CandidateModel, build_margin_pmfs,
                        passes_gate, select_best)
@@ -31,9 +33,10 @@ from .signals import (
     EmitterProfile,
     add_awgn,
     butterworth_filter,
+    read_json,
     synth_burst,
 )
-from .svm import svm_decide, train_svm
+from .svm import SvmModel, svm_decide, train_svm
 
 METHODS = ("dra", "lda", "pca", "nca", "poeacc", "bc", "ttest", "relieff")
 _ZETA_SCALE = 10.0      # SVM kernel width zeta = _ZETA_SCALE / N_r
@@ -119,7 +122,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text())
+        data = read_json(path, "config")
+        if not isinstance(data, dict):
+            raise InvalidValue(f"config {path} is not a JSON object")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidValue(f"unknown config keys {sorted(unknown)}")
@@ -291,15 +296,23 @@ class Reducer:
         return [n for n in nr_grid if 1 <= n <= cap]
 
     def transform(self, X: np.ndarray, n_r: int) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.basis is not None:
-            return (X - self.basis.mean) @ self.basis.basis[:, :n_r]
-        return X[:, featsel.select_top(self.ranking, n_r)]
+        return apply_cut(self.cut(n_r), X)
 
-    def indices(self, n_r: int):
-        if self.ranking is not None:
-            return featsel.select_top(self.ranking, n_r)
-        return None
+    def cut(self, n_r: int) -> dict:
+        """The map to ``n_r`` features: the top ``n_r`` ``indices`` of a
+        ranking, or the first ``n_r`` ``basis`` columns and ``mean``."""
+        if self.basis is not None:
+            return {"basis": self.basis.basis[:, :n_r],
+                    "mean": self.basis.mean}
+        return {"indices": featsel.select_top(self.ranking, n_r)}
+
+
+def apply_cut(cut: dict, X: np.ndarray) -> np.ndarray:
+    """Raw fingerprint rows mapped by a :meth:`Reducer.cut`."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if "basis" in cut:
+        return (X - cut["mean"]) @ cut["basis"]
+    return X[:, cut["indices"]]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +402,7 @@ def train_best_model(
                 try:
                     model = train_svm(
                         Xz[tr], yz[tr], zeta=_ZETA_SCALE / Xz.shape[1],
-                        feature_indices=reducer.indices(n_r),
+                        feature_indices=reducer.cut(n_r).get("indices"),
                     )
                 except TrainingFailed as exc:
                     model = exc.model
@@ -418,6 +431,91 @@ def train_best_model(
     selected.meta["gate_fallback"] = not any(map(passes_gate, candidates))
     selected.meta["pool_underfilled"] = short
     return selected
+
+
+def train_trial(trial, snr_db, method, store, config) -> dict:
+    """The selected candidate of every authorized radio, by claimed id."""
+    return {c: train_best_model(trial, c, method, snr_db, store, config)
+            for c in trial.authorized_ids}
+
+
+VERIFIER_VERSION = 1
+_SVM_FIELDS = ("support_vectors", "dual_coeffs", "scaler_mean",
+               "scaler_scale", "bias", "kernel_zeta", "cost_c")
+_FLAGS = ("gate_fallback", "pool_underfilled")
+
+
+@dataclass
+class Verifier:
+    """One claimed radio's enrolled verifier, kept as one versioned ``.npz``:
+    the map to ``n_r`` features (:meth:`Reducer.cut`), the SVM on them and
+    the training flags of :func:`train_best_model`."""
+    claimed_id: str
+    method: str
+    snr_db: float
+    n_r: int
+    cut: dict
+    model: SvmModel
+    flags: dict
+
+    @classmethod
+    def of(cls, cand: CandidateModel, method: str, snr_db) -> "Verifier":
+        """The verifier of a :func:`train_best_model` candidate."""
+        return cls(cand.meta["claimed_id"], method, snr_db, cand.n_r,
+                   cand.meta["reducer"].cut(cand.n_r), cand.model,
+                   {key: cand.meta[key] for key in _FLAGS})
+
+    def save(self, path) -> None:
+        # numpy keeps a cut's layout (Fortran order for PCA), so a reloaded
+        # verifier scores bitwise as the fitted one.
+        with open(path, "wb") as fh:
+            np.savez(fh, version=VERIFIER_VERSION, claimed_id=self.claimed_id,
+                     method=self.method, snr_db=self.snr_db, n_r=self.n_r,
+                     **self.cut, **self.flags,
+                     **{name: getattr(self.model, name)
+                        for name in _SVM_FIELDS})
+
+    @classmethod
+    def load(cls, path, claimed_id: str, method: str, snr_db) -> "Verifier":
+        """The verifier at ``path``. A missing, unreadable, wrong-version or
+        inconsistent file raises :class:`InvalidValue`; one enrolled for
+        another claimed id, method or SNR raises :class:`InvalidModel`."""
+        try:
+            # numpy leaks the handle of a file it cannot open as a zip.
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+                d = {name: z[name] for name in z.files}
+            n_r, idx = int(d["n_r"]), d.get("indices")
+            cut = ({"indices": idx} if idx is not None
+                   else {"basis": d["basis"], "mean": d["mean"]})
+            model = SvmModel(**{k: d[k] for k in _SVM_FIELDS[:4]},
+                             **{k: d[k].item() for k in _SVM_FIELDS[4:]},
+                             feature_indices=idx)
+            sv = model.support_vectors
+            ok = (d["version"].item() == VERIFIER_VERSION and n_r >= 1
+                  and all(np.isfinite(d[k]).all() for k in d
+                          if k in _SVM_FIELDS + ("basis", "mean"))
+                  and sv.ndim == 2 and sv.shape[1] == n_r
+                  and model.dual_coeffs.shape == (len(sv),)
+                  and model.scaler_mean.shape == model.scaler_scale.shape
+                  == (n_r,) and (
+                      idx.shape == (n_r,) and idx.dtype.kind == "i"
+                      and np.all((idx >= 0) & (idx < N_FEATURES))
+                      if idx is not None else
+                      cut["basis"].shape == (N_FEATURES, n_r)
+                      and cut["mean"].shape == (N_FEATURES,)))
+            found = (str(d["claimed_id"]), str(d["method"]),
+                     float(d["snr_db"]))
+            flags = {key: bool(d[key]) for key in _FLAGS}
+        except (OSError, EOFError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile) as exc:
+            raise InvalidValue(f"{path}: not a verifier, {exc!r}") from None
+        if not ok:
+            raise InvalidValue(f"{path} is not a version-{VERIFIER_VERSION} "
+                               f"verifier with consistent N_r = {n_r} arrays")
+        if found != (claimed_id, method, float(snr_db)):
+            raise InvalidModel(f"{path} holds the verifier of {found}, not "
+                               f"of {(claimed_id, method, float(snr_db))}")
+        return cls(claimed_id, method, snr_db, n_r, cut, model, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +560,22 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
+        """The report of :meth:`to_dict`. A report or entry that lacks a key
+        :func:`emit_report` reads raises :class:`InvalidValue`."""
+        keys = {"trial_id", "snr_db", "method", "entries"}
+        if (not isinstance(data, dict) or not keys <= set(data)
+                or not isinstance(data["entries"], list)
+                or not isinstance(data.get("meta", {}), dict)):
+            raise InvalidValue(f"a report needs the keys {sorted(keys)}, a "
+                               f"list of entries and an object meta")
+        for e in data["entries"]:
+            rate = ("tvr" if isinstance(e, dict)
+                    and e.get("kind") == "authorized" else "fvr")
+            keys = {"kind", "claimed_id", "actual_id", "n_r", rate, "n"}
+            if (not isinstance(e, dict) or not keys <= set(e)
+                    or not _is_a(e[rate], numbers.Real)):
+                raise InvalidValue(f"report entry {e!r} needs the keys "
+                                   f"{sorted(keys)} and a numeric {rate}")
         return cls(
             trial_id=data["trial_id"], snr_db=data["snr_db"],
             method=data["method"], entries=data["entries"],
@@ -478,66 +592,50 @@ def evaluate_trial(
     config: ExperimentConfig,
 ) -> VerificationReport:
     """Score held-out realizations: TVR per authorized radio plus FVR for
-    every other-authorized and rogue presentation of that claimed ID."""
+    every other-authorized and rogue presentation of that claimed ID, by each
+    claimed id's :class:`Verifier` or :func:`train_best_model` candidate in
+    ``models``. The meta holds ``selected_nr`` and the training flags."""
     missing = set(trial.authorized_ids) - set(models)
     if missing:
         raise InvalidModel(f"no model for claimed ids {sorted(missing)}")
+    verifiers = {c: models[c] if isinstance(models[c], Verifier)
+                 else Verifier.of(models[c], method, snr_db)
+                 for c in trial.authorized_ids}
     test_z = config.test_realizations
     entries = []
-    for claimed in trial.authorized_ids:
-        cand = models[claimed]
-        if cand.meta.get("claimed_id") not in (None, claimed):
-            raise InvalidModel(
-                f"model for {cand.meta['claimed_id']} presented as {claimed}"
-            )
-        reducer = cand.meta["reducer"]
-        n_r = cand.n_r
-
-        def verified_rate(radio_id):
-            rows = store.select(radio_id, test_z)
-            if len(rows) == 0:
-                raise MissingData(f"no test fingerprints for {radio_id}")
-            pred = svm_decide(cand.model, reducer.transform(rows, n_r))
-            return float(np.mean(pred == 1)), len(rows)
-
-        tvr, n = verified_rate(claimed)
-        entries.append({
-            "kind": "authorized", "claimed_id": claimed, "actual_id": claimed,
-            "n_r": int(n_r), "tvr": tvr, "frr": 1.0 - tvr, "n": n,
-        })
-        for other in trial.authorized_ids:
-            if other == claimed:
-                continue
-            fvr, n = verified_rate(other)
-            entries.append({
-                "kind": "other", "claimed_id": claimed, "actual_id": other,
-                "n_r": int(n_r), "fvr": fvr, "trr": 1.0 - fvr, "n": n,
-            })
-        for rogue in trial.rogue_ids:
-            fvr, n = verified_rate(rogue)
-            entries.append({
-                "kind": "rogue", "claimed_id": claimed, "actual_id": rogue,
-                "n_r": int(n_r), "fvr": fvr, "trr": 1.0 - fvr, "n": n,
-            })
+    for claimed, v in verifiers.items():
+        if v.claimed_id != claimed:
+            raise InvalidModel(f"model for {v.claimed_id} presented as "
+                               f"{claimed}")
+        others = [r for r in trial.authorized_ids if r != claimed]
+        for kind, actual_ids in (("authorized", [claimed]), ("other", others),
+                                 ("rogue", trial.rogue_ids)):
+            verified, rejected = (("tvr", "frr") if kind == "authorized"
+                                  else ("fvr", "trr"))
+            for actual in actual_ids:
+                rows = store.select(actual, test_z)
+                if len(rows) == 0:
+                    raise MissingData(f"no test fingerprints for {actual}")
+                rate = float(np.mean(
+                    svm_decide(v.model, apply_cut(v.cut, rows)) == 1))
+                entries.append({
+                    "kind": kind, "claimed_id": claimed, "actual_id": actual,
+                    "n_r": int(v.n_r), verified: rate, rejected: 1.0 - rate,
+                    "n": len(rows),
+                })
+    meta = {"selected_nr": {c: int(v.n_r) for c, v in verifiers.items()}}
+    for key in _FLAGS:
+        meta[key] = {c: v.flags[key] for c, v in verifiers.items()}
     return VerificationReport(
         trial_id=trial.trial_id, snr_db=snr_db, method=method,
-        entries=entries,
+        entries=entries, meta=meta,
     )
 
 
 def run_trial(trial, snr_db, method, store, config) -> VerificationReport:
-    models = {
-        claimed: train_best_model(trial, claimed, method, snr_db, store, config)
-        for claimed in trial.authorized_ids
-    }
-    report = evaluate_trial(trial, snr_db, method, models, store, config)
-    report.meta["selected_nr"] = {
-        claimed: int(models[claimed].n_r) for claimed in trial.authorized_ids
-    }
-    for key in ("gate_fallback", "pool_underfilled"):
-        report.meta[key] = {claimed: models[claimed].meta[key]
-                            for claimed in trial.authorized_ids}
-    return report
+    """Train every authorized radio's verifier, then score the trial."""
+    models = train_trial(trial, snr_db, method, store, config)
+    return evaluate_trial(trial, snr_db, method, models, store, config)
 
 
 def snr_sweep(

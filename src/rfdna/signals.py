@@ -209,17 +209,23 @@ def add_awgn(
 
 
 # ---------------------------------------------------------------------------
-# Cohort manifest input
+# JSON input: cohort manifests, and the reader the config and reports share
 # ---------------------------------------------------------------------------
+
+def read_json(path, what: str):
+    """The parsed JSON text of ``path``; a file that is missing, unreadable
+    or not JSON raises :class:`InvalidValue` naming ``what``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidValue(f"cannot read {what} {path}: {exc}") from None
+
 
 def load_manifest(path) -> tuple[list[EmitterProfile], int]:
     """Profiles and burst count of ``{"n_bursts": N, "profiles": [...]}``,
-    one object of :class:`EmitterProfile` fields per radio. A malformed
-    manifest raises :class:`InvalidValue`."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidValue(f"manifest is not JSON: {exc}") from None
+    one object of :class:`EmitterProfile` fields per radio. A missing or
+    malformed manifest raises :class:`InvalidValue`."""
+    data = read_json(path, "manifest")
     if not isinstance(data, dict) or not isinstance(data.get("profiles"),
                                                     list):
         raise InvalidValue("manifest needs a \"profiles\" list")

@@ -8,9 +8,7 @@ under verification) maps to y = +1, class 2 to y = -1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -31,37 +29,6 @@ class SvmModel:
     scaler_mean: np.ndarray | None = None
     scaler_scale: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-
-    def save(self, path) -> None:
-        data = {
-            "feature_indices": (
-                None if self.feature_indices is None
-                else [int(i) for i in self.feature_indices]
-            ),
-            "scaler_mean": list(self.scaler_mean),
-            "scaler_scale": list(self.scaler_scale),
-            "kernel_zeta": self.kernel_zeta,
-            "cost_c": self.cost_c,
-            "bias": self.bias,
-            "support_vectors": [list(row) for row in self.support_vectors],
-            "dual_coeffs": list(self.dual_coeffs),
-        }
-        Path(path).write_text(json.dumps(data))
-
-    @classmethod
-    def load(cls, path) -> "SvmModel":
-        data = json.loads(Path(path).read_text())
-        fi = data["feature_indices"]
-        return cls(
-            support_vectors=np.array(data["support_vectors"], dtype=np.float64),
-            dual_coeffs=np.array(data["dual_coeffs"], dtype=np.float64),
-            bias=float(data["bias"]),
-            kernel_zeta=float(data["kernel_zeta"]),
-            cost_c=float(data["cost_c"]),
-            feature_indices=None if fi is None else np.array(fi, dtype=np.int64),
-            scaler_mean=np.array(data["scaler_mean"], dtype=np.float64),
-            scaler_scale=np.array(data["scaler_scale"], dtype=np.float64),
-        )
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, zeta: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from rfdna.harness import (
     Reducer,
     TrialConfig,
     VerificationReport,
+    Verifier,
     default_cohort,
     default_trials,
     emit_report,
@@ -25,6 +26,7 @@ from rfdna.harness import (
     training_pool,
 )
 from rfdna.modelsel import passes_gate
+from rfdna.svm import svm_score
 from rfdna.signals import CAPTURE_FILTER, TEMPLATE_LEN
 from rfdna import cli
 
@@ -295,7 +297,7 @@ class TestReducer:
         red = Reducer("lda").fit(fset, tiny_config())
         assert red.nr_values([1, 5, 50]) == [1]
         assert red.transform(rows1, 1).shape == (len(rows1), 1)
-        assert red.indices(1) is None
+        assert set(red.cut(1)) == {"basis", "mean"}
 
     def test_ranking_transform_selects_columns(self, store21):
         import rfdna.featsel as featsel
@@ -307,7 +309,7 @@ class TestReducer:
                                    np.full(len(rows2), 2)]),
         )
         red = Reducer("relieff").fit(fset, tiny_config())
-        idx = red.indices(5)
+        idx = red.cut(5)["indices"]
         assert np.array_equal(red.transform(rows1, 5), rows1[:, idx])
         assert red.nr_values([1, 5, 500]) == [1, 5]
 
@@ -471,6 +473,94 @@ class TestEvaluation:
         assert roundtrip(stub).meta == stub.meta
 
 
+class TestVerifierFile:
+    @pytest.fixture(scope="class")
+    def saved(self, trials, store21, tmp_path_factory):
+        """Per method: the fitted candidates of trial 1 and the verifiers
+        saved from them and loaded back."""
+        tmp = tmp_path_factory.mktemp("verifiers")
+        out = {}
+        for method in ("relieff", "bc", "pca", "lda"):
+            config = tiny_config(methods=[method])
+            cands = harness.train_trial(trials[0], 21.0, method, store21,
+                                        config)
+            loaded = {}
+            for claimed, cand in cands.items():
+                path = tmp / f"{method}_{claimed}.npz"
+                Verifier.of(cand, method, 21.0).save(path)
+                loaded[claimed] = Verifier.load(path, claimed, method, 21.0)
+            out[method] = config, cands, loaded
+        return out
+
+    @pytest.mark.parametrize("method", ["relieff", "bc", "pca", "lda"])
+    def test_loaded_verifiers_give_the_same_report(self, trials, store21,
+                                                   saved, method):
+        config, cands, loaded = saved[method]
+        want = evaluate_trial(trials[0], 21.0, method, cands, store21, config)
+        got = evaluate_trial(trials[0], 21.0, method, loaded, store21, config)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert got.meta["selected_nr"] == {c: v.n_r
+                                           for c, v in cands.items()}
+
+    @pytest.mark.parametrize("method", ["relieff", "bc", "pca", "lda"])
+    def test_loaded_scores_and_indices_are_the_fitted_ones(
+            self, trials, store21, saved, method):
+        _, cands, loaded = saved[method]
+        rows = store21.select("R07", [1])
+        for claimed, cand in cands.items():
+            v = loaded[claimed]
+            want = svm_score(cand.model, cand.meta["reducer"].transform(
+                rows, cand.n_r))
+            got = svm_score(v.model, harness.apply_cut(v.cut, rows))
+            assert got.tobytes() == want.tobytes()
+            if method in ("pca", "lda"):
+                assert v.model.feature_indices is None
+            else:
+                assert np.array_equal(v.model.feature_indices,
+                                      cand.model.feature_indices)
+            assert v.flags == {key: cand.meta[key] for key in
+                               ("gate_fallback", "pool_underfilled")}
+
+    @pytest.fixture
+    def one_file(self, saved, tmp_path):
+        _, cands, _ = saved["relieff"]
+        path = tmp_path / "verifier.npz"
+        Verifier.of(cands["R01"], "relieff", 21.0).save(path)
+        return path
+
+    def test_missing_and_truncated_files_rejected(self, one_file, tmp_path):
+        with pytest.raises(InvalidValue):
+            Verifier.load(tmp_path / "absent.npz", "R01", "relieff", 21.0)
+        one_file.write_bytes(one_file.read_bytes()[:500])
+        with pytest.raises(InvalidValue):
+            Verifier.load(one_file, "R01", "relieff", 21.0)
+
+    @pytest.mark.parametrize("change", [
+        lambda d: {"version": d["version"] + 1},
+        lambda d: {"support_vectors": d["support_vectors"][:, :-1]},
+        lambda d: {"n_r": d["n_r"] + 1},
+        lambda d: {"indices": d["indices"][:-1]},
+        lambda d: {"indices": d["indices"] + N_FEATURES},
+        lambda d: {"dual_coeffs": d["dual_coeffs"][:-1]},
+        lambda d: {"bias": np.nan},
+    ])
+    def test_wrong_version_or_inconsistent_arrays_rejected(self, one_file,
+                                                           change):
+        with np.load(one_file) as npz:
+            data = {name: npz[name] for name in npz.files}
+        np.savez(one_file, **{**data, **change(data)})
+        with pytest.raises(InvalidValue):
+            Verifier.load(one_file, "R01", "relieff", 21.0)
+
+    @pytest.mark.parametrize("claimed, method, snr", [
+        ("R02", "relieff", 21.0), ("R01", "bc", 21.0),
+        ("R01", "relieff", 27.0)])
+    def test_another_enrolment_rejected(self, one_file, claimed, method,
+                                        snr):
+        with pytest.raises(InvalidModel):
+            Verifier.load(one_file, claimed, method, snr)
+
+
 class TestEmission:
     def test_emit_formats(self, report, tmp_path):
         written = emit_report([report], tmp_path / "out")
@@ -578,7 +668,7 @@ class TestCli:
                                     store, cli_config())
             gates.append(cand.tvr_train >= 0.90
                          and cand.fvr_others_train <= 0.10)
-            assert (root / f"model_relieff_{claimed}_snr21.json").exists()
+            assert (root / f"verifier_relieff_{claimed}_snr21.npz").exists()
             with open(root / f"candidates_relieff_{claimed}_snr21.csv",
                       newline="") as fh:
                 selected = [int(row["n_r"]) for row in csv.DictReader(fh)
@@ -594,6 +684,93 @@ class TestCli:
         data = json.loads((root / "reports" / "reports.json").read_text())
         assert data == [json.loads(json.dumps(want.to_dict()))]
         assert rc["evaluate"] == (0 if want.gates_pass() else 1)
+
+    def test_evaluate_scores_the_saved_verifiers(self, cli_run, trials,
+                                                 tmp_path, monkeypatch):
+        # A copy of the data root without retraining: evaluate reads the
+        # verifier files and never calls train_best_model.
+        root, _ = cli_run
+        copy_root = tmp_path / "data"
+        copy_root.mkdir()
+        for path in [*root.glob("verifier_*.npz"),
+                     root / "fingerprints_21dB.rfdn"]:
+            (copy_root / path.name).write_bytes(path.read_bytes())
+        config_path = tmp_path / "config.json"
+        cli_config().to_json(config_path)
+
+        def no_training(*args):
+            raise AssertionError("evaluate retrained a verifier")
+
+        monkeypatch.setattr(harness, "train_best_model", no_training)
+        base = ["--data-root", str(copy_root), "--config", str(config_path)]
+        cli.main(base + ["evaluate"])
+        got = json.loads((copy_root / "reports" / "reports.json").read_text())
+        want = json.loads((root / "reports" / "reports.json").read_text())
+        assert got == want
+
+        (copy_root / "verifier_relieff_R03_snr21.npz").unlink()
+        with pytest.raises(MissingData, match="rfdna train"):
+            cli.main(base + ["evaluate"])
+
+    @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
+    def test_missing_store_names_the_fingerprint_command(self, tmp_path,
+                                                         command):
+        with pytest.raises(MissingData, match="rfdna fingerprint"):
+            cli.main(["--data-root", str(tmp_path), command])
+
+    def test_missing_explicit_manifest_rejected(self, tmp_path):
+        # A missing <root>/cohort.json means the default cohort; a missing
+        # --manifest is a typo, not a request for the default cohort.
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(tmp_path), "--manifest",
+                      str(tmp_path / "typo_cohort.json"), "--n-bursts", "1",
+                      "--n-z", "2", "--snr", "21", "fingerprint"])
+        assert not list(tmp_path.glob("*.rfdn"))
+
+    @pytest.mark.parametrize("text", ["{", "[]", "null", "3", None])
+    def test_config_not_a_json_object_rejected(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        root = tmp_path / "data"
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(root), "--config", str(path),
+                      "fingerprint"])
+        assert not list(root.glob("*.rfdn"))
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        json.dumps({"trial_id": 1}),
+        json.dumps([{"trial_id": 1}]),
+        json.dumps([{"trial_id": 1, "snr_db": 21.0, "method": "relieff",
+                     "entries": {}}]),
+        json.dumps([{"trial_id": 1, "snr_db": 21.0, "method": "relieff",
+                     "entries": [], "meta": []}]),
+        json.dumps([{"trial_id": 1, "snr_db": 21.0, "method": "relieff",
+                     "entries": [{"claimed_id": "R01", "actual_id": "R02",
+                                  "n_r": 5, "fvr": 0.0, "n": 3}]}]),
+        json.dumps([{"trial_id": 1, "snr_db": 21.0, "method": "relieff",
+                     "entries": [{"kind": "authorized", "claimed_id": "R01",
+                                  "actual_id": "R01", "n_r": 5, "fvr": 0.0,
+                                  "n": 3}]}]),
+        json.dumps([{"trial_id": 1, "snr_db": 21.0, "method": "relieff",
+                     "entries": [{"kind": "rogue", "claimed_id": "R01",
+                                  "actual_id": "R07", "n_r": 5, "fvr": "0",
+                                  "n": 3}]}]),
+    ], ids=["not-json", "not-a-list", "no-snr", "entries-object",
+            "meta-list", "no-kind", "authorized-without-tvr", "text-rate"])
+    def test_report_input_checked_before_writing(self, tmp_path, text):
+        src = tmp_path / "reports.json"
+        src.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(tmp_path), "report", "--reports",
+                      str(src), "--out", str(out)])
+        assert not out.exists()
+
+    def test_missing_report_file_rejected(self, tmp_path):
+        with pytest.raises(InvalidValue):
+            cli.main(["--data-root", str(tmp_path), "report"])
 
     def test_list_flags_repeat_before_subcommand(self, tmp_path,
                                                  monkeypatch):

@@ -321,26 +321,3 @@ class TestScoring:
     def test_margin_label_validation(self, model):
         with pytest.raises(InvalidValue):
             margin(model, np.zeros(3), 0)
-
-
-class TestPersistence:
-    def test_json_roundtrip_preserves_scores(self, tmp_path):
-        X, labels = blob_data(seed=13)
-        model = train_svm(X, labels)
-        path = tmp_path / "model.json"
-        model.save(path)
-        back = SvmModel.load(path)
-        probe = RNG.standard_normal((20, 3))
-        assert np.array_equal(svm_score(model, probe), svm_score(back, probe))
-        assert back.bias == model.bias
-        assert back.kernel_zeta == model.kernel_zeta
-        assert np.array_equal(back.feature_indices is None,
-                              model.feature_indices is None)
-
-    def test_feature_indices_roundtrip(self, tmp_path):
-        X, labels = blob_data(seed=14)
-        model = train_svm(X, labels, feature_indices=[7, 2, 9])
-        path = tmp_path / "model.json"
-        model.save(path)
-        back = SvmModel.load(path)
-        assert np.array_equal(back.feature_indices, [7, 2, 9])
