@@ -22,10 +22,9 @@ from .modelsel import export_candidates, passes_gate
 
 
 def _data_root(args) -> Path:
-    root = args.data_root or os.environ.get("RFDNA_DATA", "data")
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The data root; only a command that writes there creates it, after
+    its inputs are checked."""
+    return Path(args.data_root or os.environ.get("RFDNA_DATA", "data"))
 
 
 def _cohort_and_config(args, root: Path):
@@ -65,6 +64,7 @@ def _store_path(root: Path, snr) -> Path:
 def cmd_fingerprint(args) -> int:
     root = _data_root(args)
     profiles, config = _cohort_and_config(args, root)
+    root.mkdir(parents=True, exist_ok=True)
     for snr in config.snr_grid:
         store = harness.generate_dataset(profiles, snr, config)
         path = _store_path(root, snr)
@@ -116,41 +116,46 @@ def cmd_select(args) -> int:
 
 def cmd_train(args) -> int:
     root, config, trial, snr, store = _trial_setup(args)
-    method = config.methods[0]
-    models = harness.train_trial(trial, snr, method, store, config)
-    for claimed, cand in models.items():
-        path = _verifier_path(root, method, claimed, snr)
-        harness.Verifier.of(cand, method, snr).save(path)
-        export_candidates(
-            cand.meta["candidates"], cand,
-            root / f"candidates_{method}_{claimed}_snr{snr:g}.csv",
-        )
-        print(f"{claimed}: N_r={cand.n_r} tvr_train={cand.tvr_train:.3f} "
-              f"fvr_others={cand.fvr_others_train:.3f} -> {path}")
-    return 0 if all(map(passes_gate, models.values())) else 1
+    ok = True
+    for method in config.methods:
+        models = harness.train_trial(trial, snr, method, store, config)
+        for claimed, cand in models.items():
+            path = _verifier_path(root, method, claimed, snr)
+            harness.Verifier.of(cand, method, snr).save(path)
+            export_candidates(
+                cand.meta["candidates"], cand,
+                root / f"candidates_{method}_{claimed}_snr{snr:g}.csv",
+            )
+            print(f"{method} {claimed}: N_r={cand.n_r} "
+                  f"tvr_train={cand.tvr_train:.3f} "
+                  f"fvr_others={cand.fvr_others_train:.3f} -> {path}")
+        ok = ok and all(map(passes_gate, models.values()))
+    return 0 if ok else 1
 
 
 def cmd_evaluate(args) -> int:
     root, config, trial, snr, store = _trial_setup(args)
-    method = config.methods[0]
     verifiers = {
-        claimed: harness.Verifier.load(
+        method: {claimed: harness.Verifier.load(
             _require(_verifier_path(root, method, claimed, snr), "train"),
-            claimed, method, snr)
-        for claimed in trial.authorized_ids
+            claimed, method, snr) for claimed in trial.authorized_ids}
+        for method in config.methods
     }
-    report = harness.evaluate_trial(trial, snr, method, verifiers, store,
-                                    config)
-    harness.emit_report([report], root / "reports")
-    print(f"trial {trial.trial_id} @ {snr:g} dB: gates "
-          f"{'pass' if report.gates_pass() else 'FAIL'}")
-    return 0 if report.gates_pass() else 1
+    reports = [harness.evaluate_trial(trial, snr, method, models, store,
+                                      config)
+               for method, models in verifiers.items()]
+    harness.emit_report(reports, root / "reports")
+    for r in reports:
+        print(f"{r.method} trial {trial.trial_id} @ {snr:g} dB: gates "
+              f"{'pass' if r.gates_pass() else 'FAIL'}")
+    return 0 if all(r.gates_pass() for r in reports) else 1
 
 
 def cmd_sweep(args) -> int:
     root = _data_root(args)
     profiles, config = _cohort_and_config(args, root)
     trials = default_trials([p.radio_id for p in profiles])
+    root.mkdir(parents=True, exist_ok=True)
 
     def loader(snr):
         path = _store_path(root, snr)

@@ -321,15 +321,14 @@ def apply_cut(cut: dict, X: np.ndarray) -> np.ndarray:
 
 def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
                   config: ExperimentConfig):
-    """Training pool of one claimed radio: ``(pool, rows1, rows2,
-    underfilled)``.
+    """Training pool of one claimed radio: ``(pool, blocks, underfilled)``.
 
-    ``rows1[i]`` holds the first ``n_train // n_z_train`` rows of the claimed
-    radio in the i-th training realization; ``rows2[i]`` stacks the first
-    ``n_train_other // n_z_train`` rows of each other authorized radio in
-    that realization, in trial order. ``pool`` is every block labeled 1 (the
-    claimed radio) or 2, the set feature selection is fitted on. Only
-    authorized radios are read.
+    ``blocks[i]`` is the pair ``(X1, X2)`` of the i-th training realization:
+    ``X1`` holds the first ``n_train // n_z_train`` rows of the claimed
+    radio, ``X2`` stacks the first ``n_train_other // n_z_train`` rows of
+    each other authorized radio, in trial order. ``pool`` is every block
+    labeled 1 (the claimed radio) or 2, the set feature selection is fitted
+    on. Only authorized radios are read.
 
     A realization holding fewer rows than its quota (``n_bursts`` below
     ``n_train // n_z_train`` or ``n_train_other // n_z_train``) contributes
@@ -355,7 +354,7 @@ def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
     )
     underfilled = (len(X1) < per_z1 * len(train_z)
                    or len(X2) < per_z2 * len(others) * len(train_z))
-    return pool, rows1, rows2, underfilled
+    return pool, list(zip(rows1, rows2)), underfilled
 
 
 def train_best_model(
@@ -375,47 +374,39 @@ def train_best_model(
     whether the training pool fell short of its quota (``pool_underfilled``)."""
     if len(store) == 0:
         raise MissingData(f"no fingerprints available at SNR {snr_db}")
-    pool, rows1, rows2, short = training_pool(store, trial, claimed_id, config)
+    pool, blocks, short = training_pool(store, trial, claimed_id, config)
     reducer = Reducer(method).fit(pool, config)
+    k = config.k_folds
+    # Labels (+1 claimed, -1 others) and fold numbers of each realization.
+    splits = [(np.repeat([1, -1], [len(X1), len(X2)]),
+               np.concatenate([np.arange(len(X1)), np.arange(len(X2))]) % k)
+              for X1, X2 in blocks]
 
     candidates = []
-    n_z_train = len(rows1)
-    k = config.k_folds
     for n_r in reducer.nr_values(config.nr_grid):
-        Xr1 = [reducer.transform(r, n_r) for r in rows1]
-        Xr2 = [reducer.transform(r, n_r) for r in rows2]
+        cut = reducer.cut(n_r)
+        # Each class block is cut on its own: a projection of the joined
+        # block can differ in its last bits.
+        cut_blocks = [[apply_cut(cut, X) for X in block] for block in blocks]
         best = None
-        for zi in range(n_z_train):
-            Xz = np.concatenate([Xr1[zi], Xr2[zi]])
-            yz = np.concatenate([
-                np.ones(len(Xr1[zi]), dtype=np.int64),
-                np.full(len(Xr2[zi]), 2, dtype=np.int64),
-            ])
-            folds = np.concatenate([
-                np.arange(len(Xr1[zi])) % k, np.arange(len(Xr2[zi])) % k,
-            ])
+        for (X1, X2), (y, folds) in zip(cut_blocks, splits):
+            X = np.concatenate([X1, X2])
             for fold in range(k):
                 tr = folds != fold
-                va = ~tr
-                if not va.any() or len(np.unique(yz[tr])) < 2:
+                if tr.all() or len(np.unique(y[tr])) < 2:
                     continue
                 try:
-                    model = train_svm(
-                        Xz[tr], yz[tr], zeta=_ZETA_SCALE / Xz.shape[1],
-                        feature_indices=reducer.cut(n_r).get("indices"),
-                    )
+                    model = train_svm(X[tr], y[tr], zeta=_ZETA_SCALE / n_r,
+                                      feature_indices=cut.get("indices"))
                 except TrainingFailed as exc:
                     model = exc.model
-                pred = svm_decide(model, Xz[va])
-                truth = np.where(yz[va] == 1, 1, -1)
-                err = float(np.mean(pred != truth))
+                err = float(np.mean(svm_decide(model, X[~tr]) != y[~tr]))
                 if best is None or err < best[0]:
                     best = (err, model)
         if best is None:
             continue
         model = best[1]
-        Xp1 = np.concatenate(Xr1)
-        Xp2 = np.concatenate(Xr2)
+        Xp1, Xp2 = (np.concatenate(Xs) for Xs in zip(*cut_blocks))
         tvr_train = float(np.mean(svm_decide(model, Xp1) == 1))
         fvr_others = float(np.mean(svm_decide(model, Xp2) == 1))
         pair = build_margin_pmfs(model, Xp1, Xp2)
@@ -663,16 +654,13 @@ def snr_sweep(
                               "eliminated_at_snr": eliminated[method]},
                     ))
                 continue
-            failed = False
-            for trial in trials:
-                report = run_trial(trial, snr, method, store, config)
-                failed = failed or not report.gates_pass()
-                reports.append(report)
-            if failed:
+            made = [run_trial(trial, snr, method, store, config)
+                    for trial in trials]
+            if not all(r.gates_pass() for r in made):
                 eliminated[method] = snr
-                for r in reports:
-                    if r.method == method and r.snr_db == snr:
-                        r.meta["eliminated"] = True
+                for r in made:
+                    r.meta["eliminated"] = True
+            reports += made
     return reports
 
 

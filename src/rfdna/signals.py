@@ -17,7 +17,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import (
     DegenerateSignal,
@@ -145,21 +144,25 @@ def synth_burst(
     return ComplexBurst(x)
 
 
-def _butter_sos(order: int, cutoff: float):
-    """Second-order sections of the low-pass Butterworth design; the spec
-    is checked before the cache sees it."""
+def _lowpass(x: np.ndarray, order: int, cutoff: float) -> np.ndarray:
+    """``x`` through the low-pass Butterworth design (cascaded biquads);
+    the spec is checked before the cache sees it."""
     if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
             or order < 1):
         raise InvalidValue(f"filter order must be an integer >= 1, "
                            f"got {order!r}")
     if not (isinstance(cutoff, numbers.Real) and 0.0 < cutoff < 1.0):
         raise InvalidCutoff(f"cutoff {cutoff} outside (0, 1)")
-    return _butter_design(order, cutoff)
+    # scipy.signal is imported on first use, so commands that never filter
+    # do not pay for importing it.
+    from scipy.signal import sosfilt
+    return sosfilt(_butter_design(order, cutoff), x)
 
 
 @lru_cache(maxsize=None)
 def _butter_design(order: int, cutoff: float):
-    sos = sps.butter(order, cutoff, btype="low", output="sos")
+    from scipy.signal import butter
+    sos = butter(order, cutoff, btype="low", output="sos")
     sos.setflags(write=False)
     return sos
 
@@ -173,8 +176,7 @@ def butterworth_filter(burst: ComplexBurst, order: int = CAPTURE_FILTER[0],
     (0, 1) :class:`InvalidCutoff`; ``add_awgn`` checks its ``filter_spec``
     the same way.
     """
-    sos = _butter_sos(order, cutoff)
-    return ComplexBurst(sps.sosfilt(sos, burst.samples))
+    return ComplexBurst(_lowpass(burst.samples, order, cutoff))
 
 
 def add_awgn(
@@ -197,7 +199,7 @@ def add_awgn(
     rng = np.random.default_rng(seed)
     n = len(burst.samples)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-    noise = sps.sosfilt(_butter_sos(order, cutoff), noise)
+    noise = _lowpass(noise, order, cutoff)
     p_noise = float(np.mean(np.abs(noise) ** 2))
     try:
         scale = np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))

@@ -7,10 +7,14 @@ meaningful evidence of correctness rather than a tautology.
 
 import numpy as np
 
-from rfdna import svm
-from rfdna.errors import InvalidValue, TrainingFailed
+from rfdna import harness, svm
+from rfdna.errors import (InvalidModel, InvalidValue, MissingData,
+                          TrainingFailed)
+from rfdna.featsel import LabeledFingerprintSet
 from rfdna.fingerprint import FingerprintStore, gen_fingerprint
 from rfdna.gabor import GaborParams, dgt, gaussian_window, normalize_tf
+from rfdna.modelsel import (CandidateModel, build_margin_pmfs, passes_gate,
+                            select_best)
 from rfdna.signals import add_awgn, butterworth_filter, synth_burst
 
 
@@ -467,3 +471,85 @@ def train_svm_reference(
             model=model, diagnostics=diagnostics,
         )
     return model
+
+
+def train_best_model_reference(trial, claimed_id, method, snr_db, store,
+                               config):
+    """``harness.train_best_model`` as the literal sweep: at every retained
+    count, every training realization's rows are cut, joined, labeled 1/2
+    and split into folds anew. The training rows are drawn and the reducer
+    fitted as the harness does it, with the same ``store.select`` calls in
+    the same order."""
+    if len(store) == 0:
+        raise MissingData(f"no fingerprints available at SNR {snr_db}")
+    if claimed_id not in trial.authorized_ids:
+        raise InvalidModel(f"{claimed_id} is not authorized")
+    train_z = config.train_realizations
+    per_z1 = config.n_train // len(train_z)
+    per_z2 = config.n_train_other // len(train_z)
+    others = [r for r in trial.authorized_ids if r != claimed_id]
+    rows1 = [store.select(claimed_id, [z])[:per_z1] for z in train_z]
+    rows2 = [np.concatenate([store.select(o, [z])[:per_z2] for o in others])
+             for z in train_z]
+    X1 = np.concatenate(rows1)
+    X2 = np.concatenate(rows2)
+    pool = LabeledFingerprintSet(
+        X=np.concatenate([X1, X2]),
+        labels=np.concatenate([np.ones(len(X1)), np.full(len(X2), 2)]),
+    )
+    short = (len(X1) < per_z1 * len(train_z)
+             or len(X2) < per_z2 * len(others) * len(train_z))
+    reducer = harness.Reducer(method).fit(pool, config)
+
+    candidates = []
+    k = config.k_folds
+    for n_r in reducer.nr_values(config.nr_grid):
+        Xr1 = [reducer.transform(r, n_r) for r in rows1]
+        Xr2 = [reducer.transform(r, n_r) for r in rows2]
+        best = None
+        for zi in range(len(rows1)):
+            Xz = np.concatenate([Xr1[zi], Xr2[zi]])
+            yz = np.concatenate([
+                np.ones(len(Xr1[zi]), dtype=np.int64),
+                np.full(len(Xr2[zi]), 2, dtype=np.int64),
+            ])
+            folds = np.concatenate([
+                np.arange(len(Xr1[zi])) % k, np.arange(len(Xr2[zi])) % k,
+            ])
+            for fold in range(k):
+                tr = folds != fold
+                va = ~tr
+                if not va.any() or len(np.unique(yz[tr])) < 2:
+                    continue
+                try:
+                    model = svm.train_svm(
+                        Xz[tr], yz[tr],
+                        zeta=harness._ZETA_SCALE / Xz.shape[1],
+                        feature_indices=reducer.cut(n_r).get("indices"),
+                    )
+                except TrainingFailed as exc:
+                    model = exc.model
+                pred = svm.svm_decide(model, Xz[va])
+                truth = np.where(yz[va] == 1, 1, -1)
+                err = float(np.mean(pred != truth))
+                if best is None or err < best[0]:
+                    best = (err, model)
+        if best is None:
+            continue
+        model = best[1]
+        Xp1 = np.concatenate(Xr1)
+        Xp2 = np.concatenate(Xr2)
+        candidates.append(CandidateModel(
+            model=model, n_r=n_r,
+            tvr_train=float(np.mean(svm.svm_decide(model, Xp1) == 1)),
+            fvr_others_train=float(np.mean(svm.svm_decide(model, Xp2) == 1)),
+            pmf_pair=build_margin_pmfs(model, Xp1, Xp2),
+            meta={"reducer": reducer, "claimed_id": claimed_id},
+        ))
+    if not candidates:
+        raise MissingData("no trainable candidate at any retained count")
+    selected = select_best(candidates)
+    selected.meta["candidates"] = candidates
+    selected.meta["gate_fallback"] = not any(map(passes_gate, candidates))
+    selected.meta["pool_underfilled"] = short
+    return selected

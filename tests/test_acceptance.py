@@ -27,7 +27,7 @@ from rfdna.harness import (
 )
 from rfdna.signals import EmitterProfile, add_awgn, butterworth_filter, \
     synth_burst
-from rfdna.svm import svm_decide, svm_score, train_svm, margin
+from rfdna.svm import _TOLERANCE, svm_decide, svm_score, train_svm, margin
 
 from oracles import (
     bc_histogram_oracle,
@@ -201,6 +201,7 @@ def test_criterion_3_feature_selection_oracles():
 def test_criterion_4_svm_correctness(experiment):
     checked = 0
     feasible = True
+    worst_gap = 0.0
     for models in experiment["models"].values():
         for cand in models.values():
             for c in cand.meta["candidates"]:
@@ -209,12 +210,14 @@ def test_criterion_4_svm_correctness(experiment):
                 feasible = feasible and np.all(a >= -1e-12)
                 feasible = feasible and np.all(a <= c.model.cost_c + 1e-12)
                 feasible = feasible and abs(diag["sum_alpha_y"]) <= 1e-6
+                worst_gap = max(worst_gap, diag["kkt_gap"])
                 checked += 1
 
     X = np.array([[0.0, 0.0], [0.2, 0.1], [1.0, 1.1], [1.2, 0.9]])
     labels = np.array([1, 1, 2, 2])
     model = train_svm(X, labels, c=1.0, zeta=0.7)
     grid = svm_dual_grid_oracle(X, np.array([1.0, 1.0, -1.0, -1.0]), 1.0, 0.7)
+    worst_gap = max(worst_gap, model.diagnostics["kkt_gap"])
     toy_err = abs(model.diagnostics["dual_objective"] - grid)
 
     rng = np.random.default_rng(5)
@@ -225,9 +228,12 @@ def test_criterion_4_svm_correctness(experiment):
     ys = np.where(rng.random(10_000) < 0.5, 1, -1)
     margin_ok = np.array_equal(margin(model, probe, ys), 2.0 * ys * scores)
 
-    ok = feasible and toy_err <= 1e-4 and sign_ok and margin_ok
-    assert verdict(4, f"dual feasibility on {checked} trained models, toy "
-                      f"dual gap {toy_err:.1e}, sign/margin identities", ok)
+    optimal = worst_gap < _TOLERANCE
+    ok = feasible and optimal and toy_err <= 1e-4 and sign_ok and margin_ok
+    assert verdict(4, f"dual feasibility on {checked} trained models, KKT "
+                      f"gap {worst_gap:.3e} < {_TOLERANCE:g} on them and the "
+                      f"toy, toy dual gap {toy_err:.1e}, sign/margin "
+                      f"identities", ok)
 
 
 def test_criterion_5_protocol_identities(experiment):

@@ -406,6 +406,17 @@ class TestWelch:
         assert np.array_equal(r.order, np.argsort(p, kind="stable"))
         assert np.array_equal(r.meta["excluded_features"], excluded)
 
+    @pytest.mark.parametrize("name,make",
+                             POOLS + [("default", two_class_set)])
+    def test_pvalues_are_scipy_t_sf_bitwise(self, name, make):
+        fset = make()
+        r = rank_ttest(fset)
+        t, dof = welch_t(fset.X1, fset.X2)
+        want = 2.0 * spstats.t.sf(np.abs(t), dof)
+        want[np.isinf(t)] = 0.0
+        want[r.meta["excluded_features"]] = 1.0
+        assert want.tobytes() == r.scores.tobytes()
+
     def test_matrix_input_matches_each_column(self):
         fset = two_class_set(n1=13, n2=19, f=5, seed=8)
         t, dof = welch_t(fset.X1, fset.X2)

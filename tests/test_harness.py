@@ -2,7 +2,11 @@ import copy
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from rfdna.svm import svm_score
 from rfdna.signals import CAPTURE_FILTER, TEMPLATE_LEN
 from rfdna import cli
 
-from oracles import generate_dataset_serial
+from oracles import generate_dataset_serial, train_best_model_reference
 
 
 def tiny_config(**overrides):
@@ -155,10 +159,8 @@ class TestConfig:
             for z in range(3):
                 store.add(Fingerprint(np.full(N_FEATURES, z + 1.0),
                                       radio_id=rid, realization=z))
-        pool, rows1, rows2, short = training_pool(store, trials[0], "R01",
-                                                  config)
-        assert [len(r) for r in rows1] == [1, 1]
-        assert [len(r) for r in rows2] == [5, 5]
+        pool, blocks, short = training_pool(store, trials[0], "R01", config)
+        assert [(len(X1), len(X2)) for X1, X2 in blocks] == [(1, 5), (1, 5)]
         assert short is False
 
 
@@ -354,6 +356,69 @@ class TestTraining:
         assert a.model.bias == b.model.bias
 
 
+def same_bits(a, b) -> bool:
+    """Equal to the last bit: same dtype, shape and bytes (None matches
+    only None)."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestAgainstReferenceSweep:
+    """``train_best_model`` against
+    ``tests/oracles.train_best_model_reference``, the sweep that rebuilds
+    every realization's labels, folds and cut at every retained count."""
+
+    @pytest.fixture(scope="class")
+    def store20(self, cohort):
+        # Blocks of 10 and 50 rows: large enough that a PCA or LDA cut of
+        # the joined block differs in its last bits from the cut of each
+        # class block.
+        return generate_dataset(cohort[:6], 21.0,
+                                tiny_config(n_bursts=20, n_z=3))
+
+    @pytest.mark.parametrize("method", ["relieff", "bc", "pca", "lda",
+                                        "ttest", "dra"])
+    @pytest.mark.parametrize("store_name, overrides", [
+        ("store21", {}),
+        ("store21", {"n_z": 3, "k_folds": 3, "nr_grid": [1, 7, 30]}),
+        ("store20", {"n_bursts": 20, "n_z": 3, "k_folds": 3, "n_train": 20,
+                     "n_train_other": 20, "nr_grid": [1, 7, 30, 100]})],
+        ids=["one-realization", "two-realizations", "large-blocks"])
+    def test_every_candidate_is_bitwise_equal(self, trials, request, method,
+                                              store_name, overrides):
+        config = tiny_config(**overrides)
+        for claimed in ("R01", "R04"):
+            runs = []
+            for train in (train_best_model, train_best_model_reference):
+                store = copy.deepcopy(request.getfixturevalue(store_name))
+                store.access_log.clear()
+                runs.append((train(trials[0], claimed, method, 21.0, store,
+                                   config), store.access_log))
+            (got, got_log), (want, want_log) = runs
+            assert got_log == want_log
+            assert got.n_r == want.n_r
+            for key in ("gate_fallback", "pool_underfilled", "claimed_id"):
+                assert got.meta[key] == want.meta[key]
+            for a, b in zip(got.meta["candidates"], want.meta["candidates"],
+                            strict=True):
+                assert (a.n_r, a.tvr_train, a.fvr_others_train) == (
+                    b.n_r, b.tvr_train, b.fvr_others_train)
+                for name in ("support_vectors", "dual_coeffs", "bias",
+                             "kernel_zeta", "cost_c", "feature_indices",
+                             "scaler_mean", "scaler_scale"):
+                    assert same_bits(getattr(a.model, name),
+                                     getattr(b.model, name)), name
+                assert a.model.diagnostics.keys() == b.model.diagnostics.keys()
+                for name, value in a.model.diagnostics.items():
+                    assert same_bits(value, b.model.diagnostics[name]), name
+                for f in dataclasses.fields(a.pmf_pair):
+                    assert same_bits(getattr(a.pmf_pair, f.name),
+                                     getattr(b.pmf_pair, f.name)), f.name
+
+
 class TestDegradationMeta:
     """The selected candidate and the report say whether model choice fell
     back and whether the training pool fell short of its quota."""
@@ -370,7 +435,7 @@ class TestDegradationMeta:
         assert any(map(passes_gate, cand.meta["candidates"]))
         assert cand.meta["gate_fallback"] is False
         assert cand.meta["pool_underfilled"] is False
-        assert training_pool(store21, trials[0], "R01", tiny_config())[3] \
+        assert training_pool(store21, trials[0], "R01", tiny_config())[2] \
             is False
 
     def test_report_meta_has_both_per_claimed_radio(self, trials, store21):
@@ -393,7 +458,7 @@ class TestDegradationMeta:
                 k // 15], realization=k // 5 % 3))
         config = tiny_config(n_bursts=5, n_z=3, n_train=n_train,
                              n_train_other=n_train_other)
-        assert training_pool(store, trials[0], "R01", config)[3] is short
+        assert training_pool(store, trials[0], "R01", config)[2] is short
 
     def test_replay_config_is_underfilled(self, cohort, trials):
         # Criterion 7's replay config: one training realization of 6 bursts
@@ -613,6 +678,17 @@ class TestSweepElimination:
         assert loaded == [21.0, 15.0]      # no store once all are eliminated
 
 
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    # A fresh interpreter: this one has imported both already.
+    code = ("import sys, rfdna.cli; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.signal', 'scipy.stats')))")
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["[]"]
+
+
 def cli_config(**overrides):
     # Two realizations, one for training: each radio's training realization
     # holds 6 rows, above the per-realization quota of 4, so the training
@@ -711,6 +787,52 @@ class TestCli:
         (copy_root / "verifier_relieff_R03_snr21.npz").unlink()
         with pytest.raises(MissingData, match="rfdna train"):
             cli.main(base + ["evaluate"])
+
+    def test_every_configured_method_is_trained_and_evaluated(
+            self, cli_run, trials, tmp_path):
+        root, _ = cli_run
+        copy_root = tmp_path / "data"
+        copy_root.mkdir()
+        store_name = "fingerprints_21dB.rfdn"
+        (copy_root / store_name).write_bytes((root / store_name).read_bytes())
+        config_path = tmp_path / "config.json"
+        cli_config().to_json(config_path)
+        methods = ["bc", "relieff"]
+        base = ["--data-root", str(copy_root), "--config", str(config_path),
+                "--methods", methods[0], "--methods", methods[1]]
+        rc = {cmd: cli.main(base + [cmd]) for cmd in ("train", "evaluate")}
+
+        ids = trials[0].authorized_ids
+        assert sorted(p.name for p in copy_root.glob("verifier_*.npz")) == [
+            f"verifier_{m}_{c}_snr21.npz" for m in methods for c in ids]
+        store = FingerprintStore.load(copy_root / store_name)
+        train_ok, want = True, []
+        for method in methods:
+            models = harness.train_trial(trials[0], 21.0, method, store,
+                                         cli_config())
+            train_ok = train_ok and all(map(passes_gate, models.values()))
+            want.append(evaluate_trial(trials[0], 21.0, method, models,
+                                       store, cli_config()))
+        data = json.loads((copy_root / "reports" / "reports.json")
+                          .read_text())
+        assert [d["method"] for d in data] == methods
+        assert data == [json.loads(json.dumps(r.to_dict())) for r in want]
+        assert rc["train"] == (0 if train_ok else 1)
+        assert rc["evaluate"] == (
+            0 if all(r.gates_pass() for r in want) else 1)
+
+    @pytest.mark.parametrize("args, error", [
+        (["evaluate"], MissingData), (["select"], MissingData),
+        (["train"], MissingData), (["report"], InvalidValue),
+        (["--n-z", "1", "fingerprint"], InvalidValue),
+        (["--n-z", "1", "sweep"], InvalidValue)],
+        ids=["evaluate", "select", "train", "report", "fingerprint", "sweep"])
+    def test_failed_command_creates_no_data_root(self, tmp_path, args,
+                                                 error):
+        root = tmp_path / "missing"
+        with pytest.raises(error):
+            cli.main(["--data-root", str(root)] + args)
+        assert not root.exists()
 
     @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
     def test_missing_store_names_the_fingerprint_command(self, tmp_path,
