@@ -51,7 +51,7 @@ def _cohort_and_config(args, root: Path):
     if args.snr:
         overrides["snr_grid"] = sorted(set(args.snr))
     if args.methods:
-        overrides["methods"] = args.methods
+        overrides["methods"] = list(dict.fromkeys(args.methods))
     if args.nr_grid:
         overrides["nr_grid"] = sorted(set(args.nr_grid))
     return profiles, dataclasses.replace(config, **overrides)

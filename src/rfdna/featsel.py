@@ -201,17 +201,25 @@ def project_lda(fset: LabeledFingerprintSet) -> ProjectionBasis:
 def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
     """Top-n_r eigenvectors of the mean-removed covariance, eigenvalue
     descending; component signs fixed so the largest-magnitude loading is
-    positive."""
+    positive.
+
+    Only components above the rounding floor n * eps * lambda_max (n pool
+    rows) are kept, so a pool of numerical rank below ``n_r`` gives fewer
+    than ``n_r`` columns; a pool of equal rows is refused."""
     f = fset.n_features
     if not 1 <= n_r <= f:
         raise InvalidCount(f"n_r must lie in [1, {f}]")
+    n = fset.X.shape[0]
     mean = fset.X.mean(axis=0)
     Xc = fset.X - mean
-    cov = (Xc.T @ Xc) / fset.X.shape[0]
+    cov = (Xc.T @ Xc) / n
     evals, evecs = np.linalg.eigh(cov)
     idx = np.argsort(evals)[::-1][:n_r]
+    idx = idx[evals[idx] > n * np.finfo(np.float64).eps * evals[-1]]
+    if len(idx) == 0 or np.all(fset.X == fset.X[0]):
+        raise InvalidValue("pool has no variance above rounding")
     basis = evecs[:, idx]
-    peak = basis[np.argmax(np.abs(basis), axis=0), np.arange(n_r)]
+    peak = basis[np.argmax(np.abs(basis), axis=0), np.arange(len(idx))]
     basis *= np.where(peak < 0, -1.0, 1.0)
     return ProjectionBasis(basis=basis, mean=mean, eigenvalues=evals[idx])
 

@@ -10,6 +10,7 @@ frequency blocks of 10.
 from __future__ import annotations
 
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,7 +195,15 @@ class FingerprintStore:
                 self._snr_db.astype("<f8").tobytes(),
                 self._realization.astype("<u4").tobytes(),
                 self._features.astype("<f8").tobytes()]
-        Path(path).write_bytes(b"".join(out))
+        # A temporary file beside the target is moved onto it, so an
+        # interrupted save leaves the old store or none, never part of one.
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(b"".join(out))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "FingerprintStore":

@@ -111,6 +111,10 @@ class ExperimentConfig:
                 _is_a(n, numbers.Integral) and n >= 1 for n in self.nr_grid):
             raise InvalidValue(f"nr_grid must be positive integers, got "
                                f"{self.nr_grid!r}")
+        for name in ("methods", "snr_grid", "nr_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InvalidValue(f"{name} repeats an entry: {values!r}")
 
     @property
     def train_realizations(self) -> list[int]:

@@ -178,6 +178,36 @@ class TestPca:
         want = pca_signs_loop(evecs[:, np.argsort(evals)[::-1][:3]])
         assert np.array_equal(basis, want)
 
+    def test_basis_width_is_the_numerical_rank(self):
+        # 20 centred rows span 19 of the 40 feature directions.
+        fset = two_class_set(n1=8, n2=12, f=40, seed=4)
+        assert project_pca(fset, 40).basis.shape == (40, 19)
+        assert project_pca(fset, 10).basis.shape == (40, 10)
+        Xc = fset.X - fset.X.mean(axis=0)
+        evals, evecs = np.linalg.eigh(Xc.T @ Xc / len(Xc))
+        want = pca_signs_loop(evecs[:, np.argsort(evals)[::-1][:19]])
+        assert np.array_equal(project_pca(fset, 40).basis, want)
+
+    def test_kept_components_are_above_the_floor_and_decorrelated(self):
+        fset = two_class_set(n1=8, n2=12, f=40, seed=4)
+        basis = project_pca(fset, 40)
+        Xc = fset.X - fset.X.mean(axis=0)
+        lam_max = np.linalg.eigvalsh(Xc.T @ Xc / len(Xc)).max()
+        assert np.all(basis.eigenvalues
+                      > len(Xc) * np.finfo(float).eps * lam_max)
+        cov = np.cov(basis.transform(fset.X), rowvar=False, bias=True)
+        off = cov - np.diag(np.diag(cov))
+        assert np.max(np.abs(off)) <= 1e-9 * np.max(np.diag(cov))
+        assert np.allclose(np.diag(cov), basis.eigenvalues, rtol=1e-9)
+
+    @pytest.mark.parametrize("row", [np.zeros(6), RNG.random(6) * 1e3],
+                             ids=["zeros", "random"])
+    def test_pool_without_variance_refused(self, row):
+        fset = LabeledFingerprintSet(X=np.tile(row, (64, 1)),
+                                     labels=np.repeat([1, 2], 32))
+        with pytest.raises(InvalidValue):
+            project_pca(fset, 6)
+
     def test_count_validation(self):
         with pytest.raises(InvalidCount):
             project_pca(two_class_set(), 7)

@@ -1,3 +1,6 @@
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +212,35 @@ class TestStore:
         back = FingerprintStore.load(tmp_path / "store.rfdn")
         assert back._realization.tolist() == [int(z)]
         assert back.select("R01", [z]).shape == (1, N_FEATURES)
+
+    def test_save_replaces_the_old_store(self, tmp_path):
+        path = tmp_path / "store.rfdn"
+        small_store().save(path)
+        store = small_store()
+        store.save(path)
+        assert np.array_equal(FingerprintStore.load(path).select("R01"),
+                              store.select("R01"))
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("old", [True, False], ids=["old", "none"])
+    def test_interrupted_save_leaves_the_old_store(self, tmp_path,
+                                                   monkeypatch, old):
+        path = tmp_path / "store.rfdn"
+        if old:
+            small_store().save(path)
+        before = path.read_bytes() if old else None
+        write_bytes = Path.write_bytes
+
+        def fail_partway(self, data):
+            write_bytes(self, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", fail_partway)
+        with pytest.raises(OSError):
+            small_store().save(path)
+        monkeypatch.undo()
+        assert (path.read_bytes() if old else None) == before
+        assert list(tmp_path.iterdir()) == ([path] if old else [])
 
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.rfdn"

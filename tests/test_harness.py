@@ -140,6 +140,9 @@ class TestConfig:
         # beyond harness.MAX_ABS_SNR_DB
         {"snr_grid": [21.0, 5000.0]}, {"snr_grid": [-5000.0, 21.0]},
         {"snr_grid": [1000.5]},
+        # a repeated entry
+        {"methods": ["bc", "relieff", "bc"]}, {"snr_grid": [21.0, 27.0, 21]},
+        {"nr_grid": [5, 20, 5]},
     ])
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(InvalidValue):
@@ -314,6 +317,40 @@ class TestReducer:
         idx = red.cut(5)["indices"]
         assert np.array_equal(red.transform(rows1, 5), rows1[:, idx])
         assert red.nr_values([1, 5, 500]) == [1, 5]
+
+
+class TestPcaRank:
+    """PCA keeps at most the pool's numerical rank: the 48-row pools of
+    ``tiny_config`` give 47 components."""
+
+    def test_nr_values_stop_at_the_rank(self, trials, store21):
+        pool = training_pool(store21, trials[0], "R01", tiny_config())[0]
+        assert pool.X.shape == (48, N_FEATURES)
+        red = Reducer("pca").fit(pool, tiny_config())
+        assert red.basis.basis.shape == (N_FEATURES, 47)
+        assert red.nr_values([1, 20, 47, 48, 100, 204]) == [1, 20, 47]
+
+    def test_no_candidate_above_the_rank(self, trials, store21):
+        cand = train_best_model(trials[0], "R01", "pca", 21.0, store21,
+                                tiny_config(nr_grid=[5, 47, 48, 100]))
+        assert [c.n_r for c in cand.meta["candidates"]] == [5, 47]
+        for c in cand.meta["candidates"]:
+            assert c.model.support_vectors.shape[1] == c.n_r
+
+    def test_rank_capped_verifier_reloads_bitwise(self, trials, store21,
+                                                  tmp_path):
+        cand = train_best_model(trials[0], "R01", "pca", 21.0, store21,
+                                tiny_config(nr_grid=[47, 100]))
+        path = tmp_path / "verifier.npz"
+        Verifier.of(cand, "pca", 21.0).save(path)
+        v = Verifier.load(path, "R01", "pca", 21.0)
+        assert v.n_r == 47
+        assert same_bits(v.cut["basis"],
+                         cand.meta["reducer"].basis.basis)
+        rows = store21.select("R07", [1])
+        want = svm_score(cand.model, cand.meta["reducer"].transform(rows, 47))
+        got = svm_score(v.model, harness.apply_cut(v.cut, rows))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTraining:
@@ -901,9 +938,12 @@ class TestCli:
                             lambda args: seen.append(
                                 cli._cohort_and_config(args, tmp_path)[1])
                             or 0)
+        # A repeated value is dropped; methods keep the order of first use.
         rc = cli.main(["--data-root", str(tmp_path), "--snr", "27",
-                       "--snr", "21", "--methods", "bc", "--methods", "pca",
-                       "--nr-grid", "20", "--nr-grid", "5", "fingerprint"])
+                       "--snr", "21", "--snr", "27", "--methods", "bc",
+                       "--methods", "pca", "--methods", "bc", "--nr-grid",
+                       "20", "--nr-grid", "5", "--nr-grid", "20",
+                       "fingerprint"])
         assert rc == 0
         assert seen[0].snr_grid == [21.0, 27.0]
         assert seen[0].methods == ["bc", "pca"]
