@@ -8,6 +8,7 @@ radio) and returns either a ranked feature order or a linear projection basis.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,14 @@ class ProjectionBasis:
         return (np.asarray(X, dtype=np.float64) - self.mean) @ self.basis
 
 
+def check_count(name, value, low, error=InvalidCount):
+    """Refuse ``value`` with ``error`` unless it is an integer >= ``low``
+    (a bool is not a count)."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _default_bins(n_rows: int) -> int:
     return max(2, int(np.ceil(np.sqrt(n_rows))))
 
@@ -142,6 +151,7 @@ def train_grlvq_relevance(
     sum 1 after every update, and finally rescaled to a maximum of 1.
     Prototypes learn at rate 0.05, relevances at 0.01.
     """
+    check_count("epochs", epochs, 1)
     rng = np.random.default_rng(seed)
     X, y = fset.X, fset.labels
     n, f = X.shape
@@ -207,7 +217,8 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
     rows) are kept, so a pool of numerical rank below ``n_r`` gives fewer
     than ``n_r`` columns; a pool of equal rows is refused."""
     f = fset.n_features
-    if not 1 <= n_r <= f:
+    check_count("n_r", n_r, 1)
+    if n_r > f:
         raise InvalidCount(f"n_r must lie in [1, {f}]")
     n = fset.X.shape[0]
     mean = fset.X.mean(axis=0)
@@ -228,30 +239,53 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
 # NCA
 # ---------------------------------------------------------------------------
 
-# Bytes of the reused |Z_B - Z| buffer: about 10 rows of a 64 x 204 pool,
+# Bytes of one |Z_B - Z| row block: about 10 rows of a 64 x 204 pool,
 # one row of a 720 x 204 pool.
 _NCA_BLOCK_BYTES = 1 << 20
+# Bytes of the row blocks one fit builds once and keeps: every block of a
+# 64 x 204 pool (6.7 MB), the first 14 one-row blocks of a 720 x 204 pool.
+_NCA_KEEP_BYTES = 16 << 20
 
 
-def _nca_objective_and_grad(Z, same, w, lam_r):
+def _nca_block_rows(n, f):
+    return min(n, max(1, _NCA_BLOCK_BYTES // (n * f * 8)))
+
+
+def _nca_abs_diff(Z, i0, out):
+    """|Z_B - Z| for the rows B = i0 .. i0 + len(out) - 1, written to out."""
+    np.subtract(Z[i0:i0 + len(out), None], Z, out=out)
+    return np.abs(out, out=out)
+
+
+def _nca_kept_blocks(Z):
+    """The leading row blocks' |Z_B - Z|, as many whole blocks as fit in
+    _NCA_KEEP_BYTES."""
+    n, f = Z.shape
+    b = _nca_block_rows(n, f)
+    n_kept = min(n, _NCA_KEEP_BYTES // (b * n * f * 8) * b)
+    return [_nca_abs_diff(Z, i0, np.empty((min(b, n_kept - i0), n, f)))
+            for i0 in range(0, n_kept, b)]
+
+
+def _nca_objective_and_grad(Z, same, w, lam_r, kept):
     """Leave-one-out soft error and its gradient in w, rows in blocks.
 
     Row i's loss is sum_j p_ij l_ij, where p_i is the softmax of -|Z_i - Z|
     weighted by w**2 (p_ii = 0) and l_ij = 1 for another class. Its gradient
     is -2 w * [(p_i l_i - (sum_j p_ij l_ij) p_i) @ |Z_i - Z|]. A row whose
-    kernel sum is zero or non-finite adds nothing.
+    kernel sum is zero or non-finite adds nothing. ``kept`` holds the
+    leading blocks' |Z_B - Z| (``_nca_kept_blocks``); every later block is
+    rebuilt into one reused buffer.
     """
     n, f = Z.shape
     u = w**2
-    b = min(n, max(1, _NCA_BLOCK_BYTES // (n * f * 8)))
-    buf = np.empty((b, n, f))
+    b = _nca_block_rows(n, f)
+    buf = np.empty((b, n, f)) if len(kept) * b < n else None
     loss = 0.0
     gsum = np.zeros(f)
-    for i0 in range(0, n, b):
+    for blk, i0 in enumerate(range(0, n, b)):
         m = min(b, n - i0)
-        D = buf[:m]
-        np.subtract(Z[i0:i0 + m, None], Z, out=D)
-        np.abs(D, out=D)
+        D = kept[blk] if blk < len(kept) else _nca_abs_diff(Z, i0, buf[:m])
         k = np.exp(-(D.reshape(m * n, f) @ u)).reshape(m, n)
         rows = np.arange(m)
         k[rows, i0 + rows] = 0.0
@@ -281,16 +315,23 @@ def rank_nca(
     1/n times the squared weight norm, over per-feature weights with gradient
     descent; a halving backstep keeps the objective non-increasing. Scores
     are the squared weights, descending.
+
+    A fit over n rows and f features holds the n**2 * f * 8 bytes of
+    |Z_i - Z_j| up to a 16 MiB budget (all of a 64 x 204 pool, 6.7 MB),
+    built once; rows past the budget are rebuilt at every evaluation in
+    1 MiB blocks.
     """
+    check_count("iterations", iterations, 1)
     X, y = fset.X, fset.labels
     n, f = X.shape
     lam_r = 1.0 / n
     Z = standardize(X)[0]
     same = y[:, None] == y[None, :]
+    kept = _nca_kept_blocks(Z)
 
     w = np.ones(f)
     step = 1.0 / n
-    obj, grad = _nca_objective_and_grad(Z, same, w, lam_r)
+    obj, grad = _nca_objective_and_grad(Z, same, w, lam_r, kept)
     history = [obj]
     for _ in range(iterations):
         if not np.isfinite(obj):
@@ -298,7 +339,8 @@ def rank_nca(
         trial_step = step
         for _ in range(30):
             w_new = w - trial_step * grad
-            obj_new, grad_new = _nca_objective_and_grad(Z, same, w_new, lam_r)
+            obj_new, grad_new = _nca_objective_and_grad(Z, same, w_new, lam_r,
+                                                         kept)
             if obj_new <= obj + 1e-12:
                 break
             trial_step *= 0.5
@@ -375,10 +417,9 @@ def rank_poeacc(fset: LabeledFingerprintSet) -> FeatureRanking:
 
 def rank_bc(fset: LabeledFingerprintSet, bins: int | None = None) -> FeatureRanking:
     """Per-feature class-histogram overlap; least overlap ranks first."""
-    if bins is not None and bins < 2:
-        raise InvalidValue("need at least 2 histogram bins")
     if bins is None:
         bins = _default_bins(fset.X.shape[0])
+    check_count("bins", bins, 2, InvalidValue)
     p1, p2, _ = class_histograms(fset.X1, fset.X2, bins)
     bc = bhattacharyya(p1, p2)
     order = np.argsort(bc, kind="stable")
@@ -449,8 +490,7 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
     normalized by that feature's max-min over the whole training set (a
     constant feature contributes zero). Weights rank descending.
     """
-    if n_k < 1:
-        raise InvalidNeighborCount(f"n_k must be at least 1, got {n_k}")
+    check_count("n_k", n_k, 1, InvalidNeighborCount)
     X, y = fset.X, fset.labels
     n, f = X.shape
     for c in (1, 2):
@@ -472,12 +512,12 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
     refs = by_row[np.argsort(y[by_row], kind="stable")]
 
     priors = {c: float(np.mean(y == c)) for c in (1, 2)}
+    pools = {c: np.nonzero(y == c)[0] for c in (1, 2)}
     w = np.zeros(f)
     for i in refs:
         ci = y[i]
         cj = 3 - ci
-        hit_pool = np.nonzero(y == ci)[0]
-        miss_pool = np.nonzero(y == cj)[0]
+        hit_pool, miss_pool = pools[ci], pools[cj]
         hits = hit_pool[np.argsort(d2[i, hit_pool], kind="stable")[:n_k]]
         misses = miss_pool[np.argsort(d2[i, miss_pool], kind="stable")[:n_k]]
         diff_h = np.abs(X[hits] - X[i]) / scale
@@ -494,7 +534,8 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
 # ---------------------------------------------------------------------------
 
 def select_top(ranking: FeatureRanking, n_r: int) -> np.ndarray:
-    if not 1 <= n_r <= len(ranking.order):
+    check_count("n_r", n_r, 1)
+    if n_r > len(ranking.order):
         raise InvalidCount(
             f"n_r {n_r} exceeds ranked count {len(ranking.order)}"
         )

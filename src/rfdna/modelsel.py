@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
-from .featsel import bhattacharyya, class_histograms
+from .errors import InvalidInput, InvalidValue
+from .featsel import bhattacharyya, check_count, class_histograms
 from .svm import SvmModel, margin
 
 TVR_GATE, FVR_GATE = 0.90, 0.10  # pass at TVR >= 90% and FVR <= 10%
@@ -50,6 +50,7 @@ def build_margin_pmfs(
 
     Margins use y = +1 for the authorized radio and y = -1 for the others.
     PMF means/variances are the empirical moments of the margin samples."""
+    check_count("bins", bins, 1, InvalidValue)
     authorized_fps = np.atleast_2d(authorized_fps)
     other_fps = np.atleast_2d(other_fps)
     if authorized_fps.size == 0 or other_fps.size == 0:

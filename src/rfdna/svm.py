@@ -8,6 +8,8 @@ under verification) maps to y = +1, class 2 to y = -1.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +77,11 @@ def train_svm(
         raise InvalidValue("both classes must be present")
     if zeta is None:
         zeta = 1.0 / f
-    if zeta <= 0:
-        raise InvalidValue("zeta must be > 0")
+    for name, value in (("c", c), ("zeta", zeta)):
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value) and value > 0):
+            raise InvalidValue(f"{name} must be a finite number > 0, "
+                               f"got {value!r}")
 
     Z, mean, scale = standardize(X)
     K = rbf_kernel(Z, Z, zeta)     # bitwise symmetric: row K[i] is column i

@@ -7,7 +7,7 @@ meaningful evidence of correctness rather than a tautology.
 
 import numpy as np
 
-from rfdna import harness, svm
+from rfdna import featsel, harness, svm
 from rfdna.errors import (InvalidModel, InvalidValue, MissingData,
                           TrainingFailed)
 from rfdna.featsel import LabeledFingerprintSet
@@ -219,6 +219,74 @@ def nca_objective_loop(Z, same, w, lam_r):
     loss += lam_r * np.sum(u)
     grad += 2.0 * lam_r * w
     return loss, grad
+
+
+def nca_objective_per_evaluation(Z, same, w, lam_r):
+    """The blocked NCA objective that rebuilds every block's |Z_B - Z| in
+    one reused buffer at each call: ``featsel._nca_objective_and_grad``'s
+    blocks, products and summation order, with no block kept between
+    calls."""
+    n, f = Z.shape
+    u = w**2
+    b = min(n, max(1, featsel._NCA_BLOCK_BYTES // (n * f * 8)))
+    buf = np.empty((b, n, f))
+    loss = 0.0
+    gsum = np.zeros(f)
+    for i0 in range(0, n, b):
+        m = min(b, n - i0)
+        D = buf[:m]
+        np.subtract(Z[i0:i0 + m, None], Z, out=D)
+        np.abs(D, out=D)
+        k = np.exp(-(D.reshape(m * n, f) @ u)).reshape(m, n)
+        rows = np.arange(m)
+        k[rows, i0 + rows] = 0.0
+        other = ~same[i0:i0 + m]
+        tot = k.sum(axis=1)
+        ok = tot > 0
+        if not ok.all():
+            k, tot, other, D = k[ok], tot[ok], other[ok], D[ok]
+        p = k / tot[:, None]
+        pl = p * other
+        s = pl.sum(axis=1)
+        loss += s.sum()
+        gsum += (pl - s[:, None] * p).ravel() @ D.reshape(-1, f)
+    loss /= n
+    loss += lam_r * np.sum(u)
+    grad = (-2.0 * w) * gsum / n + 2.0 * lam_r * w
+    return loss, grad
+
+
+def rank_nca_reference(fset, iterations=200):
+    """``featsel.rank_nca`` over ``nca_objective_per_evaluation``: the same
+    descent and backstep, with every distance block rebuilt at every
+    evaluation."""
+    X, y = fset.X, fset.labels
+    n, f = X.shape
+    lam_r = 1.0 / n
+    Z = svm.standardize(X)[0]
+    same = y[:, None] == y[None, :]
+    w = np.ones(f)
+    step = 1.0 / n
+    obj, grad = nca_objective_per_evaluation(Z, same, w, lam_r)
+    history = [obj]
+    for _ in range(iterations):
+        assert np.isfinite(obj)
+        trial_step = step
+        for _ in range(30):
+            w_new = w - trial_step * grad
+            obj_new, grad_new = nca_objective_per_evaluation(
+                Z, same, w_new, lam_r)
+            if obj_new <= obj + 1e-12:
+                break
+            trial_step *= 0.5
+        else:
+            break
+        w, obj, grad = w_new, obj_new, grad_new
+        history.append(obj)
+        if np.linalg.norm(trial_step * grad) < 1e-10:
+            break
+    scores = w**2
+    return scores, np.argsort(-scores, kind="stable"), history
 
 
 def moments_scalar(cells) -> tuple[float, float, float, float]:

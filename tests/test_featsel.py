@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     nca_objective_loop,
     pca_signs_loop,
     poe_loop,
+    rank_nca_reference,
     relieff_bruteforce,
     ttest_loop,
     welch_oracle,
@@ -239,14 +241,23 @@ def nca_inputs(n, f, n1, scale=0.5, seed=0):
     return Z, y[:, None] == y[None, :], w
 
 
+def nca_objective(Z, same, w, lam_r, kept=None):
+    """One evaluation, with the blocks a fit of Z keeps unless given."""
+    if kept is None:
+        kept = featsel._nca_kept_blocks(Z)
+    return featsel._nca_objective_and_grad(Z, same, w, lam_r, kept)
+
+
 def assert_matches_loop(Z, same, w):
     lam_r = 1.0 / len(Z)
-    loss, grad = featsel._nca_objective_and_grad(Z, same, w, lam_r)
     want_loss, want_grad = nca_objective_loop(Z, same, w, lam_r)
     assert np.isfinite(want_loss)
-    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(
-        np.abs(want_grad))
+    # Kept blocks, and every block rebuilt at the evaluation.
+    for kept in (None, []):
+        loss, grad = nca_objective(Z, same, w, lam_r, kept)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(
+            np.abs(want_grad))
 
 
 class TestNcaObjective:
@@ -282,14 +293,14 @@ class TestNcaObjective:
     def test_gradient_matches_central_difference(self):
         Z, same, w = nca_inputs(n=12, f=5, n1=5, seed=3)
         lam_r = 1.0 / 12
-        _, grad = featsel._nca_objective_and_grad(Z, same, w, lam_r)
+        _, grad = nca_objective(Z, same, w, lam_r)
         h = 1e-6
         numeric = np.empty_like(w)
         for r in range(len(w)):
             e = np.zeros_like(w)
             e[r] = h
-            hi, _ = featsel._nca_objective_and_grad(Z, same, w + e, lam_r)
-            lo, _ = featsel._nca_objective_and_grad(Z, same, w - e, lam_r)
+            hi, _ = nca_objective(Z, same, w + e, lam_r)
+            lo, _ = nca_objective(Z, same, w - e, lam_r)
             numeric[r] = (hi - lo) / (2 * h)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
@@ -303,11 +314,70 @@ class TestNcaObjective:
         w = rng.uniform(0.2, 1.5, f)
         perm = rng.permutation(n)
         same = y[:, None] == y[None, :]
-        loss, _ = featsel._nca_objective_and_grad(Z, same, w, 1.0 / n)
+        loss, _ = nca_objective(Z, same, w, 1.0 / n)
         yp = y[perm]
-        loss_p, _ = featsel._nca_objective_and_grad(
+        loss_p, _ = nca_objective(
             Z[perm], yp[:, None] == yp[None, :], w, 1.0 / n)
         assert abs(loss - loss_p) <= 1e-12 * max(1.0, abs(loss))
+
+
+def nca_pool(n, f, n1, seed=0):
+    """A pool whose NCA class term moves the weights: few features, so
+    neighbours of both classes sit at comparable distances."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, f))
+    labels = np.where(np.arange(n) < n1, 1, 2)
+    X[labels == 2, :3] += 1.0
+    return LabeledFingerprintSet(X=X, labels=labels)
+
+
+def kept_rows(fset):
+    Z = featsel.standardize(fset.X)[0]
+    return sum(len(D) for D in featsel._nca_kept_blocks(Z))
+
+
+class TestNcaKeptBlocks:
+    """rank_nca against the fit that rebuilds every block at every
+    evaluation: bitwise equal scores, order and objective history."""
+
+    def assert_same_fit(self, fset, iterations):
+        r = rank_nca(fset, iterations=iterations)
+        scores, order, history = rank_nca_reference(fset, iterations)
+        assert np.array_equal(r.scores, scores)
+        assert np.array_equal(r.order, order)
+        assert r.meta["objective_history"] == history
+        assert len(history) == iterations + 1
+        assert len(np.unique(scores)) > 1     # the class term moved w
+
+    def test_pool_within_budget(self):
+        fset = nca_pool(n=120, f=40, n1=50, seed=1)
+        assert 120 * 120 * 40 * 8 <= featsel._NCA_KEEP_BYTES
+        assert kept_rows(fset) == 120
+        assert featsel._nca_block_rows(120, 40) < 120   # several blocks
+        self.assert_same_fit(fset, 60)
+
+    def test_pool_over_budget(self):
+        # 400 x 20: a 25.6 MB tensor; the leading blocks are kept, the
+        # rest are rebuilt at every evaluation.
+        fset = nca_pool(n=400, f=20, n1=150, seed=2)
+        assert 400 * 400 * 20 * 8 > featsel._NCA_KEEP_BYTES
+        assert 0 < kept_rows(fset) < 400
+        self.assert_same_fit(fset, 12)
+
+    def test_fit_over_budget_holds_budget_plus_one_block(self):
+        fset = nca_pool(n=400, f=20, n1=150, seed=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rank_nca(fset, iterations=2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak >= kept_rows(fset) * 400 * 20 * 8   # the kept blocks
+        # Past the budget and one block: the label mask, the standardized
+        # rows and one block's kernel rows, about 0.5 MB here.
+        assert peak <= (featsel._NCA_KEEP_BYTES + featsel._NCA_BLOCK_BYTES
+                        + (1 << 19))
 
 
 class TestClassHistograms:
@@ -528,6 +598,31 @@ class TestRelieff:
     def test_needs_a_neighbor(self, n_k):
         with pytest.raises(InvalidNeighborCount):
             rank_relieff(two_class_set(n1=20, n2=20), n_k=n_k)
+
+
+COUNT_CASES = [
+    ("nca iterations 1.5", lambda f: rank_nca(f, iterations=1.5), InvalidCount),
+    ("nca iterations -3", lambda f: rank_nca(f, iterations=-3), InvalidCount),
+    ("nca iterations 0", lambda f: rank_nca(f, iterations=0), InvalidCount),
+    ("grlvq epochs 2.5", lambda f: train_grlvq_relevance(f, epochs=2.5),
+     InvalidCount),
+    ("relieff n_k 2.5", lambda f: rank_relieff(f, n_k=2.5),
+     InvalidNeighborCount),
+    ("relieff n_k True", lambda f: rank_relieff(f, n_k=True),
+     InvalidNeighborCount),
+    ("pca n_r 2.5", lambda f: project_pca(f, 2.5), InvalidCount),
+    ("select_top n_r 2.5", lambda f: select_top(rank_bc(f), 2.5),
+     InvalidCount),
+    ("bc bins 2.5", lambda f: rank_bc(f, bins=2.5), InvalidValue),
+    ("bc bins '4'", lambda f: rank_bc(f, bins="4"), InvalidValue),
+]
+
+
+@pytest.mark.parametrize("call,error", [c[1:] for c in COUNT_CASES],
+                         ids=[c[0] for c in COUNT_CASES])
+def test_count_that_is_not_an_integer_refused(call, error):
+    with pytest.raises(error):
+        call(two_class_set(n1=15, n2=15))
 
 
 class TestSelection:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfdna.errors import InvalidInput
+from rfdna.errors import InvalidInput, InvalidValue
 from rfdna.featsel import bhattacharyya
 from rfdna.modelsel import (
     CandidateModel,
@@ -102,6 +102,12 @@ class TestBuildMarginPmfs:
         model = odd_model()
         with pytest.raises(InvalidInput):
             build_margin_pmfs(model, np.empty((0, 2)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("bins", [0, -2, 2.5, True])
+    def test_bad_bin_count_rejected(self, bins):
+        with pytest.raises(InvalidValue):
+            build_margin_pmfs(odd_model(), np.ones((3, 2)), -np.ones((3, 2)),
+                              bins=bins)
 
 
 def fake_candidate(n_r, tvr=0.95, fvr=0.05, bc=0.2, dist=4.0, var=1.0):

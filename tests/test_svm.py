@@ -189,10 +189,17 @@ class TestTraining:
         with pytest.raises(InvalidValue):
             train_svm(X, labels)
 
-    def test_bad_zeta_rejected(self):
+    @pytest.mark.parametrize("zeta", [0.0, -1.0, np.nan, np.inf, True])
+    def test_bad_zeta_rejected(self, zeta):
         X, labels = blob_data()
         with pytest.raises(InvalidValue):
-            train_svm(X, labels, zeta=0.0)
+            train_svm(X, labels, zeta=zeta)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf, True])
+    def test_bad_cost_rejected(self, c):
+        X, labels = blob_data()
+        with pytest.raises(InvalidValue):
+            train_svm(X, labels, c=c)
 
     def test_iteration_cap_carries_partial_model(self, monkeypatch):
         X, labels = blob_data(n=50, gap=0.2, seed=7)
