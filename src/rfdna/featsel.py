@@ -8,6 +8,7 @@ radio) and returns either a ranked feature order or a linear projection basis.
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -35,13 +36,15 @@ class LabeledFingerprintSet:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.X.ndim != 2 or len(self.labels) != self.X.shape[0]:
+        labels = np.asarray(self.labels)
+        if self.X.ndim != 2 or len(labels) != self.X.shape[0]:
             raise InvalidShape("matrix/label shape mismatch")
         if not np.all(np.isfinite(self.X)):
             raise InvalidValue("non-finite features")
-        if not set(np.unique(self.labels)) <= {1, 2}:
+        # Checked before the integer cast, which would truncate 1.9 to 1.
+        if not np.all(np.isin(labels, (1, 2))):
             raise InvalidValue("labels must be 1 or 2")
+        self.labels = labels.astype(np.int64)
         if self.n1 == 0 or self.n2 == 0:
             raise InvalidValue("both classes must be non-empty")
 
@@ -167,8 +170,10 @@ def train_grlvq_relevance(
         for i in rng.permutation(n):
             x = Z[i]
             own = 0 if y[i] == 1 else 1
-            d_own_v = (x - protos[own]) ** 2
-            d_oth_v = (x - protos[1 - own]) ** 2
+            p_own, p_oth = protos[own], protos[1 - own]     # row views
+            diff_own, diff_oth = x - p_own, x - p_oth
+            d_own_v = diff_own**2
+            d_oth_v = diff_oth**2
             d_own = float(lam @ d_own_v)
             d_oth = float(lam @ d_oth_v)
             denom = d_own + d_oth
@@ -176,8 +181,8 @@ def train_grlvq_relevance(
                 continue
             xi_own = d_oth / denom**2
             xi_oth = d_own / denom**2
-            protos[own] += eps_p * xi_own * lam * (x - protos[own])
-            protos[1 - own] -= eps_p * xi_oth * lam * (x - protos[1 - own])
+            p_own += eps_p * xi_own * lam * diff_own
+            p_oth -= eps_p * xi_oth * lam * diff_oth
             grad = xi_own * d_own_v - xi_oth * d_oth_v
             lam = lam * np.exp(-eps_l * grad)
             lam /= lam.sum()
@@ -239,68 +244,106 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
 # NCA
 # ---------------------------------------------------------------------------
 
-# Bytes of one |Z_B - Z| row block: about 10 rows of a 64 x 204 pool,
-# one row of a 720 x 204 pool.
+# NCA holds |Z_i - Z_j| once per pair i < j, in row-major upper-triangle
+# order, cut into chunks of whole rows' pairs.
+# Bytes of one chunk: the pairs of about 10 rows of a 64 x 204 pool, of one
+# row of a 720 x 204 pool.
 _NCA_BLOCK_BYTES = 1 << 20
-# Bytes of the row blocks one fit builds once and keeps: every block of a
-# 64 x 204 pool (6.7 MB), the first 14 one-row blocks of a 720 x 204 pool.
+# Bytes of the chunks one fit builds once and keeps: every chunk of a
+# 64 x 204 pool (3.3 MB), the first 14 one-row chunks of a 720 x 204 pool.
 _NCA_KEEP_BYTES = 16 << 20
 
 
-def _nca_block_rows(n, f):
-    return min(n, max(1, _NCA_BLOCK_BYTES // (n * f * 8)))
+def _nca_pairs(n, i0, i1):
+    """Number of pairs (i, j > i) of the rows i0 <= i < i1 of n."""
+    return (i1 - i0) * (2 * n - 1 - i0 - i1) // 2
 
 
-def _nca_abs_diff(Z, i0, out):
-    """|Z_B - Z| for the rows B = i0 .. i0 + len(out) - 1, written to out."""
-    np.subtract(Z[i0:i0 + len(out), None], Z, out=out)
-    return np.abs(out, out=out)
+@functools.lru_cache(maxsize=64)
+def _nca_chunks(n, f):
+    """Row ranges (i0, i1) of the pair chunks: as many whole rows' pairs as
+    fit in _NCA_BLOCK_BYTES, and at least one row."""
+    chunks, i0 = [], 0
+    for i in range(1, n - 1):
+        if _nca_pairs(n, i0, i + 1) * f * 8 > _NCA_BLOCK_BYTES:
+            chunks.append((i0, i))
+            i0 = i
+    chunks.append((i0, n - 1))
+    return tuple(chunks)
+
+
+def _nca_abs_diff(Z, i0, i1, out):
+    """|Z_i - Z_j| for the pairs of the rows i0 <= i < i1, built row by row
+    into the leading rows of out."""
+    n = len(Z)
+    q = 0
+    for i in range(i0, i1):
+        np.subtract(Z[i], Z[i + 1:], out=out[q:q + n - 1 - i])
+        q += n - 1 - i
+    return np.abs(out[:q], out=out[:q])
 
 
 def _nca_kept_blocks(Z):
-    """The leading row blocks' |Z_B - Z|, as many whole blocks as fit in
+    """The leading chunks' |Z_i - Z_j|, as many whole chunks as fit in
     _NCA_KEEP_BYTES."""
     n, f = Z.shape
-    b = _nca_block_rows(n, f)
-    n_kept = min(n, _NCA_KEEP_BYTES // (b * n * f * 8) * b)
-    return [_nca_abs_diff(Z, i0, np.empty((min(b, n_kept - i0), n, f)))
-            for i0 in range(0, n_kept, b)]
+    kept, size = [], 0
+    for i0, i1 in _nca_chunks(n, f):
+        m = _nca_pairs(n, i0, i1)
+        size += m * f * 8
+        if size > _NCA_KEEP_BYTES:
+            break
+        kept.append(_nca_abs_diff(Z, i0, i1, np.empty((m, f))))
+    return kept
 
 
 def _nca_objective_and_grad(Z, same, w, lam_r, kept):
-    """Leave-one-out soft error and its gradient in w, rows in blocks.
+    """Leave-one-out soft error and its gradient in w, pairs in chunks.
 
     Row i's loss is sum_j p_ij l_ij, where p_i is the softmax of -|Z_i - Z|
-    weighted by w**2 (p_ii = 0) and l_ij = 1 for another class. Its gradient
-    is -2 w * [(p_i l_i - (sum_j p_ij l_ij) p_i) @ |Z_i - Z|]. A row whose
-    kernel sum is zero or non-finite adds nothing. ``kept`` holds the
-    leading blocks' |Z_B - Z| (``_nca_kept_blocks``); every later block is
-    rebuilt into one reused buffer.
+    weighted by w**2 (p_ii = 0) and l_ij = 1 for another class. With
+    c_ij = p_ij l_ij - (sum_j p_ij l_ij) p_ij, the gradient is
+    -2 w * sum_{i<j} (c_ij + c_ji) |Z_i - Z_j|. A row whose kernel sum is
+    zero or non-finite adds nothing. ``kept`` holds the leading chunks'
+    |Z_i - Z_j| (``_nca_kept_blocks``); every later chunk is rebuilt into
+    one reused buffer, once for the distances and once for the gradient.
     """
     n, f = Z.shape
     u = w**2
-    b = _nca_block_rows(n, f)
-    buf = np.empty((b, n, f)) if len(kept) * b < n else None
-    loss = 0.0
+    chunks = _nca_chunks(n, f)
+    rebuilt = chunks[len(kept):]
+    buf = (np.empty((max(_nca_pairs(n, *c) for c in rebuilt), f))
+           if rebuilt else None)
+
+    def pair_diffs(c):
+        return kept[c] if c < len(kept) else _nca_abs_diff(Z, *chunks[c], buf)
+
+    upper = np.arange(n)[:, None] < np.arange(n)      # the pairs i < j
+    k = np.zeros((n, n))
+    for c, (i0, i1) in enumerate(chunks):
+        k[i0:i1][upper[i0:i1]] = np.exp(-(pair_diffs(c) @ u))
+    k += k.T
+    tot = k.sum(axis=1)
+    ok = tot > 0          # false for a zero or NaN sum; k <= 1, so no inf
+    live = None
+    if not ok.all():
+        k[~ok] = 0.0
+        tot[~ok] = 1.0
+        live = ok[:, None] | ok    # pairs with a row that adds to the sum
+    p = np.divide(k, tot[:, None], out=k)
+    pl = np.where(same, 0.0, p)
+    s = pl.sum(axis=1)
+    loss = s.sum() / n + lam_r * np.sum(u)
+    cw = np.subtract(pl, np.multiply(s[:, None], p, out=p), out=pl)   # c
+    cw += cw.T                           # pair weights c_ij + c_ji
     gsum = np.zeros(f)
-    for blk, i0 in enumerate(range(0, n, b)):
-        m = min(b, n - i0)
-        D = kept[blk] if blk < len(kept) else _nca_abs_diff(Z, i0, buf[:m])
-        k = np.exp(-(D.reshape(m * n, f) @ u)).reshape(m, n)
-        rows = np.arange(m)
-        k[rows, i0 + rows] = 0.0
-        other = ~same[i0:i0 + m]
-        tot = k.sum(axis=1)
-        ok = tot > 0          # false for a zero or NaN sum; k <= 1, so no inf
-        if not ok.all():
-            k, tot, other, D = k[ok], tot[ok], other[ok], D[ok]
-        p = k / tot[:, None]
-        pl = p * other
-        s = pl.sum(axis=1)
-        loss += s.sum()
-        gsum += (pl - s[:, None] * p).ravel() @ D.reshape(-1, f)
-    loss /= n
-    loss += lam_r * np.sum(u)
+    for c, (i0, i1) in enumerate(chunks):
+        D = pair_diffs(c)
+        weight = cw[i0:i1][upper[i0:i1]]
+        if live is not None:
+            sel = live[i0:i1][upper[i0:i1]]
+            D, weight = D[sel], weight[sel]
+        gsum += weight @ D
     grad = (-2.0 * w) * gsum / n + 2.0 * lam_r * w
     return loss, grad
 
@@ -316,10 +359,10 @@ def rank_nca(
     descent; a halving backstep keeps the objective non-increasing. Scores
     are the squared weights, descending.
 
-    A fit over n rows and f features holds the n**2 * f * 8 bytes of
-    |Z_i - Z_j| up to a 16 MiB budget (all of a 64 x 204 pool, 6.7 MB),
-    built once; rows past the budget are rebuilt at every evaluation in
-    1 MiB blocks.
+    A fit over n rows and f features holds the n(n-1)/2 * f * 8 bytes of
+    |Z_i - Z_j|, one per pair i < j, up to a 16 MiB budget (all of a
+    64 x 204 pool, 3.3 MB), built once; pairs past the budget are rebuilt
+    at every evaluation in 1 MiB chunks.
     """
     check_count("iterations", iterations, 1)
     X, y = fset.X, fset.labels

@@ -68,6 +68,10 @@ def train_svm(
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
+    if not (np.all(np.isin(labels, (1, 2)))
+            or np.all(np.isin(labels, (1, -1)))):
+        raise InvalidValue("labels must all be class tags 1/2 or all be "
+                           "+1/-1")
     # Class tag 1 and label +1 both map to y = +1; tag 2 / label -1 to y = -1.
     y = np.where(labels == 1, 1.0, -1.0)
     n, f = X.shape

@@ -222,10 +222,11 @@ def nca_objective_loop(Z, same, w, lam_r):
 
 
 def nca_objective_per_evaluation(Z, same, w, lam_r):
-    """The blocked NCA objective that rebuilds every block's |Z_B - Z| in
-    one reused buffer at each call: ``featsel._nca_objective_and_grad``'s
-    blocks, products and summation order, with no block kept between
-    calls."""
+    """The row-blocked NCA objective that rebuilds every block's |Z_B - Z|
+    in one reused buffer at each call and adds each ordered pair's gradient
+    term on its own. ``featsel._nca_objective_and_grad`` holds each pair
+    once and adds its two terms first, so it agrees to rounding, not
+    bitwise, where the class term is above rounding."""
     n, f = Z.shape
     u = w**2
     b = min(n, max(1, featsel._NCA_BLOCK_BYTES // (n * f * 8)))
@@ -287,6 +288,39 @@ def rank_nca_reference(fset, iterations=200):
             break
     scores = w**2
     return scores, np.argsort(-scores, kind="stable"), history
+
+
+def train_grlvq_relevance_reference(fset, epochs=20, seed=0):
+    """``featsel.train_grlvq_relevance`` computing each prototype difference
+    ``x - protos[c]`` anew for the distance and for the prototype update:
+    the arithmetic the fit must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    X, y = fset.X, fset.labels
+    n, f = X.shape
+    eps_p, eps_l = 0.05, 0.01
+    Z = svm.standardize(X)[0]
+    protos = np.stack([Z[y == 1].mean(axis=0), Z[y == 2].mean(axis=0)])
+    protos += rng.normal(0, 1e-3, protos.shape)
+    lam = np.full(f, 1.0 / f)
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            x = Z[i]
+            own = 0 if y[i] == 1 else 1
+            d_own_v = (x - protos[own]) ** 2
+            d_oth_v = (x - protos[1 - own]) ** 2
+            d_own = float(lam @ d_own_v)
+            d_oth = float(lam @ d_oth_v)
+            denom = d_own + d_oth
+            if denom <= 0:
+                continue
+            xi_own = d_oth / denom**2
+            xi_oth = d_own / denom**2
+            protos[own] += eps_p * xi_own * lam * (x - protos[own])
+            protos[1 - own] -= eps_p * xi_oth * lam * (x - protos[1 - own])
+            grad = xi_own * d_own_v - xi_oth * d_oth_v
+            lam = lam * np.exp(-eps_l * grad)
+            lam /= lam.sum()
+    return lam / lam.max()
 
 
 def moments_scalar(cells) -> tuple[float, float, float, float]:

@@ -42,6 +42,7 @@ from oracles import (
     poe_loop,
     rank_nca_reference,
     relieff_bruteforce,
+    train_grlvq_relevance_reference,
     ttest_loop,
     welch_oracle,
 )
@@ -97,6 +98,16 @@ class TestLabeledSet:
         with pytest.raises(InvalidValue):
             LabeledFingerprintSet(X=np.zeros((2, 2)), labels=[1, 1])
 
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(InvalidValue):
+            LabeledFingerprintSet(X=np.zeros((3, 2)), labels=[1.9, 2.5, 1.2])
+
+    def test_float_class_tags_accepted(self):
+        fset = LabeledFingerprintSet(X=np.zeros((3, 2)),
+                                     labels=np.array([1.0, 2.0, 1.0]))
+        assert fset.labels.dtype == np.int64
+        assert list(fset.labels) == [1, 2, 1]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, value):
         X = two_class_set().X
@@ -133,6 +144,13 @@ class TestGrlvq:
         a = train_grlvq_relevance(fset, epochs=5, seed=1)
         b = train_grlvq_relevance(fset, epochs=5, seed=1)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name,make", POOLS)
+    def test_matches_reference_loop_bitwise(self, name, make):
+        fset = make()
+        got = train_grlvq_relevance(fset, epochs=3, seed=7)
+        want = train_grlvq_relevance_reference(fset, epochs=3, seed=7)
+        assert np.array_equal(got, want)
 
 
 class TestLda:
@@ -242,7 +260,7 @@ def nca_inputs(n, f, n1, scale=0.5, seed=0):
 
 
 def nca_objective(Z, same, w, lam_r, kept=None):
-    """One evaluation, with the blocks a fit of Z keeps unless given."""
+    """One evaluation, with the chunks a fit of Z keeps unless given."""
     if kept is None:
         kept = featsel._nca_kept_blocks(Z)
     return featsel._nca_objective_and_grad(Z, same, w, lam_r, kept)
@@ -252,7 +270,7 @@ def assert_matches_loop(Z, same, w):
     lam_r = 1.0 / len(Z)
     want_loss, want_grad = nca_objective_loop(Z, same, w, lam_r)
     assert np.isfinite(want_loss)
-    # Kept blocks, and every block rebuilt at the evaluation.
+    # Kept chunks, and every chunk rebuilt at the evaluation.
     for kept in (None, []):
         loss, grad = nca_objective(Z, same, w, lam_r, kept)
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
@@ -260,12 +278,22 @@ def assert_matches_loop(Z, same, w):
             np.abs(want_grad))
 
 
+def n_pairs(n):
+    return n * (n - 1) // 2
+
+
 class TestNcaObjective:
-    """The blocked objective against the one-row-at-a-time reference."""
+    """The pair-chunked objective against the one-row-at-a-time reference."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_or_three_pairs(self, n):
+        Z, same, w = nca_inputs(n=n, f=4, n1=1)
+        assert featsel._nca_chunks(n, 4) == ((0, n - 1),)
+        assert_matches_loop(Z, same, w)
 
     def test_one_partial_block(self):
         Z, same, w = nca_inputs(n=7, f=5, n1=3)
-        assert 7 * 7 * 5 * 8 < featsel._NCA_BLOCK_BYTES   # all rows, one block
+        assert n_pairs(7) * 5 * 8 < featsel._NCA_BLOCK_BYTES  # one chunk
         assert_matches_loop(Z, same, w)
 
     def test_pool_spanning_several_blocks(self):
@@ -273,7 +301,8 @@ class TestNcaObjective:
         # are near 30, so the class term of the objective is far above
         # rounding.
         Z, same, w = nca_inputs(n=64, f=204, n1=24, scale=0.12, seed=1)
-        assert 2 * 64 * 204 * 8 <= featsel._NCA_BLOCK_BYTES < 64 * 64 * 204 * 8
+        assert 63 * 204 * 8 <= featsel._NCA_BLOCK_BYTES < n_pairs(64) * 204 * 8
+        assert len(featsel._nca_chunks(64, 204)) > 1
         assert_matches_loop(Z, same, w)
         assert_matches_loop(Z, same, np.ones(204))
 
@@ -282,6 +311,20 @@ class TestNcaObjective:
         Z[5] += 1e3                           # exp(-distance) underflows to 0
         k = np.exp(-np.abs(Z - Z[5]) @ w**2)
         k[5] = 0.0
+        assert k.sum() == 0.0
+        assert_matches_loop(Z, same, w)
+
+    def test_row_with_vanishing_kernel_past_the_budget_is_skipped(self):
+        # 500 x 20: the pairs of the last rows lie in chunks past the
+        # budget, rebuilt at every evaluation.
+        Z, same, w = nca_inputs(n=500, f=20, n1=180, seed=4)
+        chunks = featsel._nca_chunks(500, 20)
+        n_kept = len(featsel._nca_kept_blocks(Z))
+        assert 0 < n_kept < len(chunks)
+        r = chunks[-2][0]                     # a row of a rebuilt chunk
+        Z[r] += 1e3
+        k = np.exp(-np.abs(Z - Z[r]) @ w**2)
+        k[r] = 0.0
         assert k.sum() == 0.0
         assert_matches_loop(Z, same, w)
 
@@ -331,41 +374,45 @@ def nca_pool(n, f, n1, seed=0):
     return LabeledFingerprintSet(X=X, labels=labels)
 
 
-def kept_rows(fset):
+def kept_pairs(fset):
     Z = featsel.standardize(fset.X)[0]
     return sum(len(D) for D in featsel._nca_kept_blocks(Z))
 
 
 class TestNcaKeptBlocks:
-    """rank_nca against the fit that rebuilds every block at every
-    evaluation: bitwise equal scores, order and objective history."""
+    """rank_nca against the fit that rebuilds every row block at every
+    evaluation and sums each ordered pair on its own: equal order and
+    history length; scores and objective history within 1e-12, since the
+    gradient adds each pair's two terms first."""
 
     def assert_same_fit(self, fset, iterations):
         r = rank_nca(fset, iterations=iterations)
         scores, order, history = rank_nca_reference(fset, iterations)
-        assert np.array_equal(r.scores, scores)
         assert np.array_equal(r.order, order)
-        assert r.meta["objective_history"] == history
+        assert len(r.meta["objective_history"]) == len(history)
+        np.testing.assert_allclose(r.scores, scores, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(r.meta["objective_history"], history,
+                                   rtol=1e-12, atol=0)
         assert len(history) == iterations + 1
         assert len(np.unique(scores)) > 1     # the class term moved w
 
     def test_pool_within_budget(self):
         fset = nca_pool(n=120, f=40, n1=50, seed=1)
-        assert 120 * 120 * 40 * 8 <= featsel._NCA_KEEP_BYTES
-        assert kept_rows(fset) == 120
-        assert featsel._nca_block_rows(120, 40) < 120   # several blocks
+        assert n_pairs(120) * 40 * 8 <= featsel._NCA_KEEP_BYTES
+        assert kept_pairs(fset) == n_pairs(120)
+        assert len(featsel._nca_chunks(120, 40)) > 1   # several chunks
         self.assert_same_fit(fset, 60)
 
     def test_pool_over_budget(self):
-        # 400 x 20: a 25.6 MB tensor; the leading blocks are kept, the
-        # rest are rebuilt at every evaluation.
-        fset = nca_pool(n=400, f=20, n1=150, seed=2)
-        assert 400 * 400 * 20 * 8 > featsel._NCA_KEEP_BYTES
-        assert 0 < kept_rows(fset) < 400
+        # 500 x 20: 20 MB of pairs; the leading chunks are kept, the rest
+        # are rebuilt at every evaluation.
+        fset = nca_pool(n=500, f=20, n1=180, seed=2)
+        assert n_pairs(500) * 20 * 8 > featsel._NCA_KEEP_BYTES
+        assert 0 < kept_pairs(fset) < n_pairs(500)
         self.assert_same_fit(fset, 12)
 
-    def test_fit_over_budget_holds_budget_plus_one_block(self):
-        fset = nca_pool(n=400, f=20, n1=150, seed=2)
+    def test_fit_over_budget_holds_budget_plus_one_chunk(self):
+        fset = nca_pool(n=500, f=20, n1=180, seed=2)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -373,11 +420,12 @@ class TestNcaKeptBlocks:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak >= kept_rows(fset) * 400 * 20 * 8   # the kept blocks
-        # Past the budget and one block: the label mask, the standardized
-        # rows and one block's kernel rows, about 0.5 MB here.
+        assert peak >= kept_pairs(fset) * 20 * 8   # the kept chunks
+        # Past the budget and one chunk: at most four n x n kernel arrays,
+        # and 0.5 MiB for the label mask, the pair mask and the
+        # standardized rows.
         assert peak <= (featsel._NCA_KEEP_BYTES + featsel._NCA_BLOCK_BYTES
-                        + (1 << 19))
+                        + 4 * 500 * 500 * 8 + (1 << 19))
 
 
 class TestClassHistograms:

@@ -182,6 +182,13 @@ class TestTraining:
         with pytest.raises(InvalidValue):
             train_svm(np.zeros((4, 2)), np.ones(4))
 
+    @pytest.mark.parametrize("labels", [[1, 2, 7], [2, -1, 1]],
+                             ids=["unknown", "mixed"])
+    def test_labels_outside_one_convention_rejected(self, labels):
+        X = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(InvalidValue):
+            train_svm(X, labels)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, value):
         X, labels = blob_data()
