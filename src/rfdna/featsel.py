@@ -8,7 +8,6 @@ radio) and returns either a ranked feature order or a linear projection basis.
 from __future__ import annotations
 
 import csv
-import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -244,106 +243,76 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
 # NCA
 # ---------------------------------------------------------------------------
 
-# NCA holds |Z_i - Z_j| once per pair i < j, in row-major upper-triangle
-# order, cut into chunks of whole rows' pairs.
-# Bytes of one chunk: the pairs of about 10 rows of a 64 x 204 pool, of one
-# row of a 720 x 204 pool.
-_NCA_BLOCK_BYTES = 1 << 20
-# Bytes of the chunks one fit builds once and keeps: every chunk of a
-# 64 x 204 pool (3.3 MB), the first 14 one-row chunks of a 720 x 204 pool.
+# NCA holds |Z_i - Z_j| once per pair i < j, in np.triu_indices order.
+# Bytes of the leading rows' pairs that one fit builds once and keeps: every
+# pair of a 64 x 204 pool (3.3 MB), the first 14 rows' pairs of a 720 x 204
+# pool.
 _NCA_KEEP_BYTES = 16 << 20
 
 
-def _nca_pairs(n, i0, i1):
-    """Number of pairs (i, j > i) of the rows i0 <= i < i1 of n."""
-    return (i1 - i0) * (2 * n - 1 - i0 - i1) // 2
+def _nca_row(Z, i, out):
+    """Row i's pairs |Z_i - Z_j|, j > i, built into ``out``."""
+    np.subtract(Z[i], Z[i + 1:], out=out)
+    return np.abs(out, out=out)
 
 
-@functools.lru_cache(maxsize=64)
-def _nca_chunks(n, f):
-    """Row ranges (i0, i1) of the pair chunks: as many whole rows' pairs as
-    fit in _NCA_BLOCK_BYTES, and at least one row."""
-    chunks, i0 = [], 0
-    for i in range(1, n - 1):
-        if _nca_pairs(n, i0, i + 1) * f * 8 > _NCA_BLOCK_BYTES:
-            chunks.append((i0, i))
-            i0 = i
-    chunks.append((i0, n - 1))
-    return tuple(chunks)
-
-
-def _nca_abs_diff(Z, i0, i1, out):
-    """|Z_i - Z_j| for the pairs of the rows i0 <= i < i1, built row by row
-    into the leading rows of out."""
-    n = len(Z)
-    q = 0
-    for i in range(i0, i1):
-        np.subtract(Z[i], Z[i + 1:], out=out[q:q + n - 1 - i])
-        q += n - 1 - i
-    return np.abs(out[:q], out=out[:q])
-
-
-def _nca_kept_blocks(Z):
-    """The leading chunks' |Z_i - Z_j|, as many whole chunks as fit in
+def _nca_pairs(Z):
+    """The pair list of an NCA fit over the rows of Z, built once per fit:
+    ``(I, J, starts, kept)``. ``I, J = np.triu_indices(n, 1)``, and row i's
+    pairs are ``starts[i]:starts[i + 1]``. ``kept`` holds |Z_i - Z_j| for
+    the pairs of the leading rows, as many whole rows as fit in
     _NCA_KEEP_BYTES."""
     n, f = Z.shape
-    kept, size = [], 0
-    for i0, i1 in _nca_chunks(n, f):
-        m = _nca_pairs(n, i0, i1)
-        size += m * f * 8
-        if size > _NCA_KEEP_BYTES:
-            break
-        kept.append(_nca_abs_diff(Z, i0, i1, np.empty((m, f))))
-    return kept
+    I, J = np.triu_indices(n, 1)
+    starts = np.searchsorted(I, np.arange(n))
+    rows = np.searchsorted(starts, _NCA_KEEP_BYTES // (8 * f), "right") - 1
+    kept = np.empty((starts[rows], f))
+    for i in range(rows):
+        _nca_row(Z, i, kept[starts[i]:starts[i + 1]])
+    return I, J, starts, kept
 
 
-def _nca_objective_and_grad(Z, same, w, lam_r, kept):
-    """Leave-one-out soft error and its gradient in w, pairs in chunks.
+def _nca_objective_and_grad(Z, y, w, lam_r, pairs):
+    """Leave-one-out soft error and its gradient in w, over the pairs i < j.
 
-    Row i's loss is sum_j p_ij l_ij, where p_i is the softmax of -|Z_i - Z|
-    weighted by w**2 (p_ii = 0) and l_ij = 1 for another class. With
-    c_ij = p_ij l_ij - (sum_j p_ij l_ij) p_ij, the gradient is
-    -2 w * sum_{i<j} (c_ij + c_ji) |Z_i - Z_j|. A row whose kernel sum is
-    zero or non-finite adds nothing. ``kept`` holds the leading chunks'
-    |Z_i - Z_j| (``_nca_kept_blocks``); every later chunk is rebuilt into
-    one reused buffer, once for the distances and once for the gradient.
+    Row i's loss is s_i = sum_j p_ij l_ij, where p_i is the softmax of
+    -|Z_i - Z| weighted by w**2 (p_ii = 0) and l_ij = 1 for another class.
+    The gradient is -2 w * sum_{i<j} (p_ij (l_ij - s_i) + p_ji (l_ij - s_j))
+    |Z_i - Z_j|. A row whose kernel sum is zero or non-finite adds nothing.
+    ``pairs`` is ``_nca_pairs(Z)``; the pairs of each row past its kept rows
+    are rebuilt into one reused buffer, once for the distances and once for
+    the gradient.
     """
+    I, J, starts, kept = pairs
     n, f = Z.shape
     u = w**2
-    chunks = _nca_chunks(n, f)
-    rebuilt = chunks[len(kept):]
-    buf = (np.empty((max(_nca_pairs(n, *c) for c in rebuilt), f))
-           if rebuilt else None)
+    buf = np.empty((n - 1, f))
 
-    def pair_diffs(c):
-        return kept[c] if c < len(kept) else _nca_abs_diff(Z, *chunks[c], buf)
+    def blocks():
+        """(pairs, their |Z_i - Z_j|): the kept pairs, then each later row."""
+        yield slice(0, len(kept)), kept
+        for i in range(np.searchsorted(starts, len(kept)), n - 1):
+            yield (slice(starts[i], starts[i + 1]),
+                   _nca_row(Z, i, buf[:n - 1 - i]))
 
-    upper = np.arange(n)[:, None] < np.arange(n)      # the pairs i < j
-    k = np.zeros((n, n))
-    for c, (i0, i1) in enumerate(chunks):
-        k[i0:i1][upper[i0:i1]] = np.exp(-(pair_diffs(c) @ u))
-    k += k.T
-    tot = k.sum(axis=1)
+    d = np.empty(len(I))
+    for q, D in blocks():
+        np.matmul(D, u, out=d[q])
+    k = np.exp(np.negative(d, out=d), out=d)
+    tot = np.bincount(I, k, n) + np.bincount(J, k, n)
     ok = tot > 0          # false for a zero or NaN sum; k <= 1, so no inf
-    live = None
-    if not ok.all():
-        k[~ok] = 0.0
-        tot[~ok] = 1.0
-        live = ok[:, None] | ok    # pairs with a row that adds to the sum
-    p = np.divide(k, tot[:, None], out=k)
-    pl = np.where(same, 0.0, p)
-    s = pl.sum(axis=1)
+    p_ij = np.divide(k, tot[I], out=np.zeros(len(I)), where=ok[I])
+    p_ji = np.divide(k, tot[J], out=np.zeros(len(I)), where=ok[J])
+    other = y[I] != y[J]
+    s = np.bincount(I, p_ij * other, n) + np.bincount(J, p_ji * other, n)
     loss = s.sum() / n + lam_r * np.sum(u)
-    cw = np.subtract(pl, np.multiply(s[:, None], p, out=p), out=pl)   # c
-    cw += cw.T                           # pair weights c_ij + c_ji
+    weight = p_ij * (other - s[I]) + p_ji * (other - s[J])
     gsum = np.zeros(f)
-    for c, (i0, i1) in enumerate(chunks):
-        D = pair_diffs(c)
-        weight = cw[i0:i1][upper[i0:i1]]
-        if live is not None:
-            sel = live[i0:i1][upper[i0:i1]]
-            D, weight = D[sel], weight[sel]
-        gsum += weight @ D
+    # A pair of two dropped rows has weight 0. Its |Z_i - Z_j| is NaN only
+    # when Z holds a NaN, and then every row is dropped.
+    if ok.any():
+        for q, D in blocks():
+            gsum += weight[q] @ D
     grad = (-2.0 * w) * gsum / n + 2.0 * lam_r * w
     return loss, grad
 
@@ -362,19 +331,18 @@ def rank_nca(
     A fit over n rows and f features holds the n(n-1)/2 * f * 8 bytes of
     |Z_i - Z_j|, one per pair i < j, up to a 16 MiB budget (all of a
     64 x 204 pool, 3.3 MB), built once; pairs past the budget are rebuilt
-    at every evaluation in 1 MiB chunks.
+    at every evaluation, one row at a time.
     """
     check_count("iterations", iterations, 1)
     X, y = fset.X, fset.labels
     n, f = X.shape
     lam_r = 1.0 / n
     Z = standardize(X)[0]
-    same = y[:, None] == y[None, :]
-    kept = _nca_kept_blocks(Z)
+    pairs = _nca_pairs(Z)
 
     w = np.ones(f)
     step = 1.0 / n
-    obj, grad = _nca_objective_and_grad(Z, same, w, lam_r, kept)
+    obj, grad = _nca_objective_and_grad(Z, y, w, lam_r, pairs)
     history = [obj]
     for _ in range(iterations):
         if not np.isfinite(obj):
@@ -382,8 +350,8 @@ def rank_nca(
         trial_step = step
         for _ in range(30):
             w_new = w - trial_step * grad
-            obj_new, grad_new = _nca_objective_and_grad(Z, same, w_new, lam_r,
-                                                         kept)
+            obj_new, grad_new = _nca_objective_and_grad(Z, y, w_new, lam_r,
+                                                         pairs)
             if obj_new <= obj + 1e-12:
                 break
             trial_step *= 0.5

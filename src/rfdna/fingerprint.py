@@ -53,6 +53,9 @@ class Fingerprint:
             )
         if not np.all(np.isfinite(self.features)):
             raise InvalidValue("non-finite fingerprint features")
+        if not isinstance(self.radio_id, str):
+            raise InvalidValue(f"radio_id must be a string, got "
+                               f"{self.radio_id!r}")
         # A store keeps realizations as u32.
         z = self.realization
         if (not isinstance(z, numbers.Integral) or isinstance(z, bool)

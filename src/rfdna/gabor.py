@@ -26,17 +26,14 @@ class GaborParams:
     K_G: int = 150          # frequency shifts
     N_delta: int = 1        # step size
     window_sigma: float | None = None  # defaults to (M * N_delta) / 6
-    block_index_l: int = 0
 
     def __post_init__(self):
-        for name in ("M", "K_G", "N_delta", "block_index_l"):
+        for name in ("M", "K_G", "N_delta"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool):
                 raise InvalidValue(f"{name} must be an integer, got {v!r}")
         if self.M < 1 or self.K_G < 1 or self.N_delta < 1:
             raise InvalidValue("M, K_G, N_delta must be positive")
-        if self.block_index_l < 0:
-            raise InvalidValue("block_index_l must be >= 0")
         sigma = self.window_sigma
         if sigma is not None and not (
                 isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
@@ -91,19 +88,17 @@ def _analysis_matrix(params: GaborParams) -> np.ndarray:
 def dgt(burst, params: GaborParams = GaborParams()) -> np.ndarray:
     """Compute the Gabor coefficient grid G[m, k] for m = 1..M, k = 0..K_G-1.
 
-    G[m, k] = sum_{n=1}^{L} s(n + l*L) conj(nu(n - m*N_delta)) e^{-j 2 pi k n / K_G}
-    with L = M * N_delta and circular (mod-L) window indexing.
+    G[m, k] = sum_{n=1}^{L} s(n) conj(nu(n - m*N_delta)) e^{-j 2 pi k n / K_G}
+    with L = M * N_delta and circular (mod-L) window indexing, over the
+    burst's first L samples.
     """
     samples = burst.samples if isinstance(burst, ComplexBurst) else np.asarray(
         burst, dtype=np.complex128
     )
     L = params.block_len
-    start = params.block_index_l * L
-    if len(samples) < start + L:
-        raise InvalidLength(
-            f"need {start + L} samples, burst has {len(samples)}"
-        )
-    s = np.asarray(samples[start:start + L], dtype=np.complex128)
+    if len(samples) < L:
+        raise InvalidLength(f"need {L} samples, burst has {len(samples)}")
+    s = np.asarray(samples[:L], dtype=np.complex128)
 
     # Fold the length-L sum onto K_G phase residues, then take a DFT. The
     # exponent depends on n only through n mod K_G; rolling by one aligns

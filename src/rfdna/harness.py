@@ -38,7 +38,22 @@ from .signals import (
 )
 from .svm import SvmModel, svm_decide, train_svm
 
-METHODS = ("dra", "lda", "pca", "nca", "poeacc", "bc", "ttest", "relieff")
+# Each feature selection method's fit: a function of (fset, config) to its
+# FeatureRanking or ProjectionBasis. The featsel functions are looked up at
+# call time, so a wrapper set on the featsel module sees every fit.
+_FITS = {
+    "dra": lambda fset, config: featsel.rank_dra(featsel.train_grlvq_relevance(
+        fset, seed=_seed(config.master_seed, 3))),
+    "lda": lambda fset, config: featsel.project_lda(fset),
+    "pca": lambda fset, config: featsel.project_pca(fset, fset.n_features),
+    "nca": lambda fset, config: featsel.rank_nca(fset),
+    "poeacc": lambda fset, config: featsel.rank_poeacc(fset),
+    "bc": lambda fset, config: featsel.rank_bc(fset),
+    "ttest": lambda fset, config: featsel.rank_ttest(fset),
+    "relieff": lambda fset, config: featsel.rank_relieff(
+        fset, n_k=config.relieff_neighbors),
+}
+METHODS = tuple(_FITS)
 _ZETA_SCALE = 10.0      # SVM kernel width zeta = _ZETA_SCALE / N_r
 MAX_ABS_SNR_DB = 1000.0     # a config SNR is within +-MAX_ABS_SNR_DB dB
 
@@ -267,29 +282,14 @@ class Reducer:
 
     def fit(self, fset: featsel.LabeledFingerprintSet,
             config: ExperimentConfig) -> "Reducer":
-        m = self.method
-        if m == "dra":
-            lam = featsel.train_grlvq_relevance(
-                fset, seed=_seed(config.master_seed, 3))
-            self.ranking = featsel.rank_dra(lam)
-        elif m == "lda":
-            self.basis = featsel.project_lda(fset)
-        elif m == "pca":
-            self.basis = featsel.project_pca(fset, fset.n_features)
-        elif m == "nca":
-            self.ranking = featsel.rank_nca(fset)
-        elif m == "poeacc":
-            self.ranking = featsel.rank_poeacc(fset)
-        elif m == "bc":
-            self.ranking = featsel.rank_bc(fset)
-        elif m == "ttest":
-            self.ranking = featsel.rank_ttest(fset)
-        elif m == "relieff":
-            self.ranking = featsel.rank_relieff(
-                fset, n_k=config.relieff_neighbors
-            )
+        if self.method not in _FITS:
+            raise InvalidValue(
+                f"unknown feature selection method {self.method!r}")
+        fitted = _FITS[self.method](fset, config)
+        if isinstance(fitted, featsel.ProjectionBasis):
+            self.basis = fitted
         else:
-            raise InvalidValue(f"unknown feature selection method {m!r}")
+            self.ranking = fitted
         return self
 
     def nr_values(self, nr_grid) -> list[int]:

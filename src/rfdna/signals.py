@@ -43,8 +43,14 @@ class EmitterProfile:
     ramp_time_constant: float = 20.0    # samples
 
     def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self)[1:])):
-            raise InvalidValue(f"{self.radio_id!r} has a non-finite impairment")
+        # A store writes radio ids as text.
+        if not isinstance(self.radio_id, str) or not self.radio_id:
+            raise InvalidValue(f"radio_id must be a non-empty string, got "
+                               f"{self.radio_id!r}")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in astuple(self)[1:]):
+            raise InvalidValue(f"{self.radio_id!r} has an impairment that is "
+                               f"not a finite number")
         if self.iq_gain_imbalance <= 0:
             raise InvalidValue("iq_gain_imbalance must be > 0")
         if not -0.5 < self.carrier_freq_offset < 0.5:

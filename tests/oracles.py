@@ -7,7 +7,7 @@ meaningful evidence of correctness rather than a tautology.
 
 import numpy as np
 
-from rfdna import featsel, harness, svm
+from rfdna import harness, svm
 from rfdna.errors import (InvalidModel, InvalidValue, MissingData,
                           TrainingFailed)
 from rfdna.featsel import LabeledFingerprintSet
@@ -27,8 +27,7 @@ def dgt_direct(samples, params: GaborParams) -> np.ndarray:
     with no folding and no FFT.
     """
     L = params.block_len
-    start = params.block_index_l * L
-    s = np.asarray(samples, dtype=np.complex128)[start:start + L]
+    s = np.asarray(samples, dtype=np.complex128)[:L]
     win = gaussian_window(L, params.sigma)
     n = np.arange(1, L + 1)
     m = np.arange(1, params.M + 1)
@@ -41,8 +40,7 @@ def dgt_direct(samples, params: GaborParams) -> np.ndarray:
 def dgt_triple_loop(samples, params: GaborParams) -> np.ndarray:
     """Literal triple-loop evaluation of the same sum (small sizes only)."""
     L = params.block_len
-    start = params.block_index_l * L
-    s = np.asarray(samples, dtype=np.complex128)[start:start + L]
+    s = np.asarray(samples, dtype=np.complex128)[:L]
     win = gaussian_window(L, params.sigma)
     G = np.zeros((params.M, params.K_G), dtype=np.complex128)
     for mi, m in enumerate(range(1, params.M + 1)):
@@ -62,8 +60,7 @@ def dgt_percall(samples, params: GaborParams) -> np.ndarray:
     call and rolls the windowed products: the arithmetic ``dgt`` must match
     bit for bit."""
     L = params.block_len
-    start = params.block_index_l * L
-    s = np.asarray(samples, dtype=np.complex128)[start:start + L]
+    s = np.asarray(samples, dtype=np.complex128)[:L]
     win = gaussian_window(L, params.sigma)
     n = np.arange(1, L + 1)
     m = np.arange(1, params.M + 1)
@@ -221,6 +218,10 @@ def nca_objective_loop(Z, same, w, lam_r):
     return loss, grad
 
 
+# Bytes of one row block of ``nca_objective_per_evaluation``.
+NCA_BLOCK_BYTES = 1 << 20
+
+
 def nca_objective_per_evaluation(Z, same, w, lam_r):
     """The row-blocked NCA objective that rebuilds every block's |Z_B - Z|
     in one reused buffer at each call and adds each ordered pair's gradient
@@ -229,7 +230,7 @@ def nca_objective_per_evaluation(Z, same, w, lam_r):
     bitwise, where the class term is above rounding."""
     n, f = Z.shape
     u = w**2
-    b = min(n, max(1, featsel._NCA_BLOCK_BYTES // (n * f * 8)))
+    b = min(n, max(1, NCA_BLOCK_BYTES // (n * f * 8)))
     buf = np.empty((b, n, f))
     loss = 0.0
     gsum = np.zeros(f)

@@ -250,29 +250,32 @@ class TestNca:
 
 
 def nca_inputs(n, f, n1, scale=0.5, seed=0):
-    """Row matrix, same-class mask and weights of one NCA evaluation."""
+    """Row matrix, labels and weights of one NCA evaluation."""
     rng = np.random.default_rng(seed)
     Z = scale * rng.standard_normal((n, f))
     y = np.where(np.arange(n) < n1, 1, 2)
     Z[y == 2, :3] += scale                 # a little class signal
     w = 1.0 + 0.3 * rng.standard_normal(f)
-    return Z, y[:, None] == y[None, :], w
+    return Z, y, w
 
 
-def nca_objective(Z, same, w, lam_r, kept=None):
-    """One evaluation, with the chunks a fit of Z keeps unless given."""
-    if kept is None:
-        kept = featsel._nca_kept_blocks(Z)
-    return featsel._nca_objective_and_grad(Z, same, w, lam_r, kept)
+def nca_objective(Z, y, w, lam_r):
+    """One evaluation over the pairs a fit of Z builds."""
+    return featsel._nca_objective_and_grad(Z, y, w, lam_r,
+                                           featsel._nca_pairs(Z))
 
 
-def assert_matches_loop(Z, same, w):
+def assert_matches_loop(Z, y, w):
     lam_r = 1.0 / len(Z)
-    want_loss, want_grad = nca_objective_loop(Z, same, w, lam_r)
+    want_loss, want_grad = nca_objective_loop(
+        Z, y[:, None] == y[None, :], w, lam_r)
     assert np.isfinite(want_loss)
-    # Kept chunks, and every chunk rebuilt at the evaluation.
-    for kept in (None, []):
-        loss, grad = nca_objective(Z, same, w, lam_r, kept)
+    # The pairs a fit keeps, none of them (every row rebuilt at the
+    # evaluation), and those of the first half of the rows.
+    I, J, starts, kept = featsel._nca_pairs(Z)
+    for m in (len(kept), 0, min(len(kept), starts[len(Z) // 2])):
+        loss, grad = featsel._nca_objective_and_grad(
+            Z, y, w, lam_r, (I, J, starts, kept[:m]))
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(
             np.abs(want_grad))
@@ -283,67 +286,69 @@ def n_pairs(n):
 
 
 class TestNcaObjective:
-    """The pair-chunked objective against the one-row-at-a-time reference."""
+    """The pair-list objective against the one-row-at-a-time reference."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_or_three_pairs(self, n):
-        Z, same, w = nca_inputs(n=n, f=4, n1=1)
-        assert featsel._nca_chunks(n, 4) == ((0, n - 1),)
-        assert_matches_loop(Z, same, w)
+        Z, y, w = nca_inputs(n=n, f=4, n1=1)
+        I, J, starts, kept = featsel._nca_pairs(Z)
+        assert len(I) == len(kept) == n_pairs(n)
+        assert_matches_loop(Z, y, w)
 
-    def test_one_partial_block(self):
-        Z, same, w = nca_inputs(n=7, f=5, n1=3)
-        assert n_pairs(7) * 5 * 8 < featsel._NCA_BLOCK_BYTES  # one chunk
-        assert_matches_loop(Z, same, w)
+    def test_pair_list_order(self):
+        Z, y, w = nca_inputs(n=7, f=5, n1=3)
+        I, J, starts, kept = featsel._nca_pairs(Z)
+        assert np.array_equal(kept, np.abs(Z[I] - Z[J]))
+        assert np.array_equal(starts, [0, 6, 11, 15, 18, 20, 21])
+        assert_matches_loop(Z, y, w)
 
-    def test_pool_spanning_several_blocks(self):
-        # A rank-sized pool (64 x 204). At this scale neighbour distances
-        # are near 30, so the class term of the objective is far above
-        # rounding.
-        Z, same, w = nca_inputs(n=64, f=204, n1=24, scale=0.12, seed=1)
-        assert 63 * 204 * 8 <= featsel._NCA_BLOCK_BYTES < n_pairs(64) * 204 * 8
-        assert len(featsel._nca_chunks(64, 204)) > 1
-        assert_matches_loop(Z, same, w)
-        assert_matches_loop(Z, same, np.ones(204))
+    def test_rank_sized_pool(self):
+        # A rank-sized pool (64 x 204), every pair kept. At this scale
+        # neighbour distances are near 30, so the class term of the
+        # objective is far above rounding.
+        Z, y, w = nca_inputs(n=64, f=204, n1=24, scale=0.12, seed=1)
+        assert len(featsel._nca_pairs(Z)[3]) == n_pairs(64)
+        assert_matches_loop(Z, y, w)
+        assert_matches_loop(Z, y, np.ones(204))
 
     def test_row_with_vanishing_kernel_is_skipped(self):
-        Z, same, w = nca_inputs(n=20, f=6, n1=8, seed=2)
+        Z, y, w = nca_inputs(n=20, f=6, n1=8, seed=2)
         Z[5] += 1e3                           # exp(-distance) underflows to 0
         k = np.exp(-np.abs(Z - Z[5]) @ w**2)
         k[5] = 0.0
         assert k.sum() == 0.0
-        assert_matches_loop(Z, same, w)
+        assert_matches_loop(Z, y, w)
 
     def test_row_with_vanishing_kernel_past_the_budget_is_skipped(self):
-        # 500 x 20: the pairs of the last rows lie in chunks past the
-        # budget, rebuilt at every evaluation.
-        Z, same, w = nca_inputs(n=500, f=20, n1=180, seed=4)
-        chunks = featsel._nca_chunks(500, 20)
-        n_kept = len(featsel._nca_kept_blocks(Z))
-        assert 0 < n_kept < len(chunks)
-        r = chunks[-2][0]                     # a row of a rebuilt chunk
+        # 500 x 20: the pairs of the last rows lie past the budget and are
+        # rebuilt at every evaluation.
+        Z, y, w = nca_inputs(n=500, f=20, n1=180, seed=4)
+        I, J, starts, kept = featsel._nca_pairs(Z)
+        rows = np.searchsorted(starts, len(kept))     # rows kept
+        assert 0 < rows < 499
+        r = (rows + 499) // 2                 # a rebuilt row
         Z[r] += 1e3
         k = np.exp(-np.abs(Z - Z[r]) @ w**2)
         k[r] = 0.0
         assert k.sum() == 0.0
-        assert_matches_loop(Z, same, w)
+        assert_matches_loop(Z, y, w)
 
     def test_rows_with_non_finite_kernel_are_skipped(self):
-        Z, same, w = nca_inputs(n=20, f=6, n1=8, seed=2)
+        Z, y, w = nca_inputs(n=20, f=6, n1=8, seed=2)
         Z[5, 0] = np.nan                      # every kernel sum is NaN
-        assert_matches_loop(Z, same, w)
+        assert_matches_loop(Z, y, w)
 
     def test_gradient_matches_central_difference(self):
-        Z, same, w = nca_inputs(n=12, f=5, n1=5, seed=3)
+        Z, y, w = nca_inputs(n=12, f=5, n1=5, seed=3)
         lam_r = 1.0 / 12
-        _, grad = nca_objective(Z, same, w, lam_r)
+        _, grad = nca_objective(Z, y, w, lam_r)
         h = 1e-6
         numeric = np.empty_like(w)
         for r in range(len(w)):
             e = np.zeros_like(w)
             e[r] = h
-            hi, _ = nca_objective(Z, same, w + e, lam_r)
-            lo, _ = nca_objective(Z, same, w - e, lam_r)
+            hi, _ = nca_objective(Z, y, w + e, lam_r)
+            lo, _ = nca_objective(Z, y, w - e, lam_r)
             numeric[r] = (hi - lo) / (2 * h)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
@@ -356,11 +361,8 @@ class TestNcaObjective:
         y = rng.integers(1, 3, n)
         w = rng.uniform(0.2, 1.5, f)
         perm = rng.permutation(n)
-        same = y[:, None] == y[None, :]
-        loss, _ = nca_objective(Z, same, w, 1.0 / n)
-        yp = y[perm]
-        loss_p, _ = nca_objective(
-            Z[perm], yp[:, None] == yp[None, :], w, 1.0 / n)
+        loss, _ = nca_objective(Z, y, w, 1.0 / n)
+        loss_p, _ = nca_objective(Z[perm], y[perm], w, 1.0 / n)
         assert abs(loss - loss_p) <= 1e-12 * max(1.0, abs(loss))
 
 
@@ -375,15 +377,14 @@ def nca_pool(n, f, n1, seed=0):
 
 
 def kept_pairs(fset):
-    Z = featsel.standardize(fset.X)[0]
-    return sum(len(D) for D in featsel._nca_kept_blocks(Z))
+    return len(featsel._nca_pairs(featsel.standardize(fset.X)[0])[3])
 
 
-class TestNcaKeptBlocks:
+class TestNcaKeptPairs:
     """rank_nca against the fit that rebuilds every row block at every
     evaluation and sums each ordered pair on its own: equal order and
     history length; scores and objective history within 1e-12, since the
-    gradient adds each pair's two terms first."""
+    pair list sums in another order."""
 
     def assert_same_fit(self, fset, iterations):
         r = rank_nca(fset, iterations=iterations)
@@ -400,18 +401,17 @@ class TestNcaKeptBlocks:
         fset = nca_pool(n=120, f=40, n1=50, seed=1)
         assert n_pairs(120) * 40 * 8 <= featsel._NCA_KEEP_BYTES
         assert kept_pairs(fset) == n_pairs(120)
-        assert len(featsel._nca_chunks(120, 40)) > 1   # several chunks
         self.assert_same_fit(fset, 60)
 
     def test_pool_over_budget(self):
-        # 500 x 20: 20 MB of pairs; the leading chunks are kept, the rest
-        # are rebuilt at every evaluation.
+        # 500 x 20: 20 MB of pairs; the leading rows' pairs are kept, the
+        # rest are rebuilt at every evaluation.
         fset = nca_pool(n=500, f=20, n1=180, seed=2)
         assert n_pairs(500) * 20 * 8 > featsel._NCA_KEEP_BYTES
         assert 0 < kept_pairs(fset) < n_pairs(500)
         self.assert_same_fit(fset, 12)
 
-    def test_fit_over_budget_holds_budget_plus_one_chunk(self):
+    def test_fit_over_budget_holds_budget_plus_pair_vectors(self):
         fset = nca_pool(n=500, f=20, n1=180, seed=2)
         tracemalloc.start()
         try:
@@ -420,12 +420,13 @@ class TestNcaKeptBlocks:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak >= kept_pairs(fset) * 20 * 8   # the kept chunks
-        # Past the budget and one chunk: at most four n x n kernel arrays,
-        # and 0.5 MiB for the label mask, the pair mask and the
-        # standardized rows.
-        assert peak <= (featsel._NCA_KEEP_BYTES + featsel._NCA_BLOCK_BYTES
-                        + 4 * 500 * 500 * 8 + (1 << 19))
+        assert peak >= kept_pairs(fset) * 20 * 8   # the kept pairs
+        # Past the budget: at most nine arrays of one value per pair (the
+        # pair list, the kernel, both softmax directions and their
+        # temporaries), and 0.5 MiB for the standardized rows, the row
+        # buffer and the per-row vectors.
+        assert peak <= (featsel._NCA_KEEP_BYTES + 9 * n_pairs(500) * 8
+                        + (1 << 19))
 
 
 class TestClassHistograms:

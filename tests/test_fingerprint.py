@@ -145,6 +145,12 @@ class TestGenFingerprint:
         with pytest.raises(InvalidValue):
             Fingerprint(features=np.zeros(N_FEATURES), realization=z)
 
+    @pytest.mark.parametrize("rid", [7, None, b"R01"])
+    def test_radio_id_that_is_not_a_string_rejected(self, rid):
+        # The store writes radio ids as text.
+        with pytest.raises(InvalidValue):
+            Fingerprint(features=np.zeros(N_FEATURES), radio_id=rid)
+
 
 def small_store():
     store = FingerprintStore()

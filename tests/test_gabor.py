@@ -7,20 +7,20 @@ from rfdna import gabor
 from rfdna.errors import DegenerateTF, InvalidLength, InvalidValue
 from rfdna.gabor import GaborParams, dgt, gaussian_window, normalize_tf
 from rfdna.harness import default_cohort
-from rfdna.signals import ComplexBurst, add_awgn, butterworth_filter, synth_burst
+from rfdna.signals import (TEMPLATE_LEN, ComplexBurst, add_awgn,
+                           butterworth_filter, synth_burst)
 
 from oracles import dgt_direct, dgt_percall, dgt_triple_loop
 
 RNG = np.random.default_rng(1234)
 
 # The default grid, a coarser frequency grid, an oversampled grid with
-# q = 3 residues per bin, a narrow window and the second block.
+# q = 3 residues per bin and a narrow window.
 ORACLE_PARAMS = [
     GaborParams(),
     GaborParams(K_G=75),
     GaborParams(M=75, K_G=50, N_delta=2),
     GaborParams(window_sigma=7.0),
-    GaborParams(block_index_l=1),
 ]
 
 
@@ -33,14 +33,13 @@ def seeded_signal(n, seed):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def captured_bursts(n=20, length=300):
-    """Filtered bursts of the cohort at SNRs from -3 to 27 dB, long enough
-    for block 1."""
+def captured_bursts(n=20):
+    """Captured bursts of the cohort at SNRs from -3 to 27 dB."""
     cohort = default_cohort()
     out = []
     for b, snr in enumerate(np.linspace(-3.0, 27.0, n)):
         burst = butterworth_filter(
-            synth_burst(cohort[b % len(cohort)], length, seed=b))
+            synth_burst(cohort[b % len(cohort)], TEMPLATE_LEN, seed=b))
         out.append(add_awgn(burst, float(snr), seed=1000 + b).samples)
     return out
 
@@ -71,9 +70,8 @@ class TestGaborParams:
 
     @pytest.mark.parametrize("field, value", [
         ("M", 150.0), ("M", True), ("M", "150"), ("K_G", 150.0),
-        ("N_delta", True), ("N_delta", None), ("block_index_l", 0.0),
-        ("block_index_l", False), ("M", -150), ("K_G", 0), ("N_delta", -1),
-        ("block_index_l", -1), ("window_sigma", float("nan")),
+        ("N_delta", True), ("N_delta", None), ("M", -150), ("K_G", 0),
+        ("N_delta", -1), ("window_sigma", float("nan")),
         ("window_sigma", 0.0), ("window_sigma", -5.0),
         ("window_sigma", float("inf")), ("window_sigma", True),
         ("window_sigma", "25"),
@@ -181,12 +179,6 @@ class TestDgt:
         expect = (np.conj(win[(n0 - m * p.N_delta) % L])[:, None]
                   * np.exp(-2j * np.pi * k[None, :] * n0 / p.K_G))
         assert np.allclose(dgt(s, p), expect, rtol=0, atol=1e-12)
-
-    def test_block_index_offset(self):
-        p0 = GaborParams()
-        p1 = GaborParams(block_index_l=1)
-        s = rand_signal(300)
-        assert np.allclose(dgt(s, p1), dgt(s[150:], p0), rtol=0, atol=1e-12)
 
     def test_short_input_raises(self):
         with pytest.raises(InvalidLength):

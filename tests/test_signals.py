@@ -53,6 +53,16 @@ class TestProfile:
         with pytest.raises(InvalidValue):
             EmitterProfile("X", **impairment)
 
+    @pytest.mark.parametrize("fields", [
+        {"radio_id": 7}, {"radio_id": None}, {"radio_id": ""},
+        {"radio_id": "X", "pa_nonlinearity": True},
+        {"radio_id": "X", "ramp_time_constant": "20"},
+    ])
+    def test_id_or_impairment_of_wrong_type_rejected(self, fields):
+        # A store writes radio ids as text.
+        with pytest.raises(InvalidValue):
+            EmitterProfile(**fields)
+
 
 class TestTemplates:
     def test_ramp_values(self):
@@ -240,6 +250,10 @@ class TestIo:
                                       "iq_gain_imbalance": float("inf")}]},
         {"n_bursts": 4, "profiles": [{"radio_id": "R01",
                                       "ramp_time_constant": -5.0}]},
+        {"n_bursts": 4, "profiles": [{"radio_id": 7}]},
+        {"n_bursts": 4, "profiles": [{"radio_id": ""}]},
+        {"n_bursts": 4, "profiles": [{"radio_id": "R01",
+                                      "iq_gain_imbalance": True}]},
     ]] + ["{n_bursts: 4"])                                 # not JSON
     def test_malformed_manifest_rejected(self, tmp_path, text):
         path = tmp_path / "cohort.json"
