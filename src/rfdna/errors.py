@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the two argument
+checks every module uses: what counts as a count and as a real number."""
+
+import math
+import numbers
 
 
 class RfdnaError(Exception):
@@ -72,3 +76,20 @@ class MissingData(RfdnaError):
 
 class InvalidModel(RfdnaError):
     pass
+
+
+def is_real(value) -> bool:
+    """``value`` is a real number, not a bool, with a finite float value."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:       # an integer too large for a float
+        return False
+
+
+def check_count(name, value, low, error=InvalidValue):
+    """Refuse ``value`` with ``error`` unless it is an integer >= ``low``
+    (a bool is not a count)."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")

@@ -8,7 +8,6 @@ radio) and returns either a ranked feature order or a linear projection basis.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     InvalidValue,
     NumericalFailure,
     SingularScatter,
+    check_count,
 )
 from .svm import standardize
 
@@ -86,14 +86,6 @@ class ProjectionBasis:
         return (np.asarray(X, dtype=np.float64) - self.mean) @ self.basis
 
 
-def check_count(name, value, low, error=InvalidCount):
-    """Refuse ``value`` with ``error`` unless it is an integer >= ``low``
-    (a bool is not a count)."""
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or value < low):
-        raise error(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _default_bins(n_rows: int) -> int:
     return max(2, int(np.ceil(np.sqrt(n_rows))))
 
@@ -153,7 +145,7 @@ def train_grlvq_relevance(
     sum 1 after every update, and finally rescaled to a maximum of 1.
     Prototypes learn at rate 0.05, relevances at 0.01.
     """
-    check_count("epochs", epochs, 1)
+    check_count("epochs", epochs, 1, InvalidCount)
     rng = np.random.default_rng(seed)
     X, y = fset.X, fset.labels
     n, f = X.shape
@@ -221,7 +213,7 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
     rows) are kept, so a pool of numerical rank below ``n_r`` gives fewer
     than ``n_r`` columns; a pool of equal rows is refused."""
     f = fset.n_features
-    check_count("n_r", n_r, 1)
+    check_count("n_r", n_r, 1, InvalidCount)
     if n_r > f:
         raise InvalidCount(f"n_r must lie in [1, {f}]")
     n = fset.X.shape[0]
@@ -333,7 +325,7 @@ def rank_nca(
     64 x 204 pool, 3.3 MB), built once; pairs past the budget are rebuilt
     at every evaluation, one row at a time.
     """
-    check_count("iterations", iterations, 1)
+    check_count("iterations", iterations, 1, InvalidCount)
     X, y = fset.X, fset.labels
     n, f = X.shape
     lam_r = 1.0 / n
@@ -430,7 +422,7 @@ def rank_bc(fset: LabeledFingerprintSet, bins: int | None = None) -> FeatureRank
     """Per-feature class-histogram overlap; least overlap ranks first."""
     if bins is None:
         bins = _default_bins(fset.X.shape[0])
-    check_count("bins", bins, 2, InvalidValue)
+    check_count("bins", bins, 2)
     p1, p2, _ = class_histograms(fset.X1, fset.X2, bins)
     bc = bhattacharyya(p1, p2)
     order = np.argsort(bc, kind="stable")
@@ -545,7 +537,7 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
 # ---------------------------------------------------------------------------
 
 def select_top(ranking: FeatureRanking, n_r: int) -> np.ndarray:
-    check_count("n_r", n_r, 1)
+    check_count("n_r", n_r, 1, InvalidCount)
     if n_r > len(ranking.order):
         raise InvalidCount(
             f"n_r {n_r} exceeds ranked count {len(ranking.order)}"

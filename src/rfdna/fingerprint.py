@@ -9,7 +9,6 @@ frequency blocks of 10.
 
 from __future__ import annotations
 
-import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidShape, InvalidValue
+from .errors import InvalidShape, InvalidValue, check_count
 from .gabor import TimeFrequencyMatrix
 
 N_FEATURES = 204
@@ -57,11 +56,10 @@ class Fingerprint:
             raise InvalidValue(f"radio_id must be a string, got "
                                f"{self.radio_id!r}")
         # A store keeps realizations as u32.
-        z = self.realization
-        if (not isinstance(z, numbers.Integral) or isinstance(z, bool)
-                or not 0 <= z < 2**32):
-            raise InvalidValue(f"realization must be an integer in "
-                               f"[0, 2**32), got {z!r}")
+        check_count("realization", self.realization, 0)
+        if self.realization >= 2**32:
+            raise InvalidValue(f"realization must be < 2**32, got "
+                               f"{self.realization!r}")
 
 
 def tile_patches(tf: TimeFrequencyMatrix) -> PatchGrid:

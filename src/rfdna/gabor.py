@@ -9,14 +9,13 @@ grid center.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateTF, InvalidLength, InvalidValue
+from .errors import (DegenerateTF, InvalidLength, InvalidValue, check_count,
+                     is_real)
 from .signals import ComplexBurst
 
 
@@ -29,15 +28,9 @@ class GaborParams:
 
     def __post_init__(self):
         for name in ("M", "K_G", "N_delta"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise InvalidValue(f"{name} must be an integer, got {v!r}")
-        if self.M < 1 or self.K_G < 1 or self.N_delta < 1:
-            raise InvalidValue("M, K_G, N_delta must be positive")
+            check_count(name, getattr(self, name), 1)
         sigma = self.window_sigma
-        if sigma is not None and not (
-                isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
-                and math.isfinite(sigma) and sigma > 0):
+        if sigma is not None and not (is_real(sigma) and sigma > 0):
             raise InvalidValue(
                 f"window_sigma must be None or a finite float > 0, "
                 f"got {sigma!r}")

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import featsel
-from .errors import InvalidInput, InvalidModel, InvalidValue, MissingData, TrainingFailed
+from .errors import (InvalidInput, InvalidModel, InvalidValue, MissingData,
+                     TrainingFailed, check_count, is_real)
 from .fingerprint import (N_FEATURES, Fingerprint, FingerprintStore,
                           gen_fingerprint)
 from .gabor import GaborParams, dgt, normalize_tf
@@ -71,11 +70,6 @@ class TrialConfig:
             raise InvalidValue("authorized and rogue sets must be disjoint")
 
 
-def _is_a(value, kind) -> bool:
-    """``value`` is an instance of the numeric ``kind`` and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentConfig:
     snr_grid: list = field(default_factory=lambda: list(range(-3, 28, 3)))
@@ -95,7 +89,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.snr_grid or not all(
-                _is_a(s, numbers.Real) and abs(s) <= MAX_ABS_SNR_DB
+                is_real(s) and abs(s) <= MAX_ABS_SNR_DB
                 for s in self.snr_grid):
             raise InvalidValue(f"snr_grid must be SNRs within "
                                f"+-{MAX_ABS_SNR_DB:g} dB, got "
@@ -107,25 +101,21 @@ class ExperimentConfig:
         for name, low in (("n_bursts", 1), ("k_folds", 2),
                           ("relieff_neighbors", 1),
                           ("n_test_realizations", 0)):
-            value = getattr(self, name)
-            if not _is_a(value, numbers.Integral) or value < low:
-                raise InvalidValue(f"{name} must be an integer >= {low}, "
-                                   f"got {value!r}")
-        if (not _is_a(self.n_z, numbers.Integral)
-                or self.n_z <= self.n_test_realizations):
-            raise InvalidValue("need at least one training realization")
+            check_count(name, getattr(self, name), low)
+        # At least one training realization.
+        check_count("n_z", self.n_z, self.n_test_realizations + 1)
         n_z_train = self.n_z - self.n_test_realizations
         for name in ("n_train", "n_train_other"):
             value = getattr(self, name)
-            if (not _is_a(value, numbers.Integral) or value < n_z_train
-                    or value % n_z_train):
+            check_count(name, value, n_z_train)
+            if value % n_z_train:
                 raise InvalidValue(
-                    f"{name} must be a positive multiple of the training "
-                    f"realization count ({n_z_train}), got {value!r}")
-        if not self.nr_grid or not all(
-                _is_a(n, numbers.Integral) and n >= 1 for n in self.nr_grid):
-            raise InvalidValue(f"nr_grid must be positive integers, got "
-                               f"{self.nr_grid!r}")
+                    f"{name} must be a multiple of the training realization "
+                    f"count ({n_z_train}), got {value!r}")
+        if not self.nr_grid:
+            raise InvalidValue("nr_grid must not be empty")
+        for n in self.nr_grid:
+            check_count("nr_grid entry", n, 1)
         for name in ("methods", "snr_grid", "nr_grid"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -234,7 +224,7 @@ def generate_dataset(
     this thread adds rows to the store, in cohort order, so the store is the
     same to the byte for any worker count. A radio's error is raised for the
     first failing radio in cohort order."""
-    if not (_is_a(snr_db, numbers.Real) and math.isfinite(snr_db)):
+    if not is_real(snr_db):
         raise InvalidValue(f"snr_db must be a finite number, got {snr_db!r}")
     params = GaborParams()
 
@@ -568,7 +558,7 @@ class VerificationReport:
                     and e.get("kind") == "authorized" else "fvr")
             keys = {"kind", "claimed_id", "actual_id", "n_r", rate, "n"}
             if (not isinstance(e, dict) or not keys <= set(e)
-                    or not _is_a(e[rate], numbers.Real)):
+                    or not is_real(e[rate])):
                 raise InvalidValue(f"report entry {e!r} needs the keys "
                                    f"{sorted(keys)} and a numeric {rate}")
         return cls(

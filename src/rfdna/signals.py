@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -23,6 +22,8 @@ from .errors import (
     InvalidCutoff,
     InvalidLength,
     InvalidValue,
+    check_count,
+    is_real,
 )
 
 MIN_BURST_LEN = 150  # samples consumed by one time-frequency block
@@ -47,8 +48,7 @@ class EmitterProfile:
         if not isinstance(self.radio_id, str) or not self.radio_id:
             raise InvalidValue(f"radio_id must be a non-empty string, got "
                                f"{self.radio_id!r}")
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in astuple(self)[1:]):
+        if not all(map(is_real, astuple(self)[1:])):
             raise InvalidValue(f"{self.radio_id!r} has an impairment that is "
                                f"not a finite number")
         if self.iq_gain_imbalance <= 0:
@@ -153,11 +153,8 @@ def synth_burst(
 def _lowpass(x: np.ndarray, order: int, cutoff: float) -> np.ndarray:
     """``x`` through the low-pass Butterworth design (cascaded biquads);
     the spec is checked before the cache sees it."""
-    if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
-            or order < 1):
-        raise InvalidValue(f"filter order must be an integer >= 1, "
-                           f"got {order!r}")
-    if not (isinstance(cutoff, numbers.Real) and 0.0 < cutoff < 1.0):
+    check_count("filter order", order, 1)
+    if not (is_real(cutoff) and 0.0 < cutoff < 1.0):
         raise InvalidCutoff(f"cutoff {cutoff} outside (0, 1)")
     # scipy.signal is imported on first use, so commands that never filter
     # do not pay for importing it.
@@ -238,9 +235,7 @@ def load_manifest(path) -> tuple[list[EmitterProfile], int]:
                                                     list):
         raise InvalidValue("manifest needs a \"profiles\" list")
     n_bursts = data.get("n_bursts")
-    if type(n_bursts) is not int or n_bursts < 1:
-        raise InvalidValue(
-            f"manifest n_bursts must be a positive integer, got {n_bursts!r}")
+    check_count("manifest n_bursts", n_bursts, 1)
     try:
         profiles = [EmitterProfile(**p) for p in data["profiles"]]
     except TypeError as exc:

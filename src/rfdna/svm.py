@@ -8,13 +8,11 @@ under verification) maps to y = +1, class 2 to y = -1.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidShape, InvalidValue, TrainingFailed
+from .errors import InvalidShape, InvalidValue, TrainingFailed, is_real
 
 _TOLERANCE = 1e-3
 _MAX_UPDATES = 1_000_000
@@ -82,8 +80,7 @@ def train_svm(
     if zeta is None:
         zeta = 1.0 / f
     for name, value in (("c", c), ("zeta", zeta)):
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value) and value > 0):
+        if not (is_real(value) and value > 0):
             raise InvalidValue(f"{name} must be a finite number > 0, "
                                f"got {value!r}")
 
