@@ -3,7 +3,9 @@
 Subcommands mirror the pipeline stages: fingerprint -> select / train
 (writes verifiers) -> evaluate (reads them) -> sweep -> report. The data
 root comes from --data-root or the RFDNA_DATA environment variable. Exit
-code is 0 only when every gate requested by the command passes.
+status 0: every gate the command checks passes; 1: a gate failed; 2: the
+input was refused, with one ``rfdna: <error class>: <message>`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import featsel, harness, signals
-from .errors import InvalidValue, MissingData
+from .errors import InvalidValue, MissingData, RfdnaError
 from .fingerprint import FingerprintStore
 from .harness import ExperimentConfig, default_cohort, default_trials
 from .modelsel import export_candidates, passes_gate
@@ -225,7 +227,11 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
         "report": cmd_report,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except RfdnaError as exc:
+        print(f"rfdna: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -88,14 +88,18 @@ class ExperimentConfig:
     filter_order, filter_cutoff = CAPTURE_FILTER
 
     def __post_init__(self):
-        if not self.snr_grid or not all(
-                is_real(s) and abs(s) <= MAX_ABS_SNR_DB
-                for s in self.snr_grid):
+        for name in ("methods", "snr_grid", "nr_grid"):
+            values = getattr(self, name)
+            if not isinstance(values, list) or not values:
+                raise InvalidValue(f"{name} must be a non-empty list, got "
+                                   f"{values!r}")
+        if not all(is_real(s) and abs(s) <= MAX_ABS_SNR_DB
+                   for s in self.snr_grid):
             raise InvalidValue(f"snr_grid must be SNRs within "
                                f"+-{MAX_ABS_SNR_DB:g} dB, got "
                                f"{self.snr_grid!r}")
         self.snr_grid = sorted(self.snr_grid)
-        if not self.methods or not set(self.methods) <= set(METHODS):
+        if not all(m in METHODS for m in self.methods):
             raise InvalidValue(f"methods must be some of {METHODS}, got "
                                f"{self.methods!r}")
         for name, low in (("n_bursts", 1), ("k_folds", 2),
@@ -112,8 +116,6 @@ class ExperimentConfig:
                 raise InvalidValue(
                     f"{name} must be a multiple of the training realization "
                     f"count ({n_z_train}), got {value!r}")
-        if not self.nr_grid:
-            raise InvalidValue("nr_grid must not be empty")
         for n in self.nr_grid:
             check_count("nr_grid entry", n, 1)
         for name in ("methods", "snr_grid", "nr_grid"):
@@ -492,7 +494,7 @@ class Verifier:
                      float(d["snr_db"]))
             flags = {key: bool(d[key]) for key in _FLAGS}
         except (OSError, EOFError, KeyError, TypeError, ValueError,
-                zipfile.BadZipFile) as exc:
+                NotImplementedError, zipfile.BadZipFile) as exc:
             raise InvalidValue(f"{path}: not a verifier, {exc!r}") from None
         if not ok:
             raise InvalidValue(f"{path} is not a version-{VERIFIER_VERSION} "

@@ -118,10 +118,7 @@ def synth_burst(
     third-order nonlinearity, frequency offset, phase-noise walk. The identity
     profile reproduces the clean ramp template exactly.
     """
-    if template_len < MIN_BURST_LEN:
-        raise InvalidLength(
-            f"template_len {template_len} < minimum {MIN_BURST_LEN}"
-        )
+    check_count("template_len", template_len, MIN_BURST_LEN, InvalidLength)
     rng = np.random.default_rng(seed)
     x = clean_template(template_len, profile.ramp_time_constant).astype(
         np.complex128
@@ -192,8 +189,8 @@ def add_awgn(
 
     Noise is shaped by the same Butterworth filter as the signal path and then
     rescaled so the ratio of burst power to filtered-noise power equals the
-    target exactly. An SNR whose noise scale is not a finite positive
-    float raises :class:`InvalidValue`.
+    target exactly. An SNR that is not a finite real number, or whose noise
+    scale is not a finite positive float, raises :class:`InvalidValue`.
     """
     p_sig = burst.power()
     if p_sig <= 0.0:
@@ -205,11 +202,12 @@ def add_awgn(
     noise = _lowpass(noise, order, cutoff)
     p_noise = float(np.mean(np.abs(noise) ** 2))
     try:
-        scale = np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
+        scale = (np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
+                 if is_real(snr_db) else 0.0)
     except (OverflowError, ZeroDivisionError):
         scale = 0.0
     if not 0.0 < scale < math.inf:
-        raise InvalidValue(f"no finite noise scale gives SNR {snr_db} dB")
+        raise InvalidValue(f"no finite noise scale gives SNR {snr_db!r} dB")
     return ComplexBurst(burst.samples + scale * noise)
 
 

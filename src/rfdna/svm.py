@@ -66,6 +66,9 @@ def train_svm(
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
+    if X.ndim != 2 or labels.shape != (len(X),):
+        raise InvalidShape(f"need 2-D rows and one label per row, got X "
+                           f"{X.shape} and labels {labels.shape}")
     if not (np.all(np.isin(labels, (1, 2)))
             or np.all(np.isin(labels, (1, -1)))):
         raise InvalidValue("labels must all be class tags 1/2 or all be "

@@ -143,6 +143,8 @@ class TestConfig:
         # a repeated entry
         {"methods": ["bc", "relieff", "bc"]}, {"snr_grid": [21.0, 27.0, 21]},
         {"nr_grid": [5, 20, 5]},
+        # a scalar where a list belongs
+        {"snr_grid": 21}, {"nr_grid": 5}, {"methods": 5},
     ])
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(InvalidValue):
@@ -633,6 +635,15 @@ class TestVerifierFile:
     def test_missing_and_truncated_files_rejected(self, one_file, tmp_path):
         with pytest.raises(InvalidValue):
             Verifier.load(tmp_path / "absent.npz", "R01", "relieff", 21.0)
+        # The first member's compression method, in the central directory,
+        # set to one zipfile does not support.
+        data = bytearray(one_file.read_bytes())
+        at = data.index(b"PK\x01\x02") + 10
+        data[at:at + 2] = (99).to_bytes(2, "little")
+        unsupported = tmp_path / "unsupported.npz"
+        unsupported.write_bytes(bytes(data))
+        with pytest.raises(InvalidValue):
+            Verifier.load(unsupported, "R01", "relieff", 21.0)
         one_file.write_bytes(one_file.read_bytes()[:500])
         with pytest.raises(InvalidValue):
             Verifier.load(one_file, "R01", "relieff", 21.0)
@@ -746,6 +757,15 @@ def cli_run(tmp_path_factory):
     return root, rc
 
 
+def assert_refused(capsys, argv, error, text=""):
+    """``cli.main(argv)`` refuses its input: exit status 2 and one stderr
+    line naming ``error`` and holding ``text``."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rfdna: {error.__name__}: ")
+    assert text in err and err.count("\n") == 1
+
+
 class TestCli:
     def test_fingerprint_report(self, cli_run, report):
         root, rc = cli_run
@@ -799,7 +819,8 @@ class TestCli:
         assert rc["evaluate"] == (0 if want.gates_pass() else 1)
 
     def test_evaluate_scores_the_saved_verifiers(self, cli_run, trials,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
         # A copy of the data root without retraining: evaluate reads the
         # verifier files and never calls train_best_model.
         root, _ = cli_run
@@ -822,8 +843,7 @@ class TestCli:
         assert got == want
 
         (copy_root / "verifier_relieff_R03_snr21.npz").unlink()
-        with pytest.raises(MissingData, match="rfdna train"):
-            cli.main(base + ["evaluate"])
+        assert_refused(capsys, base + ["evaluate"], MissingData, "rfdna train")
 
     def test_every_configured_method_is_trained_and_evaluated(
             self, cli_run, trials, tmp_path):
@@ -864,37 +884,35 @@ class TestCli:
         (["--n-z", "1", "fingerprint"], InvalidValue),
         (["--n-z", "1", "sweep"], InvalidValue)],
         ids=["evaluate", "select", "train", "report", "fingerprint", "sweep"])
-    def test_failed_command_creates_no_data_root(self, tmp_path, args,
-                                                 error):
+    def test_failed_command_creates_no_data_root(self, tmp_path, capsys,
+                                                 args, error):
         root = tmp_path / "missing"
-        with pytest.raises(error):
-            cli.main(["--data-root", str(root)] + args)
+        assert_refused(capsys, ["--data-root", str(root)] + args, error)
         assert not root.exists()
 
     @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
     def test_missing_store_names_the_fingerprint_command(self, tmp_path,
-                                                         command):
-        with pytest.raises(MissingData, match="rfdna fingerprint"):
-            cli.main(["--data-root", str(tmp_path), command])
+                                                         capsys, command):
+        assert_refused(capsys, ["--data-root", str(tmp_path), command],
+                       MissingData, "rfdna fingerprint")
 
-    def test_missing_explicit_manifest_rejected(self, tmp_path):
+    def test_missing_explicit_manifest_rejected(self, tmp_path, capsys):
         # A missing <root>/cohort.json means the default cohort; a missing
         # --manifest is a typo, not a request for the default cohort.
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(tmp_path), "--manifest",
-                      str(tmp_path / "typo_cohort.json"), "--n-bursts", "1",
-                      "--n-z", "2", "--snr", "21", "fingerprint"])
+        assert_refused(capsys, ["--data-root", str(tmp_path), "--manifest",
+                                str(tmp_path / "typo_cohort.json"),
+                                "--n-bursts", "1", "--n-z", "2", "--snr",
+                                "21", "fingerprint"], InvalidValue)
         assert not list(tmp_path.glob("*.rfdn"))
 
     @pytest.mark.parametrize("text", ["{", "[]", "null", "3", None])
-    def test_config_not_a_json_object_rejected(self, tmp_path, text):
+    def test_config_not_a_json_object_rejected(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         if text is not None:
             path.write_text(text)
         root = tmp_path / "data"
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(root), "--config", str(path),
-                      "fingerprint"])
+        assert_refused(capsys, ["--data-root", str(root), "--config",
+                                str(path), "fingerprint"], InvalidValue)
         assert not list(root.glob("*.rfdn"))
 
     @pytest.mark.parametrize("text", [
@@ -918,18 +936,19 @@ class TestCli:
                                   "n": 3}]}]),
     ], ids=["not-json", "not-a-list", "no-snr", "entries-object",
             "meta-list", "no-kind", "authorized-without-tvr", "text-rate"])
-    def test_report_input_checked_before_writing(self, tmp_path, text):
+    def test_report_input_checked_before_writing(self, tmp_path, capsys,
+                                                 text):
         src = tmp_path / "reports.json"
         src.write_text(text)
         out = tmp_path / "out"
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(tmp_path), "report", "--reports",
-                      str(src), "--out", str(out)])
+        assert_refused(capsys, ["--data-root", str(tmp_path), "report",
+                                "--reports", str(src), "--out", str(out)],
+                       InvalidValue)
         assert not out.exists()
 
-    def test_missing_report_file_rejected(self, tmp_path):
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(tmp_path), "report"])
+    def test_missing_report_file_rejected(self, tmp_path, capsys):
+        assert_refused(capsys, ["--data-root", str(tmp_path), "report"],
+                       InvalidValue)
 
     def test_list_flags_repeat_before_subcommand(self, tmp_path,
                                                  monkeypatch):
@@ -949,16 +968,15 @@ class TestCli:
         assert seen[0].methods == ["bc", "pca"]
         assert seen[0].nr_grid == [5, 20]
 
-    def test_overrides_are_validated(self, tmp_path):
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(tmp_path), "--n-z", "1", "train"])
+    def test_overrides_are_validated(self, tmp_path, capsys):
+        assert_refused(capsys, ["--data-root", str(tmp_path), "--n-z", "1",
+                                "train"], InvalidValue)
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_burst": 3}))
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(tmp_path), "--config", str(path),
-                      "fingerprint"])
+        assert_refused(capsys, ["--data-root", str(tmp_path), "--config",
+                                str(path), "fingerprint"], InvalidValue)
 
     @pytest.mark.parametrize("data", [
         {"svm_c": 1.0},                   # a removed setting
@@ -974,29 +992,29 @@ class TestCli:
         {"filter_cutoff": 1.5},
         {"n_test_realizations": -1},
         {"snr_grid": [21.0, 5000.0]},     # 21 dB alone is a valid grid
+        {"snr_grid": 21}, {"nr_grid": 5}, {"methods": 5},
     ])
-    def test_bad_config_rejected_before_any_store(self, tmp_path, data):
+    def test_bad_config_rejected_before_any_store(self, tmp_path, capsys,
+                                                  data):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_bursts": 1, "n_z": 2, **data}))
         root = tmp_path / "data"
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(root), "--config", str(path),
-                      "fingerprint"])
+        assert_refused(capsys, ["--data-root", str(root), "--config",
+                                str(path), "fingerprint"], InvalidValue)
         assert not list(root.glob("*.rfdn"))
 
     @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
     @pytest.mark.parametrize("trial", ["0", "4"])
-    def test_trial_out_of_range_rejected(self, tmp_path, command, trial):
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(tmp_path), command,
-                      "--trial", trial])
+    def test_trial_out_of_range_rejected(self, tmp_path, capsys, command,
+                                         trial):
+        assert_refused(capsys, ["--data-root", str(tmp_path), command,
+                                "--trial", trial], InvalidValue)
 
-    def test_malformed_manifest_rejected(self, tmp_path):
+    def test_malformed_manifest_rejected(self, tmp_path, capsys):
         path = tmp_path / "cohort.json"
         path.write_text(json.dumps({"n_bursts": 0, "profiles": []}))
-        with pytest.raises(InvalidValue):
-            cli.main(["--data-root", str(tmp_path), "--manifest", str(path),
-                      "fingerprint"])
+        assert_refused(capsys, ["--data-root", str(tmp_path), "--manifest",
+                                str(path), "fingerprint"], InvalidValue)
         assert not list(tmp_path.glob("*.rfdn"))
 
     @pytest.mark.parametrize("flags, n_bursts", [([], 2),

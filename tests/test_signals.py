@@ -121,9 +121,10 @@ class TestSynthBurst:
         expect = x + c3 * x * np.abs(x) ** 2
         assert np.allclose(burst_of(p).samples, expect, rtol=0, atol=1e-15)
 
-    def test_too_short_raises(self):
+    @pytest.mark.parametrize("template_len", [149, "200", 200.5])
+    def test_too_short_raises(self, template_len):
         with pytest.raises(InvalidLength):
-            synth_burst(EmitterProfile("s"), 149, 0)
+            synth_burst(EmitterProfile("s"), template_len, 0)
 
 
 class TestButterworth:
@@ -196,10 +197,11 @@ class TestAddAwgn:
             add_awgn(ComplexBurst(np.zeros(64)), 10.0)
 
     @pytest.mark.parametrize("snr", [-4000.0, -3100.0, 3090.0, 4000.0,
-                                     float("nan")])
+                                     float("nan"), "21", True])
     def test_snr_without_finite_noise_scale_rejected(self, snr):
         # -4000 dB underflows the power ratio to zero, -3100 dB makes the
-        # scale infinite, +3090 and +4000 dB overflow the power ratio.
+        # scale infinite, +3090 and +4000 dB overflow the power ratio; a
+        # string or a bool is not an SNR.
         with pytest.raises(InvalidValue, match="noise scale"):
             add_awgn(burst_of(EmitterProfile("a")), snr)
 

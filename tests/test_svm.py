@@ -189,6 +189,14 @@ class TestTraining:
         with pytest.raises(InvalidValue):
             train_svm(X, labels)
 
+    @pytest.mark.parametrize("rows, n_labels", [(slice(None), -1),
+                                                (0, None)],
+                             ids=["one-label-short", "1-D-rows"])
+    def test_rows_and_labels_of_other_shapes_rejected(self, rows, n_labels):
+        X, labels = blob_data()
+        with pytest.raises(InvalidShape):
+            train_svm(X[:, rows], labels[:n_labels])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, value):
         X, labels = blob_data()
