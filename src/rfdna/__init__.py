@@ -15,13 +15,11 @@ from .signals import (
     butterworth_filter,
     synth_burst,
 )
-from .gabor import GaborParams, TimeFrequencyMatrix, dgt, normalize_tf
+from .gabor import GaborParams, dgt, normalize_tf
 from .fingerprint import (
     Fingerprint,
     FingerprintStore,
     gen_fingerprint,
-    patch_stats,
-    tile_patches,
 )
 from .featsel import (
     FeatureRanking,

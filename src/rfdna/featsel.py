@@ -82,9 +82,6 @@ class ProjectionBasis:
     mean: np.ndarray                # centering vector
     eigenvalues: np.ndarray | None = None
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.mean) @ self.basis
-
 
 def _default_bins(n_rows: int) -> int:
     return max(2, int(np.ceil(np.sqrt(n_rows))))

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidShape, InvalidValue, check_count
-from .gabor import TimeFrequencyMatrix
 
 N_FEATURES = 204
 GRID_SHAPE = (150, 150)
@@ -28,13 +27,6 @@ N_PATCHES = N_TIME_BLOCKS * N_FREQ_BLOCKS
 
 _MAGIC = b"RFDN"
 _VERSION = 2
-
-
-@dataclass
-class PatchGrid:
-    """Ordered list of (t0, t1, f0, f1) half-open index regions."""
-
-    patches: list[tuple[int, int, int, int]]
 
 
 @dataclass
@@ -62,33 +54,6 @@ class Fingerprint:
                                f"{self.realization!r}")
 
 
-def tile_patches(tf: TimeFrequencyMatrix) -> PatchGrid:
-    """Tile the centered occupied band into 50 disjoint 15 x 10 patches.
-
-    Patch order is time-major within each frequency block row (scan time
-    left to right, then step up in frequency)."""
-    if tf.values.shape != GRID_SHAPE:
-        raise InvalidShape(f"expected {GRID_SHAPE} grid, got {tf.values.shape}")
-    patches = []
-    for fb in range(N_FREQ_BLOCKS):
-        f0 = FREQ_LO + fb * PATCH_F
-        for tb in range(N_TIME_BLOCKS):
-            t0 = tb * PATCH_T
-            patches.append((t0, t0 + PATCH_T, f0, f0 + PATCH_F))
-    return PatchGrid(patches=patches)
-
-
-def patch_stats(cells) -> tuple[float, float, float, float]:
-    """Population moments of one cell vector: (sigma, variance, skewness,
-    kurtosis). Kurtosis is non-excess. A constant vector maps to all zeros."""
-    x = np.asarray(cells, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(x)):
-        raise InvalidValue("non-finite cell values")
-    if x.size == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    return tuple(float(v) for v in _block_stats(x[None])[0])
-
-
 def _block_stats(blocks: np.ndarray) -> np.ndarray:
     """(sigma, var, skew, kurt) of each row of an (n, cells) array; a
     constant row maps to all zeros."""
@@ -107,12 +72,14 @@ def _block_stats(blocks: np.ndarray) -> np.ndarray:
     return np.column_stack([sd, var, skew, kurt])
 
 
-def gen_fingerprint(tf: TimeFrequencyMatrix, radio_id: str = "",
+def gen_fingerprint(tf: np.ndarray, radio_id: str = "",
                     snr_db: float | None = None,
                     realization: int = 0) -> Fingerprint:
-    if tf.values.shape != GRID_SHAPE:
-        raise InvalidShape(f"expected {GRID_SHAPE} grid, got {tf.values.shape}")
-    vals = tf.values
+    """Fingerprint of one :func:`rfdna.gabor.normalize_tf` grid: each
+    patch's four moments in patch order, then the whole grid's."""
+    vals = np.asarray(tf, dtype=np.float64)
+    if vals.shape != GRID_SHAPE:
+        raise InvalidShape(f"expected {GRID_SHAPE} grid, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise InvalidValue("non-finite grid values")
     region = vals[:, FREQ_LO:FREQ_HI]

@@ -50,11 +50,6 @@ class GaborParams:
         )
 
 
-@dataclass
-class TimeFrequencyMatrix:
-    values: np.ndarray      # M x K_G, real, normalized and centered
-
-
 def gaussian_window(length: int, sigma: float) -> np.ndarray:
     """Circularly indexed Gaussian: entry j holds exp(-d^2 / (2 sigma^2))
     where d is the wrapped (signed-symmetric) offset of index j."""
@@ -103,12 +98,12 @@ def dgt(burst, params: GaborParams = GaborParams()) -> np.ndarray:
     return np.fft.fft(folded, axis=1)
 
 
-def normalize_tf(G: np.ndarray) -> TimeFrequencyMatrix:
-    """Centered, normalized magnitude-squared presentation of a DGT grid."""
+def normalize_tf(G: np.ndarray) -> np.ndarray:
+    """Centered, normalized magnitude-squared presentation of a DGT grid: an
+    M x K_G real array in [0, 1] with bin 0 at the center column."""
     G = np.asarray(G)
     mag2 = np.abs(G) ** 2
     peak = mag2.max()
     if peak == 0.0:
         raise DegenerateTF("all-zero coefficient grid")
-    values = np.fft.fftshift(mag2 / peak, axes=1)
-    return TimeFrequencyMatrix(values=values)
+    return np.fft.fftshift(mag2 / peak, axes=1)

@@ -57,6 +57,10 @@ _ZETA_SCALE = 10.0      # SVM kernel width zeta = _ZETA_SCALE / N_r
 MAX_ABS_SNR_DB = 1000.0     # a config SNR is within +-MAX_ABS_SNR_DB dB
 
 
+def _is_snr(value) -> bool:
+    return is_real(value) and abs(value) <= MAX_ABS_SNR_DB
+
+
 @dataclass
 class TrialConfig:
     trial_id: int
@@ -93,8 +97,7 @@ class ExperimentConfig:
             if not isinstance(values, list) or not values:
                 raise InvalidValue(f"{name} must be a non-empty list, got "
                                    f"{values!r}")
-        if not all(is_real(s) and abs(s) <= MAX_ABS_SNR_DB
-                   for s in self.snr_grid):
+        if not all(map(_is_snr, self.snr_grid)):
             raise InvalidValue(f"snr_grid must be SNRs within "
                                f"+-{MAX_ABS_SNR_DB:g} dB, got "
                                f"{self.snr_grid!r}")
@@ -104,7 +107,7 @@ class ExperimentConfig:
                                f"{self.methods!r}")
         for name, low in (("n_bursts", 1), ("k_folds", 2),
                           ("relieff_neighbors", 1),
-                          ("n_test_realizations", 0)):
+                          ("n_test_realizations", 0), ("master_seed", 0)):
             check_count(name, getattr(self, name), low)
         # At least one training realization.
         check_count("n_z", self.n_z, self.n_test_realizations + 1)
@@ -512,7 +515,7 @@ class Verifier:
 @dataclass
 class VerificationReport:
     trial_id: int
-    snr_db: float | None
+    snr_db: float
     method: str
     entries: list            # dicts: kind, claimed_id, actual_id, n_r, rates
     meta: dict = field(default_factory=dict)
@@ -548,13 +551,19 @@ class VerificationReport:
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
         """The report of :meth:`to_dict`. A report or entry that lacks a key
-        :func:`emit_report` reads raises :class:`InvalidValue`."""
+        :func:`emit_report` reads, or whose trial id, SNR or method would not
+        make a plot-data file name, raises :class:`InvalidValue`."""
         keys = {"trial_id", "snr_db", "method", "entries"}
         if (not isinstance(data, dict) or not keys <= set(data)
                 or not isinstance(data["entries"], list)
                 or not isinstance(data.get("meta", {}), dict)):
             raise InvalidValue(f"a report needs the keys {sorted(keys)}, a "
                                f"list of entries and an object meta")
+        check_count("trial_id", data["trial_id"], 1)
+        if data["method"] not in METHODS or not _is_snr(data["snr_db"]):
+            raise InvalidValue(f"a report needs a method of {METHODS} and an "
+                               f"SNR within +-{MAX_ABS_SNR_DB:g} dB, got "
+                               f"{data['method']!r} and {data['snr_db']!r}")
         for e in data["entries"]:
             rate = ("tvr" if isinstance(e, dict)
                     and e.get("kind") == "authorized" else "fvr")

@@ -71,6 +71,15 @@ def dgt_percall(samples, params: GaborParams) -> np.ndarray:
     return np.fft.fft(folded, axis=1)
 
 
+def patch_layout() -> list[tuple[int, int, int, int]]:
+    """The fingerprint's 50 patches as half-open (t0, t1, f0, f1) regions of
+    the 150 x 150 grid, in feature order: 15 time rows by 10 frequency
+    columns, ten time blocks across each of the five frequency blocks of the
+    centred band (columns 50 to 99)."""
+    return [(t0, t0 + 15, f0, f0 + 10)
+            for f0 in range(50, 100, 10) for t0 in range(0, 150, 15)]
+
+
 def moments_extended(cells) -> tuple[float, float, float, float]:
     """(sigma, variance, skewness, non-excess kurtosis) in extended precision."""
     x = np.asarray(cells, dtype=np.longdouble).ravel()

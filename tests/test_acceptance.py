@@ -14,10 +14,11 @@ import pytest
 
 from rfdna.featsel import LabeledFingerprintSet, project_lda, project_pca, \
     rank_bc, rank_nca, rank_relieff, welch_t
-from rfdna.fingerprint import gen_fingerprint, patch_stats, tile_patches
+from rfdna.fingerprint import gen_fingerprint
 from rfdna.gabor import GaborParams, dgt, normalize_tf
 from rfdna.harness import (
     ExperimentConfig,
+    apply_cut,
     default_cohort,
     default_trials,
     evaluate_trial,
@@ -34,6 +35,7 @@ from oracles import (
     dgt_direct,
     dgt_triple_loop,
     moments_extended,
+    patch_layout,
     relieff_bruteforce,
     svm_dual_grid_oracle,
     welch_oracle,
@@ -116,26 +118,28 @@ def test_criterion_2_fingerprint_shape_and_moments():
     fp = gen_fingerprint(tf)
     shape_ok = fp.features.shape == (204,)
 
-    grid = tile_patches(tf)
-    cover = np.zeros(tf.values.shape, dtype=int)
+    # The layout is written out in the oracle; the feature comparisons below
+    # tie the package's patch order to it.
+    patches = patch_layout()
+    cover = np.zeros(tf.shape, dtype=int)
     sizes_ok = True
-    for t0, t1, f0, f1 in grid.patches:
+    for t0, t1, f0, f1 in patches:
         sizes_ok = sizes_ok and (t1 - t0) * (f1 - f0) == 150
         cover[t0:t1, f0:f1] += 1
-    tiling_ok = (len(grid.patches) == 50 and sizes_ok
-                 and cover.max() == 1 and cover.sum() == 50 * 150)
+    tiling_ok = (len(patches) == 50 and sizes_ok and cover.max() == 1
+                 and np.all(cover[:, 50:100] == 1)
+                 and cover.sum() == 50 * 150)
 
+    # Every patch and the whole grid, of the burst's surface and of a random
+    # one, against the extended-precision moments.
     worst = 0.0
-    for p, (t0, t1, f0, f1) in enumerate(grid.patches):
-        cells = tf.values[t0:t1, f0:f1]
-        got = np.array(fp.features[4 * p:4 * p + 4])
-        want = np.array(moments_extended(cells))
-        worst = max(worst, np.max(np.abs(got - want)))
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = rng.random(150)
-        diff = np.abs(np.array(patch_stats(x)) - np.array(moments_extended(x)))
-        worst = max(worst, diff.max())
+    for grid in (tf, np.random.default_rng(3).random(tf.shape)):
+        feats = gen_fingerprint(grid).features
+        for p, (t0, t1, f0, f1) in enumerate(patches):
+            want = np.array(moments_extended(grid[t0:t1, f0:f1]))
+            worst = max(worst, np.max(np.abs(feats[4 * p:4 * p + 4] - want)))
+        want = np.array(moments_extended(grid))
+        worst = max(worst, np.max(np.abs(feats[-4:] - want)))
     ok = shape_ok and tiling_ok and worst <= 1e-12
     assert verdict(2, f"204 features, 50 disjoint 150-cell patches, moment "
                       f"oracle max err {worst:.2e}", ok)
@@ -172,7 +176,8 @@ def test_criterion_3_feature_selection_oracles():
     )
     bc_in_range = np.all((r_bc.scores >= 0) & (r_bc.scores <= 1 + 1e-12))
 
-    Y = project_pca(fset, 5).transform(fset.X)
+    pca = project_pca(fset, 5)
+    Y = apply_cut({"basis": pca.basis, "mean": pca.mean}, fset.X)
     cov = np.cov(Y, rowvar=False, bias=True)
     pca_offdiag = np.max(np.abs(cov - np.diag(np.diag(cov))))
 

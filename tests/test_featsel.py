@@ -33,6 +33,7 @@ from rfdna.featsel import (
     train_grlvq_relevance,
     welch_t,
 )
+from rfdna.harness import apply_cut
 
 from oracles import (
     bc_histogram_oracle,
@@ -48,6 +49,11 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(42)
+
+
+def project(basis, X):
+    """Rows of ``X`` projected onto every column of a fitted basis."""
+    return apply_cut({"basis": basis.basis, "mean": basis.mean}, X)
 
 
 def two_class_set(n1=12, n2=14, f=6, shift=1.5, seed=5):
@@ -168,7 +174,7 @@ class TestLda:
 
     def test_separates_classes(self):
         fset = two_class_set(shift=5.0)
-        proj = project_lda(fset).transform(fset.X).ravel()
+        proj = project(project_lda(fset), fset.X).ravel()
         assert proj[fset.labels == 1].min() > proj[fset.labels == 2].max()
 
 
@@ -176,7 +182,7 @@ class TestPca:
     def test_projected_covariance_is_diagonal(self):
         fset = two_class_set(n1=60, n2=60, f=8, seed=2)
         basis = project_pca(fset, 8)
-        Y = basis.transform(fset.X)
+        Y = project(basis, fset.X)
         cov = np.cov(Y, rowvar=False, bias=True)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) <= 1e-8
@@ -185,7 +191,7 @@ class TestPca:
     def test_eigenvalues_match_projected_variance(self):
         fset = two_class_set(n1=40, n2=40, f=4, seed=9)
         basis = project_pca(fset, 4)
-        Y = basis.transform(fset.X)
+        Y = project(basis, fset.X)
         assert np.allclose(Y.var(axis=0), basis.eigenvalues, rtol=1e-10)
 
     def test_sign_convention(self):
@@ -215,7 +221,7 @@ class TestPca:
         lam_max = np.linalg.eigvalsh(Xc.T @ Xc / len(Xc)).max()
         assert np.all(basis.eigenvalues
                       > len(Xc) * np.finfo(float).eps * lam_max)
-        cov = np.cov(basis.transform(fset.X), rowvar=False, bias=True)
+        cov = np.cov(project(basis, fset.X), rowvar=False, bias=True)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) <= 1e-9 * np.max(np.diag(cov))
         assert np.allclose(np.diag(cov), basis.eigenvalues, rtol=1e-9)

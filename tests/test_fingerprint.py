@@ -10,80 +10,20 @@ from hypothesis.extra import numpy as hnp
 from rfdna import fingerprint
 from rfdna.errors import InvalidShape, InvalidValue
 from rfdna.fingerprint import (
-    FREQ_HI,
-    FREQ_LO,
     GRID_SHAPE,
     N_FEATURES,
-    N_PATCHES,
     Fingerprint,
     FingerprintStore,
     gen_fingerprint,
-    patch_stats,
-    tile_patches,
 )
-from rfdna.gabor import TimeFrequencyMatrix, dgt, normalize_tf
+from rfdna.gabor import dgt, normalize_tf
 from rfdna.harness import default_cohort
 from rfdna.signals import ComplexBurst, add_awgn, butterworth_filter, synth_burst
 
-from oracles import block_stats_masked, moments_extended, moments_scalar
+from oracles import (block_stats_masked, moments_extended, moments_scalar,
+                     patch_layout)
 
 RNG = np.random.default_rng(77)
-
-
-def random_tf():
-    return TimeFrequencyMatrix(values=RNG.random(GRID_SHAPE))
-
-
-class TestTiling:
-    def test_fifty_disjoint_covering_patches(self):
-        grid = tile_patches(random_tf())
-        assert len(grid.patches) == N_PATCHES == 50
-        cover = np.zeros(GRID_SHAPE, dtype=int)
-        for t0, t1, f0, f1 in grid.patches:
-            assert (t1 - t0) * (f1 - f0) == 150
-            cover[t0:t1, f0:f1] += 1
-        assert np.all(cover[:, FREQ_LO:FREQ_HI] == 1)
-        assert np.all(cover[:, :FREQ_LO] == 0)
-        assert np.all(cover[:, FREQ_HI:] == 0)
-
-    def test_order_time_major_within_freq_rows(self):
-        patches = tile_patches(random_tf()).patches
-        assert patches[0] == (0, 15, 50, 60)
-        assert patches[1] == (15, 30, 50, 60)
-        assert patches[10] == (0, 15, 60, 70)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(InvalidShape):
-            tile_patches(TimeFrequencyMatrix(values=np.zeros((100, 150))))
-
-
-class TestPatchStats:
-    def test_matches_extended_precision_oracle(self):
-        for _ in range(20):
-            x = RNG.random(150) ** 2
-            got = np.array(patch_stats(x))
-            want = np.array(moments_extended(x))
-            assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_matches_scalar_float64_moments(self):
-        # Array and scalar powers may round sd**3 differently (numpy's SIMD
-        # pow against libm's), so the two agree to a few ulps, not bitwise.
-        for _ in range(40):
-            x = RNG.random(GRID_SHAPE) ** 3
-            np.testing.assert_allclose(patch_stats(x), moments_scalar(x),
-                                       rtol=1e-15, atol=0)
-
-    def test_constant_patch_is_all_zero(self):
-        assert patch_stats(np.full(150, 0.37)) == (0.0, 0.0, 0.0, 0.0)
-        assert patch_stats([]) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_known_values(self):
-        # Symmetric two-point mass: sd = 1, skew = 0, kurtosis = 1.
-        assert np.allclose(patch_stats([1.0, -1.0]), (1.0, 1.0, 0.0, 1.0))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidValue):
-            patch_stats([1.0, np.nan])
 
 
 class TestBlockStats:
@@ -101,32 +41,57 @@ class TestBlockStats:
             assert np.array_equal(got, block_stats_masked(blocks))
             assert np.all(got[const] == 0.0)
 
+    def test_matches_extended_precision_oracle(self):
+        blocks = RNG.random((20, 150)) ** 2
+        for row, got in zip(blocks, fingerprint._block_stats(blocks)):
+            assert np.max(np.abs(got - moments_extended(row))) <= 1e-12
+
+    def test_known_values(self):
+        # Symmetric two-point mass: sd = 1, skew = 0, kurtosis = 1.
+        got = fingerprint._block_stats(np.array([[1.0, -1.0]]))
+        assert np.allclose(got, [[1.0, 1.0, 0.0, 1.0]])
+
 
 class TestGenFingerprint:
     def test_shape_and_patch_agreement(self):
-        tf = random_tf()
+        tf = RNG.random(GRID_SHAPE)
         fp = gen_fingerprint(tf, radio_id="R01", snr_db=21.0, realization=3)
         assert fp.features.shape == (N_FEATURES,)
         assert (fp.radio_id, fp.snr_db, fp.realization) == ("R01", 21.0, 3)
-        for p, (t0, t1, f0, f1) in enumerate(tile_patches(tf).patches):
-            want = patch_stats(tf.values[t0:t1, f0:f1])
-            assert np.allclose(fp.features[4 * p:4 * p + 4], want,
-                               rtol=0, atol=1e-12)
-        assert np.array_equal(fp.features[-4:], patch_stats(tf.values))
+        for p, (t0, t1, f0, f1) in enumerate(patch_layout()):
+            cells = tf[t0:t1, f0:f1]
+            got = fp.features[4 * p:4 * p + 4]
+            assert np.array_equal(
+                got, fingerprint._block_stats(cells.reshape(1, -1))[0])
+            assert np.allclose(got, moments_extended(cells), rtol=0,
+                               atol=1e-12)
+        assert np.allclose(fp.features[-4:], moments_extended(tf), rtol=0,
+                           atol=1e-12)
+
+    def test_global_moments_match_scalar_float64(self):
+        # Array and scalar powers may round sd**3 differently (numpy's SIMD
+        # pow against libm's), so the two agree to a few ulps, not bitwise.
+        for _ in range(40):
+            tf = RNG.random(GRID_SHAPE) ** 3
+            np.testing.assert_allclose(gen_fingerprint(tf).features[-4:],
+                                       moments_scalar(tf), rtol=1e-15, atol=0)
 
     def test_constant_region_yields_zero_block(self):
         vals = RNG.random(GRID_SHAPE)
         vals[0:15, 50:60] = 0.5
-        fp = gen_fingerprint(TimeFrequencyMatrix(values=vals))
+        fp = gen_fingerprint(vals)
         assert np.array_equal(fp.features[0:4], np.zeros(4))
+        assert not np.any(gen_fingerprint(np.full(GRID_SHAPE, 0.37)).features)
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(InvalidShape):
-            gen_fingerprint(TimeFrequencyMatrix(values=np.zeros((10, 10))))
-        bad = RNG.random(GRID_SHAPE)
-        bad[3, 3] = np.inf
-        with pytest.raises(InvalidValue):
-            gen_fingerprint(TimeFrequencyMatrix(values=bad))
+        for shape in [(10, 10), (100, 150)]:
+            with pytest.raises(InvalidShape):
+                gen_fingerprint(np.zeros(shape))
+        for value in (np.nan, np.inf):
+            bad = RNG.random(GRID_SHAPE)
+            bad[3, 3] = value
+            with pytest.raises(InvalidValue):
+                gen_fingerprint(bad)
 
     def test_fingerprint_length_enforced(self):
         with pytest.raises(InvalidShape):

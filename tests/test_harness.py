@@ -145,6 +145,9 @@ class TestConfig:
         {"nr_grid": [5, 20, 5]},
         # a scalar where a list belongs
         {"snr_grid": 21}, {"nr_grid": 5}, {"methods": 5},
+        # a seed SeedSequence refuses, or one it would truncate
+        {"master_seed": -1}, {"master_seed": "x"}, {"master_seed": 1.5},
+        {"master_seed": True},
     ])
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(InvalidValue):
@@ -757,6 +760,16 @@ def cli_run(tmp_path_factory):
     return root, rc
 
 
+def report_json(**fields) -> str:
+    """A one-report ``reports.json`` with one authorized entry, with
+    ``fields`` replacing the report's own."""
+    entry = {"kind": "authorized", "claimed_id": "R01", "actual_id": "R01",
+             "n_r": 5, "tvr": 1.0, "n": 3}
+    report = {"trial_id": 1, "snr_db": 21.0, "method": "relieff",
+              "entries": [entry]}
+    return json.dumps([{**report, **fields}])
+
+
 def assert_refused(capsys, argv, error, text=""):
     """``cli.main(argv)`` refuses its input: exit status 2 and one stderr
     line naming ``error`` and holding ``text``."""
@@ -882,8 +895,10 @@ class TestCli:
         (["evaluate"], MissingData), (["select"], MissingData),
         (["train"], MissingData), (["report"], InvalidValue),
         (["--n-z", "1", "fingerprint"], InvalidValue),
-        (["--n-z", "1", "sweep"], InvalidValue)],
-        ids=["evaluate", "select", "train", "report", "fingerprint", "sweep"])
+        (["--n-z", "1", "sweep"], InvalidValue),
+        (["--master-seed", "-1", "fingerprint"], InvalidValue)],
+        ids=["evaluate", "select", "train", "report", "fingerprint", "sweep",
+             "master-seed"])
     def test_failed_command_creates_no_data_root(self, tmp_path, capsys,
                                                  args, error):
         root = tmp_path / "missing"
@@ -934,8 +949,14 @@ class TestCli:
                      "entries": [{"kind": "rogue", "claimed_id": "R01",
                                   "actual_id": "R07", "n_r": 5, "fvr": "0",
                                   "n": 3}]}]),
+        # trial id, SNR and method name the plot-data file
+        report_json(method="a/b"), report_json(snr_db="x"),
+        report_json(snr_db=5000.0), report_json(trial_id="../x"),
+        report_json(trial_id=0),
     ], ids=["not-json", "not-a-list", "no-snr", "entries-object",
-            "meta-list", "no-kind", "authorized-without-tvr", "text-rate"])
+            "meta-list", "no-kind", "authorized-without-tvr", "text-rate",
+            "method-path", "text-snr", "far-snr", "trial-id-path",
+            "trial-id-zero"])
     def test_report_input_checked_before_writing(self, tmp_path, capsys,
                                                  text):
         src = tmp_path / "reports.json"
@@ -945,6 +966,14 @@ class TestCli:
                                 "--reports", str(src), "--out", str(out)],
                        InvalidValue)
         assert not out.exists()
+
+    def test_plot_data_named_by_report_fields(self, tmp_path):
+        src = tmp_path / "reports.json"
+        src.write_text(report_json(snr_db=-3))
+        assert cli.main(["--data-root", str(tmp_path), "report", "--reports",
+                         str(src), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "plotdata_trial1_snr-3_relieff.json"
+                ).exists()
 
     def test_missing_report_file_rejected(self, tmp_path, capsys):
         assert_refused(capsys, ["--data-root", str(tmp_path), "report"],
@@ -1046,3 +1075,38 @@ class TestCli:
                 root / "fingerprints_21dB.rfdn"))
         assert rows == {"fingerprint": 18 * n_bursts * 2,
                         "sweep": 18 * n_bursts * 2}
+
+    def test_sweep_reuses_a_saved_store(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "config.json"
+        cli_config().to_json(config_path)
+        base = ["--data-root", str(tmp_path), "--config", str(config_path)]
+        assert cli.main(base + ["--snr", "21", "fingerprint"]) == 0
+        saved = tmp_path / "fingerprints_21dB.rfdn"
+        # A save replaces the file (os.replace), so an unchanged inode and
+        # mtime mean it was not written again.
+        stat = saved.stat()
+        before = saved.read_bytes(), stat.st_ino, stat.st_mtime_ns
+
+        generated, stores = [], {}
+        real_generate = harness.generate_dataset
+        monkeypatch.setattr(
+            harness, "generate_dataset", lambda profiles, snr, config:
+            generated.append(snr) or real_generate(profiles, snr, config))
+
+        def run_trial(trial, snr, method, store, config):
+            # A report with no entries passes the gates, so no SNR is
+            # eliminated and the sweep asks for every store.
+            stores[snr] = store
+            return VerificationReport(trial.trial_id, snr, method, [])
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        assert cli.main(base + ["--snr", "21", "--snr", "18", "sweep"]) == 0
+        assert generated == [18.0]
+        assert (saved.read_bytes(), saved.stat().st_ino,
+                saved.stat().st_mtime_ns) == before
+        assert sorted(p.name for p in tmp_path.glob("*.rfdn")) == [
+            "fingerprints_18dB.rfdn", "fingerprints_21dB.rfdn"]
+        reloaded = FingerprintStore.load(saved)
+        assert all(np.array_equal(stores[21.0].select(rid),
+                                  reloaded.select(rid))
+                   for rid in reloaded.radio_ids())
