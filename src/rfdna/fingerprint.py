@@ -9,8 +9,12 @@ frequency blocks of 10.
 
 from __future__ import annotations
 
+import io
+import json
 import os
-import struct
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +29,7 @@ N_TIME_BLOCKS, N_FREQ_BLOCKS = 10, 5
 PATCH_T, PATCH_F = 15, 10
 N_PATCHES = N_TIME_BLOCKS * N_FREQ_BLOCKS
 
-_MAGIC = b"RFDN"
-_VERSION = 2
+_VERSION = 3    # store file format
 
 
 @dataclass
@@ -145,71 +148,73 @@ class FingerprintStore:
     def radio_ids(self) -> list[str]:
         return list(self._code_of)
 
-    # -- persistence --------------------------------------------------------
-    #
-    # Layout (little-endian): magic, then version, feature count, row count
-    # and radio-id count as u32, then the radio-id table (u32 byte length +
-    # UTF-8 per id, in code order), then one block per column: id code (u32),
-    # SNR (f8, NaN when none), realization (u32), features (f8, row-major).
+    # -- persistence; ids go as JSON text, as `<U` arrays drop trailing NULs
 
     def save(self, path) -> None:
         self._flush()
-        out = [_MAGIC, struct.pack("<IIII", _VERSION, N_FEATURES, len(self),
-                                   len(self._code_of))]
-        for rid in self._code_of:
-            raw = rid.encode("utf-8")
-            out += [struct.pack("<I", len(raw)), raw]
-        out += [self._id_code.astype("<u4").tobytes(),
-                self._snr_db.astype("<f8").tobytes(),
-                self._realization.astype("<u4").tobytes(),
-                self._features.astype("<f8").tobytes()]
-        # A temporary file beside the target is moved onto it, so an
-        # interrupted save leaves the old store or none, never part of one.
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(b"".join(out))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        save_arrays(path, version=_VERSION,
+                    radio_ids=json.dumps(list(self._code_of)),
+                    id_code=self._id_code.astype("<u4"),
+                    snr_db=self._snr_db.astype("<f8"),
+                    realization=self._realization.astype("<u4"),
+                    features=self._features.astype("<f8"))
 
     @classmethod
     def load(cls, path) -> "FingerprintStore":
-        buf = Path(path).read_bytes()
-        if buf[:4] != _MAGIC or len(buf) < 20:
-            raise InvalidValue("not a fingerprint store file")
-        version, n_f, count, n_ids = struct.unpack_from("<IIII", buf, 4)
-        if version != _VERSION or n_f != N_FEATURES:
-            raise InvalidValue("unsupported store version or feature count")
-        off, ids = 20, []
+        """The store at ``path``. A file that is not an intact version-3
+        store, an older store included, raises :class:`InvalidValue`."""
         try:
-            for _ in range(n_ids):
-                (size,) = struct.unpack_from("<I", buf, off)
-                ids.append(buf[off + 4:off + 4 + size].decode("utf-8"))
-                off += 4 + size
-        except (struct.error, UnicodeDecodeError):
-            raise InvalidValue("unreadable radio-id table") from None
-        expected = off + count * (16 + 8 * N_FEATURES)
-        if len(buf) != expected:
-            raise InvalidValue(f"store file has {len(buf)} bytes, its header "
-                               f"implies {expected}")
-        columns = []
-        for dtype, width in (("<u4", 1), ("<f8", 1), ("<u4", 1),
-                             ("<f8", N_FEATURES)):
-            col = np.frombuffer(buf, dtype=dtype, count=count * width,
-                                offset=off)
-            columns.append(col)
-            off += col.nbytes
-        code, snr, realization, features = columns
-        if len(set(ids)) != n_ids or np.any(code >= n_ids):
-            raise InvalidValue("radio-id table does not match the id column")
-        if not np.all(np.isfinite(features)):
-            raise InvalidValue("non-finite features in the store")
+            d = load_arrays(path)
+            ids = json.loads(d["radio_ids"].item())
+            code, snr, z, x = (d[k] for k in ("id_code", "snr_db",
+                                              "realization", "features"))
+            ok = (ids == list(dict.fromkeys(map(str, ids)))  # distinct strings
+                  and d["version"].item() == _VERSION
+                  and code.shape == snr.shape == z.shape == (len(code),)
+                  and x.shape == (len(code), N_FEATURES)
+                  and code.dtype == z.dtype == np.uint32
+                  and np.all(code < len(ids)) and np.all(np.isfinite(x)))
+        except (InvalidValue, KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise InvalidValue(f"{path} is not an intact version-{_VERSION} "
+                               "store; re-run `rfdna fingerprint`")
         store = cls()
         store._code_of = {rid: i for i, rid in enumerate(ids)}
         store._id_code = code.astype(np.int64)
         store._snr_db = snr.astype(np.float64)
-        store._realization = realization.astype(np.int64)
-        store._features = features.reshape(count, N_FEATURES).astype(
-            np.float64)
+        store._realization = z.astype(np.int64)
+        store._features = x.astype(np.float64)
         return store
+
+
+def save_arrays(path, **arrays) -> None:
+    """Write ``arrays`` as one ``np.savez`` archive to a file beside ``path``
+    and move it onto ``path``: an interrupted save leaves the old file."""
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(buf.getvalue())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def load_arrays(path) -> dict:
+    """The arrays of a :func:`save_arrays` file by name, each member's CRC-32
+    checked before numpy parses it; any fault raises :class:`InvalidValue`."""
+    try:
+        buf = Path(path).read_bytes()
+        # zipfile skips bytes after the end record (written last, no comment)
+        if buf[-22:-18] != b"PK\x05\x06" or buf[-2:] != b"\0\0":
+            raise zipfile.BadZipFile("bytes after the end record")
+        with zipfile.ZipFile(io.BytesIO(buf)) as z:
+            return {m.filename.removesuffix(".npy"): np.lib.format.read_array(
+                io.BytesIO(z.read(m)), allow_pickle=False)
+                for m in z.infolist()}
+    except (OSError, EOFError, ValueError, RuntimeError, NotImplementedError,
+            zipfile.BadZipFile, zlib.error, tokenize.TokenError) as exc:
+        raise InvalidValue(f"{path}: not a readable array file, {exc!r}"
+                           ) from None

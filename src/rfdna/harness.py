@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -22,7 +21,7 @@ from . import featsel
 from .errors import (InvalidInput, InvalidModel, InvalidValue, MissingData,
                      TrainingFailed, check_count, is_real)
 from .fingerprint import (N_FEATURES, Fingerprint, FingerprintStore,
-                          gen_fingerprint)
+                          gen_fingerprint, load_arrays, save_arrays)
 from .gabor import GaborParams, dgt, normalize_tf
 from .modelsel import (FVR_GATE, TVR_GATE, CandidateModel, build_margin_pmfs,
                        passes_gate, select_best)
@@ -458,22 +457,18 @@ class Verifier:
     def save(self, path) -> None:
         # numpy keeps a cut's layout (Fortran order for PCA), so a reloaded
         # verifier scores bitwise as the fitted one.
-        with open(path, "wb") as fh:
-            np.savez(fh, version=VERIFIER_VERSION, claimed_id=self.claimed_id,
-                     method=self.method, snr_db=self.snr_db, n_r=self.n_r,
-                     **self.cut, **self.flags,
-                     **{name: getattr(self.model, name)
-                        for name in _SVM_FIELDS})
+        save_arrays(path, version=VERIFIER_VERSION, claimed_id=self.claimed_id,
+                    method=self.method, snr_db=self.snr_db, n_r=self.n_r,
+                    **self.cut, **self.flags,
+                    **{k: getattr(self.model, k) for k in _SVM_FIELDS})
 
     @classmethod
     def load(cls, path, claimed_id: str, method: str, snr_db) -> "Verifier":
         """The verifier at ``path``. A missing, unreadable, wrong-version or
         inconsistent file raises :class:`InvalidValue`; one enrolled for
         another claimed id, method or SNR raises :class:`InvalidModel`."""
+        d = load_arrays(path)
         try:
-            # numpy leaks the handle of a file it cannot open as a zip.
-            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
-                d = {name: z[name] for name in z.files}
             n_r, idx = int(d["n_r"]), d.get("indices")
             cut = ({"indices": idx} if idx is not None
                    else {"basis": d["basis"], "mean": d["mean"]})
@@ -496,8 +491,7 @@ class Verifier:
             found = (str(d["claimed_id"]), str(d["method"]),
                      float(d["snr_db"]))
             flags = {key: bool(d[key]) for key in _FLAGS}
-        except (OSError, EOFError, KeyError, TypeError, ValueError,
-                NotImplementedError, zipfile.BadZipFile) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidValue(f"{path}: not a verifier, {exc!r}") from None
         if not ok:
             raise InvalidValue(f"{path} is not a version-{VERIFIER_VERSION} "
@@ -569,9 +563,10 @@ class VerificationReport:
                     and e.get("kind") == "authorized" else "fvr")
             keys = {"kind", "claimed_id", "actual_id", "n_r", rate, "n"}
             if (not isinstance(e, dict) or not keys <= set(e)
-                    or not is_real(e[rate])):
-                raise InvalidValue(f"report entry {e!r} needs the keys "
-                                   f"{sorted(keys)} and a numeric {rate}")
+                    or not is_real(e[rate])
+                    or {type(e["claimed_id"]), type(e["actual_id"])} != {str}):
+                raise InvalidValue(f"report entry {e!r} needs text ids, the "
+                                   f"keys {sorted(keys)}, a numeric {rate}")
         return cls(
             trial_id=data["trial_id"], snr_db=data["snr_db"],
             method=data["method"], entries=data["entries"],

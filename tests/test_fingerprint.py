@@ -1,4 +1,6 @@
 import errno
+import zipfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,12 @@ from rfdna.fingerprint import (
     Fingerprint,
     FingerprintStore,
     gen_fingerprint,
+    load_arrays,
+    save_arrays,
 )
 from rfdna.gabor import dgt, normalize_tf
-from rfdna.harness import default_cohort
+from rfdna.harness import Verifier, default_cohort
+from rfdna.svm import SvmModel
 from rfdna.signals import ComplexBurst, add_awgn, butterworth_filter, synth_burst
 
 from oracles import (block_stats_masked, moments_extended, moments_scalar,
@@ -129,6 +134,29 @@ def small_store():
     return store
 
 
+def small_verifier(method="relieff"):
+    """A verifier over 6 features with a ranking cut (``relieff``) or a
+    projection cut (``pca``); only its file layout matters here."""
+    rng = np.random.default_rng(18)
+    n_r, n_sv = 6, 9
+    cut = ({"indices": rng.permutation(N_FEATURES)[:n_r]}
+           if method == "relieff" else
+           {"basis": rng.standard_normal((N_FEATURES, n_r)),
+            "mean": rng.standard_normal(N_FEATURES)})
+    model = SvmModel(support_vectors=rng.standard_normal((n_sv, n_r)),
+                     dual_coeffs=rng.standard_normal(n_sv), bias=0.25,
+                     kernel_zeta=0.5, cost_c=10.0,
+                     feature_indices=cut.get("indices"),
+                     scaler_mean=rng.standard_normal(n_r),
+                     scaler_scale=rng.random(n_r) + 0.5)
+    return Verifier("R01", method, 21.0, n_r, cut, model,
+                    {"gate_fallback": False, "pool_underfilled": True})
+
+
+SAVERS = {"store": lambda path: small_store().save(path),
+          "verifier": lambda path: small_verifier().save(path)}
+
+
 class TestScaleInvariance:
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
@@ -193,12 +221,15 @@ class TestStore:
                               store.select("R01"))
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("old", [True, False], ids=["old", "none"])
+    @pytest.mark.parametrize("saver, old", [
+        ("store", True), ("store", False), ("verifier", True),
+        ("verifier", False)],
+        ids=["old", "none", "verifier-old", "verifier-none"])
     def test_interrupted_save_leaves_the_old_store(self, tmp_path,
-                                                   monkeypatch, old):
-        path = tmp_path / "store.rfdn"
+                                                   monkeypatch, saver, old):
+        path = tmp_path / "saved"
         if old:
-            small_store().save(path)
+            SAVERS[saver](path)
         before = path.read_bytes() if old else None
         write_bytes = Path.write_bytes
 
@@ -208,7 +239,7 @@ class TestStore:
 
         monkeypatch.setattr(Path, "write_bytes", fail_partway)
         with pytest.raises(OSError):
-            small_store().save(path)
+            SAVERS[saver](path)
         monkeypatch.undo()
         assert (path.read_bytes() if old else None) == before
         assert list(tmp_path.iterdir()) == ([path] if old else [])
@@ -242,20 +273,22 @@ class TestStore:
     def test_load_rejects_non_finite_features(self, tmp_path):
         path = tmp_path / "store.rfdn"
         small_store().save(path)
-        buf = path.read_bytes()
-        # The features block ends the file: make the last feature NaN.
-        path.write_bytes(buf[:-8] + np.array([np.nan], "<f8").tobytes())
+        # A well-formed file, every CRC intact, that holds one NaN feature.
+        arrays = load_arrays(path)
+        arrays["features"][-1, -1] = np.nan
+        save_arrays(path, **arrays)
         with pytest.raises(InvalidValue):
             FingerprintStore.load(path)
 
     def test_load_rejects_version_1(self, tmp_path):
+        # The header of a store of formats 1 and 2, before the zip container:
+        # magic, then version, feature count, row count and id count as u32.
         path = tmp_path / "store.rfdn"
-        small_store().save(path)
-        buf = bytearray(path.read_bytes())
-        buf[4:8] = (1).to_bytes(4, "little")
-        path.write_bytes(bytes(buf))
-        with pytest.raises(InvalidValue):
-            FingerprintStore.load(path)
+        for version in (1, 2):
+            path.write_bytes(b"RFDN" + b"".join(
+                n.to_bytes(4, "little") for n in (version, N_FEATURES, 0, 0)))
+            with pytest.raises(InvalidValue, match="rfdna fingerprint"):
+                FingerprintStore.load(path)
 
     def test_add_after_load_appends(self, tmp_path):
         store = small_store()
@@ -309,3 +342,101 @@ class TestStoreRoundtripProperty:
             for z in set(store._realization.tolist()):
                 assert same_bits(back.select(rid, [z]),
                                  store.select(rid, [z]))
+
+
+def verifier_fields(v):
+    """Everything a loaded verifier holds, arrays as (dtype, shape, bytes)."""
+    def bits(a):
+        a = np.asarray(a)
+        return a.dtype, a.shape, a.tobytes()
+    model = {k: bits(getattr(v.model, k)) for k in (
+        "support_vectors", "dual_coeffs", "scaler_mean", "scaler_scale",
+        "bias", "kernel_zeta", "cost_c")}
+    return (v.claimed_id, v.method, v.snr_db, v.n_r, v.flags, model,
+            {k: bits(a) for k, a in v.cut.items()})
+
+
+def store_fields(store):
+    return (store.radio_ids(),) + tuple(
+        (a.dtype, a.shape, a.tobytes()) for a in (
+            store._features, store._id_code, store._snr_db,
+            store._realization))
+
+
+class TestCorruption:
+    """A saved store or verifier with one flipped bit, or cut short, is
+    refused with InvalidValue or loads exactly what was saved; no other
+    exception escapes."""
+
+    FLIPS, STRIDE = 1000, 97
+
+    def outcomes(self, path, load, fields):
+        data = path.read_bytes()
+        want = fields(load(path))
+        rng = np.random.default_rng(2018)
+        bits = rng.integers(0, 8 * len(data), self.FLIPS)
+        corrupt = [("flip", bit) for bit in bits] + [
+            ("cut", end) for end in range(0, len(data), self.STRIDE)]
+        seen = Counter()
+        for kind, at in corrupt:
+            bad = bytearray(data[:at] if kind == "cut" else data)
+            if kind == "flip":
+                bad[at // 8] ^= 1 << (at % 8)
+            path.write_bytes(bytes(bad))
+            try:
+                got = fields(load(path))
+            except InvalidValue:
+                seen[kind, "refused"] += 1
+                continue
+            assert got == want, f"{kind} at {at} loaded changed content"
+            seen[kind, "equal"] += 1
+        return seen
+
+    def test_store(self, tmp_path):
+        path = tmp_path / "store.rfdn"
+        small_store().save(path)
+        seen = self.outcomes(path, FingerprintStore.load, store_fields)
+        assert seen["flip", "refused"] + seen["flip", "equal"] == self.FLIPS
+        assert seen["cut", "equal"] == 0
+
+    @pytest.mark.parametrize("method", ["relieff", "pca"])
+    def test_verifier(self, tmp_path, method):
+        path = tmp_path / "verifier.npz"
+        small_verifier(method).save(path)
+        seen = self.outcomes(
+            path, lambda p: Verifier.load(p, "R01", method, 21.0),
+            verifier_fields)
+        assert seen["flip", "refused"] + seen["flip", "equal"] == self.FLIPS
+        assert seen["cut", "equal"] == 0
+
+
+class TestArrayFile:
+    """load_arrays on files whose every CRC holds but whose content is not
+    a save_arrays file, and on one member flagged as encrypted."""
+
+    def test_refuses_pickled_objects(self, tmp_path):
+        path = tmp_path / "x.npz"
+        np.savez(path, x=np.array([{"a": 1}], dtype=object))
+        with pytest.raises(InvalidValue, match="allow_pickle"):
+            load_arrays(path)
+
+    def test_refuses_unparsable_header(self, tmp_path):
+        # A version-1.0 .npy header cut inside its shape tuple; numpy's
+        # fallback parser raises tokenize.TokenError on it.
+        head = b"{'descr': '<f8', 'fortran_order': False, 'shape': (3,"
+        head += b" " * (53 - len(head)) + b"\n"
+        path = tmp_path / "x.npz"
+        with zipfile.ZipFile(path, "w") as z:
+            z.writestr("x.npy", b"\x93NUMPY\x01\x00" + len(head).to_bytes(
+                2, "little") + head + bytes(24))
+        with pytest.raises(InvalidValue, match="TokenError"):
+            load_arrays(path)
+
+    def test_refuses_encrypted_member(self, tmp_path):
+        path = tmp_path / "x.npz"
+        save_arrays(path, x=np.arange(3))
+        data = bytearray(path.read_bytes())
+        data[data.index(b"PK\x01\x02") + 8] |= 1    # general-purpose flags
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidValue, match="encrypted"):
+            load_arrays(path)

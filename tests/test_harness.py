@@ -953,10 +953,16 @@ class TestCli:
         report_json(method="a/b"), report_json(snr_db="x"),
         report_json(snr_db=5000.0), report_json(trial_id="../x"),
         report_json(trial_id=0),
+        # entry ids key the plot data
+        report_json(entries=[
+            {"kind": "authorized", "claimed_id": "R01", "actual_id": "R01",
+             "n_r": 5, "tvr": 1.0, "n": 3},
+            {"kind": "rogue", "claimed_id": "R01", "actual_id": [7],
+             "n_r": 5, "fvr": 0.0, "n": 3}]),
     ], ids=["not-json", "not-a-list", "no-snr", "entries-object",
             "meta-list", "no-kind", "authorized-without-tvr", "text-rate",
             "method-path", "text-snr", "far-snr", "trial-id-path",
-            "trial-id-zero"])
+            "trial-id-zero", "list-actual-id"])
     def test_report_input_checked_before_writing(self, tmp_path, capsys,
                                                  text):
         src = tmp_path / "reports.json"
