@@ -9,65 +9,25 @@ class RfdnaError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidLength(RfdnaError):
-    pass
-
-
-class InvalidCutoff(RfdnaError):
-    pass
-
-
-class DegenerateSignal(RfdnaError):
-    pass
-
-
-class DegenerateTF(RfdnaError):
-    pass
-
-
-class InvalidShape(RfdnaError):
-    pass
-
-
 class InvalidValue(RfdnaError):
-    pass
-
-
-class InvalidRelevance(RfdnaError):
-    pass
-
-
-class SingularScatter(RfdnaError):
-    pass
+    """A refused argument or input: a bad count, shape, range or file, and
+    an input with no signal in it (a zero-power burst, an all-zero grid)."""
 
 
 class NumericalFailure(RfdnaError):
-    pass
-
-
-class InvalidNeighborCount(RfdnaError):
-    pass
-
-
-class InvalidCount(RfdnaError):
-    pass
+    """A computation that broke down on valid input."""
 
 
 class TrainingFailed(RfdnaError):
     """SVM solver hit the iteration cap.
 
-    Carries the last-iterate model in ``model`` plus solver diagnostics so a
-    caller can decide whether the partial solution is usable.
+    Carries the last-iterate model in ``model``, whose ``diagnostics`` let a
+    caller decide whether the partial solution is usable.
     """
 
-    def __init__(self, message, model=None, diagnostics=None):
+    def __init__(self, message, model=None):
         super().__init__(message)
         self.model = model
-        self.diagnostics = diagnostics or {}
-
-
-class InvalidInput(RfdnaError):
-    pass
 
 
 class MissingData(RfdnaError):
@@ -87,9 +47,10 @@ def is_real(value) -> bool:
         return False
 
 
-def check_count(name, value, low, error=InvalidValue):
-    """Refuse ``value`` with ``error`` unless it is an integer >= ``low``
-    (a bool is not a count)."""
+def check_count(name, value, low):
+    """Refuse ``value`` with :class:`InvalidValue` unless it is an integer
+    >= ``low`` (a bool is not a count)."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or value < low):
-        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+        raise InvalidValue(f"{name} must be an integer >= {low}, "
+                           f"got {value!r}")

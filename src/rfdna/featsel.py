@@ -13,16 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import (
-    InvalidCount,
-    InvalidNeighborCount,
-    InvalidRelevance,
-    InvalidShape,
-    InvalidValue,
-    NumericalFailure,
-    SingularScatter,
-    check_count,
-)
+from .errors import InvalidValue, NumericalFailure, check_count
 from .svm import standardize
 
 
@@ -37,7 +28,7 @@ class LabeledFingerprintSet:
         self.X = np.asarray(self.X, dtype=np.float64)
         labels = np.asarray(self.labels)
         if self.X.ndim != 2 or len(labels) != self.X.shape[0]:
-            raise InvalidShape("matrix/label shape mismatch")
+            raise InvalidValue("matrix/label shape mismatch")
         if not np.all(np.isfinite(self.X)):
             raise InvalidValue("non-finite features")
         # Checked before the integer cast, which would truncate 1.9 to 1.
@@ -123,9 +114,9 @@ def rank_dra(relevance) -> FeatureRanking:
     Ties break toward the lower feature index."""
     lam = np.asarray(relevance, dtype=np.float64)
     if lam.ndim != 1:
-        raise InvalidShape("relevance must be a vector")
+        raise InvalidValue("relevance must be a vector")
     if np.any(lam < 0) or np.any(lam > 1) or not np.all(np.isfinite(lam)):
-        raise InvalidRelevance("relevance entries must lie in [0, 1]")
+        raise InvalidValue("relevance entries must lie in [0, 1]")
     order = np.argsort(-lam, kind="stable")
     return FeatureRanking(method="dra", scores=lam, order=order)
 
@@ -142,7 +133,7 @@ def train_grlvq_relevance(
     sum 1 after every update, and finally rescaled to a maximum of 1.
     Prototypes learn at rate 0.05, relevances at 0.01.
     """
-    check_count("epochs", epochs, 1, InvalidCount)
+    check_count("epochs", epochs, 1)
     rng = np.random.default_rng(seed)
     X, y = fset.X, fset.labels
     n, f = X.shape
@@ -195,9 +186,9 @@ def project_lda(fset: LabeledFingerprintSet) -> ProjectionBasis:
     try:
         w = np.linalg.solve(s_w, mu1 - mu2)
     except np.linalg.LinAlgError as exc:
-        raise SingularScatter("within-class scatter not invertible") from exc
+        raise NumericalFailure("within-class scatter not invertible") from exc
     if not np.all(np.isfinite(w)):
-        raise SingularScatter("within-class scatter ill-conditioned")
+        raise NumericalFailure("within-class scatter ill-conditioned")
     return ProjectionBasis(basis=w.reshape(-1, 1), mean=np.zeros(f))
 
 
@@ -210,9 +201,9 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
     rows) are kept, so a pool of numerical rank below ``n_r`` gives fewer
     than ``n_r`` columns; a pool of equal rows is refused."""
     f = fset.n_features
-    check_count("n_r", n_r, 1, InvalidCount)
+    check_count("n_r", n_r, 1)
     if n_r > f:
-        raise InvalidCount(f"n_r must lie in [1, {f}]")
+        raise InvalidValue(f"n_r must lie in [1, {f}]")
     n = fset.X.shape[0]
     mean = fset.X.mean(axis=0)
     Xc = fset.X - mean
@@ -322,7 +313,7 @@ def rank_nca(
     64 x 204 pool, 3.3 MB), built once; pairs past the budget are rebuilt
     at every evaluation, one row at a time.
     """
-    check_count("iterations", iterations, 1, InvalidCount)
+    check_count("iterations", iterations, 1)
     X, y = fset.X, fset.labels
     n, f = X.shape
     lam_r = 1.0 / n
@@ -440,8 +431,8 @@ def _sample_moments(x):
 
 def welch_t(a: np.ndarray, b: np.ndarray):
     """Welch t and Welch-Satterthwaite degrees of freedom of each column
-    (floats for 1-D samples). A zero standard error gives t = +-inf, or 0
-    for equal means, with n1 + n2 - 2 degrees of freedom."""
+    (0-d arrays for 1-D samples). A zero standard error gives t = +-inf, or
+    0 for equal means, with n1 + n2 - 2 degrees of freedom."""
     (n1, m1, v1), (n2, m2, v2) = _sample_moments(a), _sample_moments(b)
     se2 = v1 / n1 + v2 / n2
     dmean = m1 - m2
@@ -450,8 +441,6 @@ def welch_t(a: np.ndarray, b: np.ndarray):
         t = np.where(zero & (dmean == 0), 0.0, dmean / np.sqrt(se2))
         dof = np.where(zero, float(n1 + n2 - 2), se2**2 / (
             v1**2 / ((n1 - 1) * n1**2) + v2**2 / ((n2 - 1) * n2**2)))
-    if t.ndim == 0:
-        return float(t), float(dof)
     return t, dof
 
 
@@ -490,14 +479,12 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
     normalized by that feature's max-min over the whole training set (a
     constant feature contributes zero). Weights rank descending.
     """
-    check_count("n_k", n_k, 1, InvalidNeighborCount)
+    check_count("n_k", n_k, 1)
     X, y = fset.X, fset.labels
     n, f = X.shape
     for c in (1, 2):
         if np.sum(y == c) < n_k + 1:
-            raise InvalidNeighborCount(
-                f"class {c} needs at least {n_k + 1} members"
-            )
+            raise InvalidValue(f"class {c} needs at least {n_k + 1} members")
     span = X.max(axis=0) - X.min(axis=0)
     scale = np.where(span > 0, span, np.inf)   # constant feature -> diff 0
 
@@ -534,11 +521,10 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
 # ---------------------------------------------------------------------------
 
 def select_top(ranking: FeatureRanking, n_r: int) -> np.ndarray:
-    check_count("n_r", n_r, 1, InvalidCount)
+    check_count("n_r", n_r, 1)
     if n_r > len(ranking.order):
-        raise InvalidCount(
-            f"n_r {n_r} exceeds ranked count {len(ranking.order)}"
-        )
+        raise InvalidValue(f"n_r {n_r} exceeds ranked count "
+                           f"{len(ranking.order)}")
     return ranking.order[:n_r].copy()
 
 

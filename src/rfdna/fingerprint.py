@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidShape, InvalidValue, check_count
+from .errors import InvalidValue, check_count
 
 N_FEATURES = 204
 GRID_SHAPE = (150, 150)
@@ -42,9 +42,7 @@ class Fingerprint:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.shape != (N_FEATURES,):
-            raise InvalidShape(
-                f"fingerprint must have {N_FEATURES} features"
-            )
+            raise InvalidValue(f"fingerprint must have {N_FEATURES} features")
         if not np.all(np.isfinite(self.features)):
             raise InvalidValue("non-finite fingerprint features")
         if not isinstance(self.radio_id, str):
@@ -82,7 +80,7 @@ def gen_fingerprint(tf: np.ndarray, radio_id: str = "",
     patch's four moments in patch order, then the whole grid's."""
     vals = np.asarray(tf, dtype=np.float64)
     if vals.shape != GRID_SHAPE:
-        raise InvalidShape(f"expected {GRID_SHAPE} grid, got {vals.shape}")
+        raise InvalidValue(f"expected {GRID_SHAPE} grid, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise InvalidValue("non-finite grid values")
     region = vals[:, FREQ_LO:FREQ_HI]
@@ -162,23 +160,33 @@ class FingerprintStore:
     @classmethod
     def load(cls, path) -> "FingerprintStore":
         """The store at ``path``. A file that is not an intact version-3
-        store, an older store included, raises :class:`InvalidValue`."""
+        store, an older store included, raises :class:`InvalidValue` naming
+        the reason: :func:`load_arrays`' or the first check that failed."""
         try:
             d = load_arrays(path)
             ids = json.loads(d["radio_ids"].item())
             code, snr, z, x = (d[k] for k in ("id_code", "snr_db",
                                               "realization", "features"))
-            ok = (ids == list(dict.fromkeys(map(str, ids)))  # distinct strings
-                  and d["version"].item() == _VERSION
-                  and code.shape == snr.shape == z.shape == (len(code),)
-                  and x.shape == (len(code), N_FEATURES)
-                  and code.dtype == z.dtype == np.uint32
-                  and np.all(code < len(ids)) and np.all(np.isfinite(x)))
-        except (InvalidValue, KeyError, TypeError, ValueError):
-            ok = False
-        if not ok:
+            checks = {
+                "distinct string ids":
+                    ids == list(dict.fromkeys(map(str, ids))),
+                f"version {_VERSION}": d["version"].item() == _VERSION,
+                "column shapes": (code.shape == snr.shape == z.shape
+                                  == (len(code),)
+                                  and x.shape == (len(code), N_FEATURES)),
+                "u32 columns": code.dtype == z.dtype == np.uint32,
+                "known id codes": np.all(code < len(ids)),
+                "finite features": np.all(np.isfinite(x)),
+            }
+            why = next((f"fails {name}" for name, ok in checks.items()
+                        if not ok), None)
+        except InvalidValue as exc:
+            why = str(exc).removeprefix(f"{path}: ")
+        except (KeyError, TypeError, ValueError) as exc:
+            why = repr(exc)
+        if why:
             raise InvalidValue(f"{path} is not an intact version-{_VERSION} "
-                               "store; re-run `rfdna fingerprint`")
+                               f"store ({why}); re-run `rfdna fingerprint`")
         store = cls()
         store._code_of = {rid: i for i, rid in enumerate(ids)}
         store._id_code = code.astype(np.int64)
@@ -204,10 +212,14 @@ def save_arrays(path, **arrays) -> None:
 
 def load_arrays(path) -> dict:
     """The arrays of a :func:`save_arrays` file by name, each member's CRC-32
-    checked before numpy parses it; any fault raises :class:`InvalidValue`."""
+    checked before numpy parses it. The file must start with the first
+    member's local header; any fault raises :class:`InvalidValue`."""
     try:
         buf = Path(path).read_bytes()
-        # zipfile skips bytes after the end record (written last, no comment)
+        # zipfile skips bytes before the first member and after the end
+        # record (written last, no comment); save_arrays writes neither
+        if buf[:4] != b"PK\x03\x04":
+            raise zipfile.BadZipFile("no local file header at offset 0")
         if buf[-22:-18] != b"PK\x05\x06" or buf[-2:] != b"\0\0":
             raise zipfile.BadZipFile("bytes after the end record")
         with zipfile.ZipFile(io.BytesIO(buf)) as z:

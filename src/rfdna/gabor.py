@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DegenerateTF, InvalidLength, InvalidValue, check_count,
-                     is_real)
+from .errors import InvalidValue, check_count, is_real
 from .signals import ComplexBurst
 
 
@@ -85,7 +84,7 @@ def dgt(burst, params: GaborParams = GaborParams()) -> np.ndarray:
     )
     L = params.block_len
     if len(samples) < L:
-        raise InvalidLength(f"need {L} samples, burst has {len(samples)}")
+        raise InvalidValue(f"need {L} samples, burst has {len(samples)}")
     s = np.asarray(samples[:L], dtype=np.complex128)
 
     # Fold the length-L sum onto K_G phase residues, then take a DFT. The
@@ -105,5 +104,5 @@ def normalize_tf(G: np.ndarray) -> np.ndarray:
     mag2 = np.abs(G) ** 2
     peak = mag2.max()
     if peak == 0.0:
-        raise DegenerateTF("all-zero coefficient grid")
+        raise InvalidValue("all-zero coefficient grid")
     return np.fft.fftshift(mag2 / peak, axes=1)

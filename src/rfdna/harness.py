@@ -12,14 +12,14 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import featsel
-from .errors import (InvalidInput, InvalidModel, InvalidValue, MissingData,
-                     TrainingFailed, check_count, is_real)
+from .errors import (InvalidModel, InvalidValue, MissingData, TrainingFailed,
+                     check_count, is_real)
 from .fingerprint import (N_FEATURES, Fingerprint, FingerprintStore,
                           gen_fingerprint, load_arrays, save_arrays)
 from .gabor import GaborParams, dgt, normalize_tf
@@ -142,9 +142,6 @@ class ExperimentConfig:
         if unknown:
             raise InvalidValue(f"unknown config keys {sorted(unknown)}")
         return cls(**data)
-
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2))
 
 
 def _seed(master: int, *key: int):
@@ -522,9 +519,6 @@ class VerificationReport:
             out = [e for e in out if e["claimed_id"] == claimed_id]
         return out
 
-    def attack_count(self) -> int:
-        return len(self.rows(kind="rogue"))
-
     def gates_pass(self) -> bool:
         """Every authorized TVR and every other-authorized and rogue FVR
         within the gates of :mod:`rfdna.modelsel`."""
@@ -672,7 +666,7 @@ def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
     """Write ``reports.json``, ``reports.csv`` and one plot-data JSON per
     report with entries; return the written paths."""
     if not reports:
-        raise InvalidInput("no reports to emit")
+        raise InvalidValue("no reports to emit")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "reports.json"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, check_count
+from .errors import InvalidValue, check_count
 from .featsel import bhattacharyya, class_histograms
 from .svm import SvmModel, margin
 
@@ -54,7 +54,7 @@ def build_margin_pmfs(
     authorized_fps = np.atleast_2d(authorized_fps)
     other_fps = np.atleast_2d(other_fps)
     if authorized_fps.size == 0 or other_fps.size == 0:
-        raise InvalidInput("both fingerprint sets must be non-empty")
+        raise InvalidValue("both fingerprint sets must be non-empty")
     m_pos = margin(model, authorized_fps, +1)
     m_neg = margin(model, other_fps, -1)
     (pmf_pos,), (pmf_neg,), (edges,) = class_histograms(
@@ -85,7 +85,7 @@ def select_best(candidates: list[CandidateModel]) -> CandidateModel:
     retained count. With no gate survivor, fall back to the highest-TVR
     candidate (ties toward fewer features)."""
     if not candidates:
-        raise InvalidInput("empty candidate list")
+        raise InvalidValue("empty candidate list")
     survivors = [cand for cand in candidates if passes_gate(cand)]
     if survivors:
         def key(cand: CandidateModel):

@@ -17,14 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateSignal,
-    InvalidCutoff,
-    InvalidLength,
-    InvalidValue,
-    check_count,
-    is_real,
-)
+from .errors import InvalidValue, check_count, is_real
 
 MIN_BURST_LEN = 150  # samples consumed by one time-frequency block
 TEMPLATE_LEN = 200   # near-transient burst length of the capture chain
@@ -118,7 +111,7 @@ def synth_burst(
     third-order nonlinearity, frequency offset, phase-noise walk. The identity
     profile reproduces the clean ramp template exactly.
     """
-    check_count("template_len", template_len, MIN_BURST_LEN, InvalidLength)
+    check_count("template_len", template_len, MIN_BURST_LEN)
     rng = np.random.default_rng(seed)
     x = clean_template(template_len, profile.ramp_time_constant).astype(
         np.complex128
@@ -152,7 +145,7 @@ def _lowpass(x: np.ndarray, order: int, cutoff: float) -> np.ndarray:
     the spec is checked before the cache sees it."""
     check_count("filter order", order, 1)
     if not (is_real(cutoff) and 0.0 < cutoff < 1.0):
-        raise InvalidCutoff(f"cutoff {cutoff} outside (0, 1)")
+        raise InvalidValue(f"cutoff {cutoff} outside (0, 1)")
     # scipy.signal is imported on first use, so commands that never filter
     # do not pay for importing it.
     from scipy.signal import sosfilt
@@ -172,9 +165,9 @@ def butterworth_filter(burst: ComplexBurst, order: int = CAPTURE_FILTER[0],
     """Forward-only low-pass Butterworth filter (cascaded biquads).
 
     ``cutoff`` is a fraction of the Nyquist frequency. An ``order`` that is
-    not an integer >= 1 raises :class:`InvalidValue`, a cutoff outside
-    (0, 1) :class:`InvalidCutoff`; ``add_awgn`` checks its ``filter_spec``
-    the same way.
+    not an integer >= 1, or a cutoff outside (0, 1), raises
+    :class:`InvalidValue`; ``add_awgn`` checks its ``filter_spec`` the same
+    way.
     """
     return ComplexBurst(_lowpass(burst.samples, order, cutoff))
 
@@ -194,7 +187,7 @@ def add_awgn(
     """
     p_sig = burst.power()
     if p_sig <= 0.0:
-        raise DegenerateSignal("burst power is zero")
+        raise InvalidValue("burst power is zero")
     order, cutoff = filter_spec
     rng = np.random.default_rng(seed)
     n = len(burst.samples)

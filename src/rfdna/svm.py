@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidShape, InvalidValue, TrainingFailed, is_real
+from .errors import InvalidValue, TrainingFailed, is_real
 
 _TOLERANCE = 1e-3
 _MAX_UPDATES = 1_000_000
@@ -51,14 +51,15 @@ def train_svm(
     X: np.ndarray,
     labels: np.ndarray,
     c: float = 1.0,
-    zeta: float | None = None,
+    *,
+    zeta: float,
     feature_indices=None,
 ) -> SvmModel:
     """Train the verifier on raw (unscaled) feature rows.
 
     ``labels`` holds class tags 1/2 or y values +1/-1. A per-feature
-    standardizer is fit on the training rows and stored with the model;
-    ``zeta`` defaults to 1 / n_features after standardization. Training
+    standardizer is fit on the training rows and stored with the model; the
+    kernel is exp(-zeta * d^2) over standardized distances d. Training
     stops once the gap of the maximally violating pair falls below 1e-3,
     which bounds every row's KKT violation by that gap;
     ``diagnostics["kkt_gap"]`` is that gap when training stops (0.0 when
@@ -67,7 +68,7 @@ def train_svm(
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     if X.ndim != 2 or labels.shape != (len(X),):
-        raise InvalidShape(f"need 2-D rows and one label per row, got X "
+        raise InvalidValue(f"need 2-D rows and one label per row, got X "
                            f"{X.shape} and labels {labels.shape}")
     if not (np.all(np.isin(labels, (1, 2)))
             or np.all(np.isin(labels, (1, -1)))):
@@ -75,13 +76,11 @@ def train_svm(
                            "+1/-1")
     # Class tag 1 and label +1 both map to y = +1; tag 2 / label -1 to y = -1.
     y = np.where(labels == 1, 1.0, -1.0)
-    n, f = X.shape
+    n = len(X)
     if not np.all(np.isfinite(X)):
         raise InvalidValue("non-finite features")
     if len(np.unique(y)) < 2:
         raise InvalidValue("both classes must be present")
-    if zeta is None:
-        zeta = 1.0 / f
     for name, value in (("c", c), ("zeta", zeta)):
         if not (is_real(value) and value > 0):
             raise InvalidValue(f"{name} must be a finite number > 0, "
@@ -186,9 +185,7 @@ def train_svm(
     )
     if not converged:
         raise TrainingFailed(
-            f"no convergence after {n_updates} pair updates",
-            model=model, diagnostics=diagnostics,
-        )
+            f"no convergence after {n_updates} pair updates", model=model)
     return model
 
 
@@ -201,10 +198,8 @@ def svm_score(model: SvmModel, fp: np.ndarray):
     single = fp.ndim == 1
     rows = fp.reshape(1, -1) if single else fp
     if rows.shape[1] != model.support_vectors.shape[1]:
-        raise InvalidShape(
-            f"expected {model.support_vectors.shape[1]} features, "
-            f"got {rows.shape[1]}"
-        )
+        raise InvalidValue(f"expected {model.support_vectors.shape[1]} "
+                           f"features, got {rows.shape[1]}")
     Z = (rows - model.scaler_mean) / model.scaler_scale
     k = rbf_kernel(Z, model.support_vectors, model.kernel_zeta)
     scores = k @ model.dual_coeffs + model.bias

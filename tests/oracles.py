@@ -474,7 +474,8 @@ def train_svm_reference(
     X: np.ndarray,
     labels: np.ndarray,
     c: float = 1.0,
-    zeta: float | None = None,
+    *,
+    zeta: float,
     feature_indices=None,
 ):
     """``svm.train_svm`` as a literal SMO loop: every pair update rebuilds
@@ -486,13 +487,11 @@ def train_svm_reference(
     labels = np.asarray(labels)
     # Class tag 1 and label +1 both map to y = +1; tag 2 / label -1 to y = -1.
     y = np.where(labels == 1, 1.0, -1.0)
-    n, f = X.shape
+    n = len(X)
     if not np.all(np.isfinite(X)):
         raise InvalidValue("non-finite features")
     if len(np.unique(y)) < 2:
         raise InvalidValue("both classes must be present")
-    if zeta is None:
-        zeta = 1.0 / f
     if zeta <= 0:
         raise InvalidValue("zeta must be > 0")
 
@@ -579,9 +578,7 @@ def train_svm_reference(
     )
     if not converged:
         raise TrainingFailed(
-            f"no convergence after {n_updates} pair updates",
-            model=model, diagnostics=diagnostics,
-        )
+            f"no convergence after {n_updates} pair updates", model=model)
     return model
 
 

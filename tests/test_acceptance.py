@@ -246,7 +246,7 @@ def test_criterion_5_protocol_identities(experiment):
     attacks_ok = True
     for reports in experiment["reports"].values():
         for r in reports:
-            attacks_ok = attacks_ok and r.attack_count() == 72
+            attacks_ok = attacks_ok and len(r.rows(kind="rogue")) == 72
             for e in r.entries:
                 if e["kind"] == "authorized":
                     identities = identities and abs(

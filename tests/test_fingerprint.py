@@ -1,4 +1,5 @@
 import errno
+import re
 import zipfile
 from collections import Counter
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rfdna import fingerprint
-from rfdna.errors import InvalidShape, InvalidValue
+from rfdna.errors import InvalidValue
 from rfdna.fingerprint import (
     GRID_SHAPE,
     N_FEATURES,
@@ -90,7 +91,8 @@ class TestGenFingerprint:
 
     def test_rejects_bad_grid(self):
         for shape in [(10, 10), (100, 150)]:
-            with pytest.raises(InvalidShape):
+            with pytest.raises(InvalidValue,
+                               match=r"expected \(150, 150\) grid"):
                 gen_fingerprint(np.zeros(shape))
         for value in (np.nan, np.inf):
             bad = RNG.random(GRID_SHAPE)
@@ -99,7 +101,7 @@ class TestGenFingerprint:
                 gen_fingerprint(bad)
 
     def test_fingerprint_length_enforced(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidValue, match="must have 204 features"):
             Fingerprint(features=np.zeros(203))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -287,7 +289,8 @@ class TestStore:
         for version in (1, 2):
             path.write_bytes(b"RFDN" + b"".join(
                 n.to_bytes(4, "little") for n in (version, N_FEATURES, 0, 0)))
-            with pytest.raises(InvalidValue, match="rfdna fingerprint"):
+            with pytest.raises(InvalidValue,
+                               match="offset 0.*re-run `rfdna fingerprint`"):
                 FingerprintStore.load(path)
 
     def test_add_after_load_appends(self, tmp_path):
@@ -365,49 +368,70 @@ def store_fields(store):
 
 class TestCorruption:
     """A saved store or verifier with one flipped bit, or cut short, is
-    refused with InvalidValue or loads exactly what was saved; no other
-    exception escapes."""
+    refused with InvalidValue or loads exactly what was saved, and one with
+    a byte prepended is refused; no other exception escapes."""
 
     FLIPS, STRIDE = 1000, 97
 
     def outcomes(self, path, load, fields):
+        """Counts by (kind, outcome), and each refusal's message by
+        (kind, position)."""
         data = path.read_bytes()
         want = fields(load(path))
         rng = np.random.default_rng(2018)
         bits = rng.integers(0, 8 * len(data), self.FLIPS)
-        corrupt = [("flip", bit) for bit in bits] + [
-            ("cut", end) for end in range(0, len(data), self.STRIDE)]
-        seen = Counter()
+        corrupt = ([("flip", bit) for bit in bits]
+                   + [("cut", end) for end in range(0, len(data), self.STRIDE)]
+                   + [("prepend", 1)])
+        seen, why = Counter(), {}
         for kind, at in corrupt:
-            bad = bytearray(data[:at] if kind == "cut" else data)
+            bad = bytearray({"flip": data, "cut": data[:at],
+                             "prepend": bytes(at) + data}[kind])
             if kind == "flip":
                 bad[at // 8] ^= 1 << (at % 8)
             path.write_bytes(bytes(bad))
             try:
                 got = fields(load(path))
-            except InvalidValue:
+            except InvalidValue as exc:
                 seen[kind, "refused"] += 1
+                why[kind, at] = str(exc)
                 continue
             assert got == want, f"{kind} at {at} loaded changed content"
             seen[kind, "equal"] += 1
-        return seen
+        return seen, why
 
     def test_store(self, tmp_path):
         path = tmp_path / "store.rfdn"
         small_store().save(path)
-        seen = self.outcomes(path, FingerprintStore.load, store_fields)
+        # The features member is written last: its data ends where the
+        # central directory starts.
+        with zipfile.ZipFile(path) as z:
+            end = z.start_dir
+            start = end - z.getinfo("features.npy").compress_size
+        seen, why = self.outcomes(path, FingerprintStore.load, store_fields)
         assert seen["flip", "refused"] + seen["flip", "equal"] == self.FLIPS
         assert seen["cut", "equal"] == 0
+        assert seen["prepend", "refused"] == 1
+        # Every refusal names its reason, and a flip in the features data
+        # names the CRC fault.
+        assert all(re.search(r"store \(.+\); re-run", m) for m in why.values())
+        in_features = [m for (kind, at), m in why.items()
+                       if kind == "flip" and start <= at // 8 < end]
+        assert in_features and all(
+            "Bad CRC-32 for file 'features.npy'" in m for m in in_features)
+        assert "offset 0" in why["prepend", 1]
 
     @pytest.mark.parametrize("method", ["relieff", "pca"])
     def test_verifier(self, tmp_path, method):
         path = tmp_path / "verifier.npz"
         small_verifier(method).save(path)
-        seen = self.outcomes(
+        seen, why = self.outcomes(
             path, lambda p: Verifier.load(p, "R01", method, 21.0),
             verifier_fields)
         assert seen["flip", "refused"] + seen["flip", "equal"] == self.FLIPS
         assert seen["cut", "equal"] == 0
+        assert seen["prepend", "refused"] == 1
+        assert "offset 0" in why["prepend", 1]
 
 
 class TestArrayFile:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfdna.errors import InvalidInput, InvalidValue
+from rfdna.errors import InvalidValue
 from rfdna.featsel import bhattacharyya
 from rfdna.modelsel import (
     CandidateModel,
@@ -100,7 +100,7 @@ class TestBuildMarginPmfs:
 
     def test_empty_inputs_rejected(self):
         model = odd_model()
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidValue, match="sets must be non-empty"):
             build_margin_pmfs(model, np.empty((0, 2)), np.ones((3, 2)))
 
     @pytest.mark.parametrize("bins", [0, -2, 2.5, True])
@@ -160,7 +160,7 @@ class TestSelectBest:
         assert select_best([a, b, worse]) is a
 
     def test_empty_list_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidValue, match="empty candidate list"):
             select_best([])
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfdna import svm
-from rfdna.errors import InvalidShape, InvalidValue, TrainingFailed
+from rfdna.errors import InvalidValue, TrainingFailed
 from rfdna.svm import (
     SvmModel,
     margin,
@@ -18,6 +18,9 @@ from rfdna.svm import (
 from oracles import svm_dual_grid_oracle, train_svm_reference
 
 RNG = np.random.default_rng(2024)
+
+
+ZETA = 1 / 3     # 1 / n_features of blob_data rows
 
 
 def blob_data(n=30, gap=3.0, seed=0):
@@ -42,8 +45,9 @@ def full_alphas(model, X, labels):
 
 
 def fit(train, X, labels, **kwargs):
-    """``(model, converged)``; a fit stopped by the update cap gives its
-    partial model."""
+    """``(model, converged)``, with ``zeta`` 1 / n_features unless given; a
+    fit stopped by the update cap gives its partial model."""
+    kwargs.setdefault("zeta", 1.0 / X.shape[1])
     try:
         return train(X, labels, **kwargs), True
     except TrainingFailed as exc:
@@ -105,7 +109,7 @@ class TestStandardize:
 
     def test_train_svm_stores_the_scaler(self):
         X, labels = blob_data()
-        model = train_svm(X, labels)
+        model = train_svm(X, labels, zeta=ZETA)
         _, mean, scale = standardize(X)
         assert np.array_equal(model.scaler_mean, mean)
         assert np.array_equal(model.scaler_scale, scale)
@@ -129,7 +133,7 @@ class TestTraining:
 
     def test_dual_feasibility(self):
         X, labels = blob_data(seed=1)
-        model = train_svm(X, labels, c=1.0)
+        model = train_svm(X, labels, c=1.0, zeta=ZETA)
         a = model.diagnostics["alphas"]
         assert np.all(a >= -1e-12)
         assert np.all(a <= 1.0 + 1e-12)
@@ -137,8 +141,8 @@ class TestTraining:
         assert model.diagnostics["converged"]
 
     @pytest.mark.parametrize("X, labels, zeta", [
-        (*blob_data(seed=1), None),
-        (*blob_data(n=40, gap=1.0, seed=4), None),    # overlapping classes
+        (*blob_data(seed=1), ZETA),
+        (*blob_data(n=40, gap=1.0, seed=4), ZETA),    # overlapping classes
         (np.array([[0.0, 0.0], [0.2, 0.1], [1.0, 1.1], [1.2, 0.9]]),
          np.array([1, 1, 2, 2]), 0.7),
         (np.array([[0.0, 0.0], [0.9, 1.0], [1.0, 1.1], [0.1, 0.1]]),
@@ -160,49 +164,45 @@ class TestTraining:
         assert np.all(np.abs(yf[free] - 1.0) <= tol)
         assert np.all(yf[at_c] <= 1.0 + tol)
 
-    def test_default_zeta_is_inverse_feature_count(self):
-        X, labels = blob_data()
-        assert train_svm(X, labels).kernel_zeta == pytest.approx(1 / 3)
-
     def test_label_conventions_agree(self):
         X, labels = blob_data(seed=3)
         y = np.where(labels == 1, 1, -1)
-        a = train_svm(X, labels, c=1.0)
-        b = train_svm(X, y, c=1.0)
+        a = train_svm(X, labels, c=1.0, zeta=ZETA)
+        b = train_svm(X, y, c=1.0, zeta=ZETA)
         assert np.array_equal(a.support_vectors, b.support_vectors)
         assert a.bias == b.bias
 
     def test_separable_training_accuracy(self):
         X, labels = blob_data(n=40, gap=4.0, seed=5)
-        model = train_svm(X, labels)
+        model = train_svm(X, labels, zeta=ZETA)
         pred = svm_decide(model, X)
         assert np.array_equal(pred, np.where(labels == 1, 1, -1))
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidValue):
-            train_svm(np.zeros((4, 2)), np.ones(4))
+            train_svm(np.zeros((4, 2)), np.ones(4), zeta=0.5)
 
     @pytest.mark.parametrize("labels", [[1, 2, 7], [2, -1, 1]],
                              ids=["unknown", "mixed"])
     def test_labels_outside_one_convention_rejected(self, labels):
         X = np.arange(6.0).reshape(3, 2)
         with pytest.raises(InvalidValue):
-            train_svm(X, labels)
+            train_svm(X, labels, zeta=ZETA)
 
     @pytest.mark.parametrize("rows, n_labels", [(slice(None), -1),
                                                 (0, None)],
                              ids=["one-label-short", "1-D-rows"])
     def test_rows_and_labels_of_other_shapes_rejected(self, rows, n_labels):
         X, labels = blob_data()
-        with pytest.raises(InvalidShape):
-            train_svm(X[:, rows], labels[:n_labels])
+        with pytest.raises(InvalidValue, match="need 2-D rows and one label"):
+            train_svm(X[:, rows], labels[:n_labels], zeta=ZETA)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, value):
         X, labels = blob_data()
         X[4, 1] = value
         with pytest.raises(InvalidValue):
-            train_svm(X, labels)
+            train_svm(X, labels, zeta=ZETA)
 
     @pytest.mark.parametrize("zeta", [0.0, -1.0, np.nan, np.inf, True])
     def test_bad_zeta_rejected(self, zeta):
@@ -214,15 +214,15 @@ class TestTraining:
     def test_bad_cost_rejected(self, c):
         X, labels = blob_data()
         with pytest.raises(InvalidValue):
-            train_svm(X, labels, c=c)
+            train_svm(X, labels, c=c, zeta=ZETA)
 
     def test_iteration_cap_carries_partial_model(self, monkeypatch):
         X, labels = blob_data(n=50, gap=0.2, seed=7)
         monkeypatch.setattr(svm, "_MAX_UPDATES", 3)
         with pytest.raises(TrainingFailed) as exc:
-            train_svm(X, labels)
+            train_svm(X, labels, zeta=ZETA)
         assert isinstance(exc.value.model, SvmModel)
-        assert exc.value.diagnostics["n_updates"] == 3
+        assert exc.value.model.diagnostics["n_updates"] == 3
 
 
 class TestAgainstReferenceLoop:
@@ -298,7 +298,7 @@ class TestKktGap:
     def test_gap_is_zero_without_a_pair(self):
         # With c below the 1e-12 set margin, no row is in either set.
         X, labels = blob_data(seed=2)
-        model = train_svm(X, labels, c=1e-13)
+        model = train_svm(X, labels, c=1e-13, zeta=ZETA)
         assert model.diagnostics["kkt_gap"] == 0.0
         assert model.diagnostics["n_updates"] == 0
 
@@ -306,7 +306,7 @@ class TestKktGap:
 @pytest.fixture(scope="module")
 def model():
     X, labels = blob_data(seed=9)
-    return train_svm(X, labels)
+    return train_svm(X, labels, zeta=ZETA)
 
 
 class TestScoring:
@@ -319,7 +319,7 @@ class TestScoring:
         assert S.shape == (5,)
 
     def test_score_shape_mismatch(self, model):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidValue, match="expected 3 features, got 4"):
             svm_score(model, np.zeros(4))
 
     def test_decision_sign_consistency(self, model):
