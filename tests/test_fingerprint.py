@@ -464,3 +464,12 @@ class TestArrayFile:
         path.write_bytes(bytes(data))
         with pytest.raises(InvalidValue, match="encrypted"):
             load_arrays(path)
+
+    def test_refuses_bytes_before_the_archive(self, tmp_path):
+        # zipfile finds the members from the end record, so the prepended
+        # byte alone would not stop it; the offset-0 header check does.
+        path = tmp_path / "x.npz"
+        save_arrays(path, x=np.arange(3))
+        path.write_bytes(b"\0" + path.read_bytes())
+        with pytest.raises(InvalidValue, match="no local file header at off"):
+            load_arrays(path)

@@ -204,6 +204,11 @@ class TestTraining:
         with pytest.raises(InvalidValue):
             train_svm(X, labels, zeta=ZETA)
 
+    def test_zeta_is_required(self):
+        X, labels = blob_data()
+        with pytest.raises(TypeError, match="zeta"):
+            train_svm(X, labels)
+
     @pytest.mark.parametrize("zeta", [0.0, -1.0, np.nan, np.inf, True])
     def test_bad_zeta_rejected(self, zeta):
         X, labels = blob_data()
