@@ -53,7 +53,6 @@ from .harness import (
     emit_report,
     evaluate_trial,
     generate_dataset,
-    run_trial,
     snr_sweep,
     train_best_model,
 )

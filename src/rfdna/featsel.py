@@ -71,7 +71,6 @@ class FeatureRanking:
 class ProjectionBasis:
     basis: np.ndarray               # (n_features, n_components)
     mean: np.ndarray                # centering vector
-    eigenvalues: np.ndarray | None = None
 
 
 def _default_bins(n_rows: int) -> int:
@@ -216,7 +215,7 @@ def project_pca(fset: LabeledFingerprintSet, n_r: int) -> ProjectionBasis:
     basis = evecs[:, idx]
     peak = basis[np.argmax(np.abs(basis), axis=0), np.arange(len(idx))]
     basis *= np.where(peak < 0, -1.0, 1.0)
-    return ProjectionBasis(basis=basis, mean=mean, eigenvalues=evals[idx])
+    return ProjectionBasis(basis=basis, mean=mean)
 
 
 # ---------------------------------------------------------------------------

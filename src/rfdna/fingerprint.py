@@ -212,8 +212,8 @@ def save_arrays(path, **arrays) -> None:
 
 def load_arrays(path) -> dict:
     """The arrays of a :func:`save_arrays` file by name, each member's CRC-32
-    checked before numpy parses it. The file must start with the first
-    member's local header; any fault raises :class:`InvalidValue`."""
+    checked before numpy parses it. The file must hold nothing but the
+    archive; any fault raises :class:`InvalidValue`."""
     try:
         buf = Path(path).read_bytes()
         # zipfile skips bytes before the first member and after the end
@@ -222,7 +222,15 @@ def load_arrays(path) -> dict:
             raise zipfile.BadZipFile("no local file header at offset 0")
         if buf[-22:-18] != b"PK\x05\x06" or buf[-2:] != b"\0\0":
             raise zipfile.BadZipFile("bytes after the end record")
+        # zipfile shifts every offset by bytes before the archive; 0xFFFFFFFF
+        # defers to the zip64 end record, which ends at the 20-byte locator
+        offset = int.from_bytes(buf[-6:-2], "little")
+        if offset == 0xFFFFFFFF:
+            offset = int.from_bytes(buf[-50:-42], "little")
         with zipfile.ZipFile(io.BytesIO(buf)) as z:
+            if z.start_dir != offset:
+                raise zipfile.BadZipFile(f"central directory at {z.start_dir}"
+                                         f", end record says {offset}")
             return {m.filename.removesuffix(".npy"): np.lib.format.read_array(
                 io.BytesIO(z.read(m)), allow_pickle=False)
                 for m in z.infolist()}

@@ -617,12 +617,6 @@ def evaluate_trial(
     )
 
 
-def run_trial(trial, snr_db, method, store, config) -> VerificationReport:
-    """Train every authorized radio's verifier, then score the trial."""
-    models = train_trial(trial, snr_db, method, store, config)
-    return evaluate_trial(trial, snr_db, method, models, store, config)
-
-
 def snr_sweep(
     trials: list[TrialConfig],
     config: ExperimentConfig,
@@ -648,8 +642,9 @@ def snr_sweep(
                               "eliminated_at_snr": eliminated[method]},
                     ))
                 continue
-            made = [run_trial(trial, snr, method, store, config)
-                    for trial in trials]
+            made = [evaluate_trial(t, snr, method,
+                                   train_trial(t, snr, method, store, config),
+                                   store, config) for t in trials]
             if not all(r.gates_pass() for r in made):
                 eliminated[method] = snr
                 for r in made:

@@ -22,7 +22,6 @@ TVR_GATE, FVR_GATE = 0.90, 0.10  # pass at TVR >= 90% and FVR <= 10%
 class MarginPmfPair:
     pmf_pos: np.ndarray
     pmf_neg: np.ndarray
-    bin_edges: np.ndarray
     mean_pos: float
     mean_neg: float
     var_pos: float
@@ -57,10 +56,10 @@ def build_margin_pmfs(
         raise InvalidValue("both fingerprint sets must be non-empty")
     m_pos = margin(model, authorized_fps, +1)
     m_neg = margin(model, other_fps, -1)
-    (pmf_pos,), (pmf_neg,), (edges,) = class_histograms(
+    (pmf_pos,), (pmf_neg,), _ = class_histograms(
         m_pos[:, None], m_neg[:, None], bins)
     return MarginPmfPair(
-        pmf_pos=pmf_pos, pmf_neg=pmf_neg, bin_edges=edges,
+        pmf_pos=pmf_pos, pmf_neg=pmf_neg,
         mean_pos=float(m_pos.mean()), mean_neg=float(m_neg.mean()),
         var_pos=float(m_pos.var()), var_neg=float(m_neg.var()),
         bc=bhattacharyya(pmf_pos, pmf_neg),

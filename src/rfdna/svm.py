@@ -165,8 +165,6 @@ def train_svm(
         "n_updates": n_updates,
         "converged": converged,
         "dual_objective": dual_objective,
-        "alphas": alpha[sv],
-        "sum_alpha_y": float(np.sum(alpha * y)),
         "kkt_gap": kkt_gap,
     }
     model = SvmModel(
@@ -209,9 +207,9 @@ def svm_score(model: SvmModel, fp: np.ndarray):
 def svm_decide(model: SvmModel, fp: np.ndarray):
     """+1 for authorized, -1 otherwise; a score of exactly 0 rejects."""
     s = svm_score(model, fp)
-    if np.isscalar(s) or getattr(s, "ndim", 0) == 0:
+    if np.isscalar(s):
         return 1 if s > 0 else -1
-    return np.where(np.asarray(s) > 0, 1, -1)
+    return np.where(s > 0, 1, -1)
 
 
 def margin(model: SvmModel, fp: np.ndarray, y):

@@ -559,8 +559,6 @@ def train_svm_reference(
         "n_updates": n_updates,
         "converged": converged,
         "dual_objective": dual_objective,
-        "alphas": alpha[sv],
-        "sum_alpha_y": float(np.sum(alpha * y)),
     }
     model = svm.SvmModel(
         support_vectors=Z[sv],

@@ -23,8 +23,8 @@ from rfdna.harness import (
     default_trials,
     evaluate_trial,
     generate_dataset,
-    run_trial,
     train_best_model,
+    train_trial,
 )
 from rfdna.signals import EmitterProfile, add_awgn, butterworth_filter, \
     synth_burst
@@ -210,12 +210,12 @@ def test_criterion_4_svm_correctness(experiment):
     for models in experiment["models"].values():
         for cand in models.values():
             for c in cand.meta["candidates"]:
-                diag = c.model.diagnostics
-                a = diag["alphas"]
-                feasible = feasible and np.all(a >= -1e-12)
-                feasible = feasible and np.all(a <= c.model.cost_c + 1e-12)
-                feasible = feasible and abs(diag["sum_alpha_y"]) <= 1e-6
-                worst_gap = max(worst_gap, diag["kkt_gap"])
+                # dual_coeffs = alpha * y with y = +-1: |coef| is alpha.
+                coef = c.model.dual_coeffs
+                feasible = feasible and np.all(
+                    np.abs(coef) <= c.model.cost_c + 1e-12)
+                feasible = feasible and abs(np.sum(coef)) <= 1e-6
+                worst_gap = max(worst_gap, c.model.diagnostics["kkt_gap"])
                 checked += 1
 
     X = np.array([[0.0, 0.0], [0.2, 0.1], [1.0, 1.1], [1.2, 0.9]])
@@ -293,7 +293,9 @@ def test_criterion_7_degradation_and_replay(experiment):
 
     def replay():
         store = generate_dataset(profiles, 21.0, config)
-        report = run_trial(trials[0], 21.0, "relieff", store, config)
+        models = train_trial(trials[0], 21.0, "relieff", store, config)
+        report = evaluate_trial(trials[0], 21.0, "relieff", models, store,
+                                config)
         blob = json.dumps(report.to_dict(), sort_keys=True).encode()
         rows = np.concatenate(
             [store.select(p.radio_id) for p in profiles]

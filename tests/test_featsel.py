@@ -183,10 +183,13 @@ class TestPca:
         assert np.all(np.diff(np.diag(cov)) <= 1e-10)
 
     def test_eigenvalues_match_projected_variance(self):
+        # Column k's projected variance is the k-th largest eigenvalue of
+        # the pool covariance.
         fset = two_class_set(n1=40, n2=40, f=4, seed=9)
-        basis = project_pca(fset, 4)
-        Y = project(basis, fset.X)
-        assert np.allclose(Y.var(axis=0), basis.eigenvalues, rtol=1e-10)
+        Y = project(project_pca(fset, 4), fset.X)
+        Xc = fset.X - fset.X.mean(axis=0)
+        evals = np.linalg.eigvalsh(Xc.T @ Xc / len(Xc))[::-1]
+        assert np.allclose(Y.var(axis=0), evals, rtol=1e-10)
 
     def test_sign_convention(self):
         fset = two_class_set(seed=11)
@@ -212,13 +215,12 @@ class TestPca:
         fset = two_class_set(n1=8, n2=12, f=40, seed=4)
         basis = project_pca(fset, 40)
         Xc = fset.X - fset.X.mean(axis=0)
-        lam_max = np.linalg.eigvalsh(Xc.T @ Xc / len(Xc)).max()
-        assert np.all(basis.eigenvalues
-                      > len(Xc) * np.finfo(float).eps * lam_max)
+        evals = np.linalg.eigvalsh(Xc.T @ Xc / len(Xc))[::-1]
         cov = np.cov(project(basis, fset.X), rowvar=False, bias=True)
-        off = cov - np.diag(np.diag(cov))
-        assert np.max(np.abs(off)) <= 1e-9 * np.max(np.diag(cov))
-        assert np.allclose(np.diag(cov), basis.eigenvalues, rtol=1e-9)
+        var = np.diag(cov)
+        assert np.all(var > len(Xc) * np.finfo(float).eps * evals[0])
+        assert np.max(np.abs(cov - np.diag(var))) <= 1e-9 * np.max(var)
+        assert np.allclose(var, evals[:len(var)], rtol=1e-9)
 
     @pytest.mark.parametrize("row", [np.zeros(6), RNG.random(6) * 1e3],
                              ids=["zeros", "random"])

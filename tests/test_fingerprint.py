@@ -473,3 +473,36 @@ class TestArrayFile:
         path.write_bytes(b"\0" + path.read_bytes())
         with pytest.raises(InvalidValue, match="no local file header at off"):
             load_arrays(path)
+
+    @pytest.mark.parametrize("kind", ["arrays", "store", "verifier"])
+    def test_refuses_a_local_header_before_the_archive(self, tmp_path, kind):
+        # These bytes pass the offset-0 check, and zipfile shifts every
+        # member offset by them, so only the central-directory offset in
+        # the end record shows them.
+        path = tmp_path / "x.npz"
+        save, load = {
+            "arrays": (lambda p: save_arrays(p, x=np.arange(3)), load_arrays),
+            "store": (small_store().save, FingerprintStore.load),
+            "verifier": (small_verifier().save,
+                         lambda p: Verifier.load(p, "R01", "relieff", 21.0)),
+        }[kind]
+        save(path)
+        load(path)
+        path.write_bytes(b"PK\x03\x04" + path.read_bytes())
+        with pytest.raises(InvalidValue, match="central directory at"):
+            load(path)
+
+    def test_reads_the_zip64_end_record(self, tmp_path, monkeypatch):
+        # An end record whose offset field is 0xFFFFFFFF defers to the zip64
+        # end record; zipfile writes one past ZIP64_LIMIT.
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 10)
+        path = tmp_path / "x.npz"
+        save_arrays(path, x=np.arange(3))
+        data = bytearray(path.read_bytes())
+        assert data[-42:-38] == b"PK\x06\x07"       # zip64 locator
+        data[-6:-2] = b"\xff" * 4
+        path.write_bytes(bytes(data))
+        assert np.array_equal(load_arrays(path)["x"], np.arange(3))
+        path.write_bytes(b"PK\x03\x04" + data)
+        with pytest.raises(InvalidValue, match="central directory at"):
+            load_arrays(path)

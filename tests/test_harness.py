@@ -47,6 +47,13 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def trial_report(trial, snr_db, method, store, config):
+    """Train every authorized radio's verifier, then score the trial, as
+    ``snr_sweep`` does for each trial."""
+    models = harness.train_trial(trial, snr_db, method, store, config)
+    return evaluate_trial(trial, snr_db, method, models, store, config)
+
+
 def write_config(config, path):
     """Write ``config`` as the JSON object ``ExperimentConfig.from_json``
     reads."""
@@ -488,8 +495,8 @@ class TestDegradationMeta:
 
     def test_report_meta_has_both_per_claimed_radio(self, trials, store21):
         ids = trials[0].authorized_ids
-        report = harness.run_trial(trials[0], 21.0, "relieff", store21,
-                                   tiny_config())
+        report = trial_report(trials[0], 21.0, "relieff", store21,
+                              tiny_config())
         assert report.meta["gate_fallback"] == {r: r == "R04" for r in ids}
         assert report.meta["pool_underfilled"] == dict.fromkeys(ids, False)
 
@@ -514,7 +521,7 @@ class TestDegradationMeta:
         config = tiny_config(n_bursts=6, n_train=6, n_train_other=30,
                              nr_grid=[10])
         store = generate_dataset(cohort, 21.0, config)
-        report = harness.run_trial(trials[0], 21.0, "relieff", store, config)
+        report = trial_report(trials[0], 21.0, "relieff", store, config)
         assert report.meta["pool_underfilled"] == dict.fromkeys(
             trials[0].authorized_ids, True)
 
@@ -570,8 +577,8 @@ class TestEvaluation:
             return VerificationReport.from_dict(
                 json.loads(json.dumps(r.to_dict())))
 
-        report = harness.run_trial(trials[0], 21.0, "relieff", store21,
-                                   tiny_config())
+        report = trial_report(trials[0], 21.0, "relieff", store21,
+                              tiny_config())
         back = roundtrip(report)
         assert back.trial_id == report.trial_id
         assert back.snr_db == report.snr_db
@@ -708,7 +715,7 @@ class TestSweepElimination:
     def test_failing_method_is_skipped_below_failure_snr(self, monkeypatch):
         calls, loaded = [], []
 
-        def fake_run_trial(trial, snr, method, store, config):
+        def fake_evaluate_trial(trial, snr, method, models, store, config):
             calls.append((snr, trial.trial_id))
             ok = snr >= 20
             entry = {"kind": "authorized", "claimed_id": "a", "actual_id": "a",
@@ -720,7 +727,8 @@ class TestSweepElimination:
             loaded.append(snr)
             return FingerprintStore()
 
-        monkeypatch.setattr(harness, "run_trial", fake_run_trial)
+        monkeypatch.setattr(harness, "train_trial", lambda *args: {})
+        monkeypatch.setattr(harness, "evaluate_trial", fake_evaluate_trial)
         config = tiny_config(snr_grid=[3.0, 15.0, 21.0])
         trials = [TrialConfig(1, [f"A{i}" for i in range(6)],
                               [f"B{i}" for i in range(12)])]
@@ -743,6 +751,48 @@ def test_cli_import_loads_no_scipy_signal_or_stats():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.split() == ["[]"]
+
+
+# Trial 1 with Relief-F at the CI command's config; prints the SHA-256 of
+# the saved store, of each saved verifier and of the report.
+_REPLAY = """
+import hashlib, json, sys
+from pathlib import Path
+from rfdna.harness import (ExperimentConfig, Verifier, default_cohort,
+                           default_trials, evaluate_trial, generate_dataset,
+                           train_trial)
+out = Path(sys.argv[1])
+config = ExperimentConfig(snr_grid=[21.0], n_bursts=40, n_z=2, n_train=40,
+                          n_train_other=20, nr_grid=[20, 60, 120])
+profiles = default_cohort()
+trial = default_trials([p.radio_id for p in profiles])[0]
+store = generate_dataset(profiles, 21.0, config)
+store.save(out / "store.rfdn")
+models = train_trial(trial, 21.0, "relieff", store, config)
+for claimed, cand in models.items():
+    Verifier.of(cand, "relieff", 21.0).save(out / f"{claimed}.npz")
+report = evaluate_trial(trial, 21.0, "relieff", models, store, config)
+digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+digests["report"] = hashlib.sha256(json.dumps(
+    report.to_dict(), sort_keys=True).encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_trial_replays_bitwise_under_one_and_two_blas_threads(tmp_path):
+    src = Path(harness.__file__).resolve().parents[1]
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-c", _REPLAY, str(out)], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": str(src),
+                                        "OPENBLAS_NUM_THREADS": threads})
+        digests.append(json.loads(run.stdout))
+    assert len(digests[0]) == 8      # store, six verifiers, report
+    assert digests[0] == digests[1]
 
 
 def cli_config(**overrides):
@@ -830,8 +880,7 @@ class TestCli:
     def test_evaluate_exit_code_follows_gates(self, cli_run, trials):
         root, rc = cli_run
         store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
-        want = harness.run_trial(trials[0], 21.0, "relieff", store,
-                                 cli_config())
+        want = trial_report(trials[0], 21.0, "relieff", store, cli_config())
         data = json.loads((root / "reports" / "reports.json").read_text())
         assert data == [json.loads(json.dumps(want.to_dict()))]
         assert rc["evaluate"] == (0 if want.gates_pass() else 1)
@@ -1104,13 +1153,14 @@ class TestCli:
             harness, "generate_dataset", lambda profiles, snr, config:
             generated.append(snr) or real_generate(profiles, snr, config))
 
-        def run_trial(trial, snr, method, store, config):
+        def fake_evaluate_trial(trial, snr, method, models, store, config):
             # A report with no entries passes the gates, so no SNR is
             # eliminated and the sweep asks for every store.
             stores[snr] = store
             return VerificationReport(trial.trial_id, snr, method, [])
 
-        monkeypatch.setattr(harness, "run_trial", run_trial)
+        monkeypatch.setattr(harness, "train_trial", lambda *args: {})
+        monkeypatch.setattr(harness, "evaluate_trial", fake_evaluate_trial)
         assert cli.main(base + ["--snr", "21", "--snr", "18", "sweep"]) == 0
         assert generated == [18.0]
         assert (saved.read_bytes(), saved.stat().st_ino,

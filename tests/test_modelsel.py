@@ -68,7 +68,6 @@ class TestBuildMarginPmfs:
         lo = min(m_pos.min(), m_neg.min())
         hi = max(m_pos.max(), m_neg.max())
         edges = np.linspace(lo, hi, 41)
-        assert np.array_equal(pair.bin_edges, edges)
         p = np.histogram(m_pos, bins=edges)[0] / len(m_pos)
         q = np.histogram(m_neg, bins=edges)[0] / len(m_neg)
         assert np.array_equal(pair.pmf_pos, p)
@@ -113,7 +112,6 @@ class TestBuildMarginPmfs:
 def fake_candidate(n_r, tvr=0.95, fvr=0.05, bc=0.2, dist=4.0, var=1.0):
     pair = MarginPmfPair(
         pmf_pos=np.array([1.0]), pmf_neg=np.array([1.0]),
-        bin_edges=np.array([0.0, 1.0]),
         mean_pos=dist / 2.0, mean_neg=-dist / 2.0,
         var_pos=var / 2.0, var_neg=var / 2.0, bc=bc,
     )

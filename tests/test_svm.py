@@ -134,10 +134,10 @@ class TestTraining:
     def test_dual_feasibility(self):
         X, labels = blob_data(seed=1)
         model = train_svm(X, labels, c=1.0, zeta=ZETA)
-        a = model.diagnostics["alphas"]
-        assert np.all(a >= -1e-12)
-        assert np.all(a <= 1.0 + 1e-12)
-        assert abs(model.diagnostics["sum_alpha_y"]) <= 1e-6
+        alpha = full_alphas(model, X, labels)
+        assert np.all(alpha >= 0)
+        assert np.all(alpha <= 1.0 + 1e-12)
+        assert abs(np.sum(model.dual_coeffs)) <= 1e-6
         assert model.diagnostics["converged"]
 
     @pytest.mark.parametrize("X, labels, zeta", [
@@ -239,7 +239,7 @@ class TestAgainstReferenceLoop:
         X, labels = overlapping(30, 25, 3, seed=21)
         model = assert_same_fit(X, labels, c=c)
         if c <= 0.1:
-            assert np.any(model.diagnostics["alphas"] >= c - 1e-12)
+            assert np.any(np.abs(model.dual_coeffs) >= c - 1e-12)
 
     @pytest.mark.parametrize("c", [0.05, 1.0])
     def test_duplicated_rows_tie(self, c):
