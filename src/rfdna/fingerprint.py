@@ -98,46 +98,43 @@ def gen_fingerprint(tf: np.ndarray, radio_id: str = "",
 class FingerprintStore:
     """In-memory columnar fingerprint collection with binary persistence.
 
-    Rows live in four columns (features, radio-id code, SNR, realization);
-    :meth:`add` queues rows that the next read appends to the columns. Reads
-    through :meth:`select` are logged in ``access_log`` so a harness audit can
-    prove no rogue-labeled rows were touched during training.
+    Rows live in four whole columns (features, radio-id code, SNR,
+    realization). Reads through :meth:`select` are logged in ``access_log``
+    so a harness audit can prove no rogue-labeled rows were touched during
+    training.
     """
 
-    def __init__(self):
-        self._code_of: dict[str, int] = {}     # radio id -> code, first seen
-        self._pending: list[Fingerprint] = []
-        self._features = np.empty((0, N_FEATURES))
-        self._id_code = np.empty(0, dtype=np.int64)
-        self._snr_db = np.empty(0)              # NaN: no SNR recorded
-        self._realization = np.empty(0, dtype=np.int64)
+    def __init__(self, radio_ids=(), id_code=(), snr_db=(), realization=(),
+                 features=()):
+        """A store of whole columns: row ``i`` is ``features[i]`` of radio
+        ``radio_ids[id_code[i]]``, at ``snr_db[i]`` (NaN: none recorded) and
+        noise realization ``realization[i]``. A column already of the
+        store's dtype is kept, not copied."""
+        self._code_of = {rid: i for i, rid in enumerate(radio_ids)}
+        self._id_code = np.asarray(id_code, dtype=np.int64)
+        self._snr_db = np.asarray(snr_db, dtype=np.float64)
+        self._realization = np.asarray(realization, dtype=np.int64)
+        self._features = np.asarray(features, dtype=np.float64).reshape(
+            -1, N_FEATURES)
         self.access_log: list[str] = []
 
     def __len__(self):
-        return len(self._id_code) + len(self._pending)
+        return len(self._id_code)
 
     def add(self, fp: Fingerprint) -> None:
-        self._code_of.setdefault(fp.radio_id, len(self._code_of))
-        self._pending.append(fp)
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        new, self._pending = self._pending, []
-        self._features = np.concatenate(
-            [self._features, [fp.features for fp in new]])
-        self._id_code = np.concatenate(
-            [self._id_code, [self._code_of[fp.radio_id] for fp in new]])
-        self._snr_db = np.concatenate([self._snr_db, [
-            np.nan if fp.snr_db is None else float(fp.snr_db) for fp in new]])
-        self._realization = np.concatenate(
-            [self._realization, [int(fp.realization) for fp in new]])
+        """Append one row. Each call copies every column, so build more
+        than a few rows as whole columns."""
+        code = self._code_of.setdefault(fp.radio_id, len(self._code_of))
+        self._features = np.concatenate([self._features, [fp.features]])
+        self._id_code = np.append(self._id_code, code)
+        self._snr_db = np.append(
+            self._snr_db, np.nan if fp.snr_db is None else float(fp.snr_db))
+        self._realization = np.append(self._realization, int(fp.realization))
 
     def select(self, radio_id: str, realizations=None) -> np.ndarray:
         """Feature rows of one radio, optionally limited to realizations.
         Rows come back in insertion order."""
         self.access_log.append(radio_id)
-        self._flush()
         mask = self._id_code == self._code_of.get(radio_id, -1)
         if realizations is not None:
             mask &= np.isin(self._realization, list(realizations))
@@ -149,13 +146,12 @@ class FingerprintStore:
     # -- persistence; ids go as JSON text, as `<U` arrays drop trailing NULs
 
     def save(self, path) -> None:
-        self._flush()
         save_arrays(path, version=_VERSION,
                     radio_ids=json.dumps(list(self._code_of)),
                     id_code=self._id_code.astype("<u4"),
-                    snr_db=self._snr_db.astype("<f8"),
+                    snr_db=self._snr_db.astype("<f8", copy=False),
                     realization=self._realization.astype("<u4"),
-                    features=self._features.astype("<f8"))
+                    features=self._features.astype("<f8", copy=False))
 
     @classmethod
     def load(cls, path) -> "FingerprintStore":
@@ -187,27 +183,29 @@ class FingerprintStore:
         if why:
             raise InvalidValue(f"{path} is not an intact version-{_VERSION} "
                                f"store ({why}); re-run `rfdna fingerprint`")
-        store = cls()
-        store._code_of = {rid: i for i, rid in enumerate(ids)}
-        store._id_code = code.astype(np.int64)
-        store._snr_db = snr.astype(np.float64)
-        store._realization = z.astype(np.int64)
-        store._features = x.astype(np.float64)
-        return store
+        return cls(ids, code, snr, z, x)
 
 
 def save_arrays(path, **arrays) -> None:
-    """Write ``arrays`` as one ``np.savez`` archive to a file beside ``path``
-    and move it onto ``path``: an interrupted save leaves the old file."""
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
+    """Write ``arrays`` as one ``np.savez`` archive to a file beside ``path``,
+    sync it to disk and move it onto ``path``: an interrupted save or a crash
+    leaves the old file or the new one, never a truncated one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(buf.getvalue())
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    if os.name == "posix":      # make the rename itself durable
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def load_arrays(path) -> dict:

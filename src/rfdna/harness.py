@@ -20,8 +20,8 @@ import numpy as np
 from . import featsel
 from .errors import (InvalidModel, InvalidValue, MissingData, TrainingFailed,
                      check_count, is_real)
-from .fingerprint import (N_FEATURES, Fingerprint, FingerprintStore,
-                          gen_fingerprint, load_arrays, save_arrays)
+from .fingerprint import (N_FEATURES, FingerprintStore, gen_fingerprint,
+                          load_arrays, save_arrays)
 from .gabor import GaborParams, dgt, normalize_tf
 from .modelsel import (FVR_GATE, TVR_GATE, CandidateModel, build_margin_pmfs,
                        passes_gate, select_best)
@@ -221,16 +221,25 @@ def generate_dataset(
 
     Radios are fingerprinted in parallel on a thread pool with one worker
     per usable CPU (numpy's FFT and power and scipy's filter release the
-    GIL). Each radio's bursts and noise are seeded by radio index, and only
-    this thread adds rows to the store, in cohort order, so the store is the
-    same to the byte for any worker count. A radio's error is raised for the
-    first failing radio in cohort order."""
+    GIL). Each radio's bursts and noise are seeded by radio index, and each
+    worker writes its radio's rows into its own slab of one preallocated
+    feature array, so the store is the same to the byte for any worker count.
+    A radio's error is raised for the first failing radio in cohort order; a
+    dataset too large to allocate raises :class:`InvalidValue` before any."""
     if not is_real(snr_db):
         raise InvalidValue(f"snr_db must be a finite number, got {snr_db!r}")
     params = GaborParams()
+    per_radio = config.n_bursts * config.n_z
+    n_rows = len(profiles) * per_radio
+    try:
+        features = np.empty((n_rows, N_FEATURES))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidValue(f"cannot hold {n_rows} fingerprints: {exc}"
+                           ) from None
 
-    def radio_rows(ridx: int, profile: EmitterProfile) -> list[Fingerprint]:
-        rows = []
+    def fill_radio(ridx: int, profile: EmitterProfile) -> None:
+        rows = features[ridx * per_radio:(ridx + 1) * per_radio].reshape(
+            config.n_bursts, config.n_z, N_FEATURES)
         for b in range(config.n_bursts):
             clean = butterworth_filter(synth_burst(
                 profile, TEMPLATE_LEN,
@@ -242,20 +251,20 @@ def generate_dataset(
                     seed=_seed(config.master_seed, 2, ridx, b, z,
                                _snr_key(snr_db)),
                 )
-                tf = normalize_tf(dgt(noisy, params))
-                rows.append(gen_fingerprint(
-                    tf, radio_id=profile.radio_id, snr_db=snr_db,
-                    realization=z,
-                ))
-        return rows
+                rows[b, z] = gen_fingerprint(
+                    normalize_tf(dgt(noisy, params))).features
 
-    store = FingerprintStore()
     workers = max(1, min(_usable_cpus(), len(profiles)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for rows in pool.map(radio_rows, range(len(profiles)), profiles):
-            for fp in rows:
-                store.add(fp)
-    return store
+        list(pool.map(fill_radio, range(len(profiles)), profiles))
+    code_of: dict[str, int] = {}
+    codes = [code_of.setdefault(p.radio_id, len(code_of)) for p in profiles]
+    return FingerprintStore(
+        radio_ids=list(code_of),
+        id_code=np.repeat(codes, per_radio),
+        snr_db=np.full(n_rows, float(snr_db)),
+        realization=np.tile(np.arange(config.n_z), n_rows // config.n_z),
+        features=features)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import errno
+import io
+import os
 import re
 import zipfile
 from collections import Counter
@@ -233,18 +235,49 @@ class TestStore:
         if old:
             SAVERS[saver](path)
         before = path.read_bytes() if old else None
-        write_bytes = Path.write_bytes
+        savez = np.savez
 
-        def fail_partway(self, data):
-            write_bytes(self, data[:len(data) // 2])
+        def fail_partway(file, **arrays):
+            buf = io.BytesIO()
+            savez(buf, **arrays)
+            file.write(buf.getvalue()[:buf.tell() // 2])
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(Path, "write_bytes", fail_partway)
+        monkeypatch.setattr(np, "savez", fail_partway)
         with pytest.raises(OSError):
             SAVERS[saver](path)
         monkeypatch.undo()
         assert (path.read_bytes() if old else None) == before
         assert list(tmp_path.iterdir()) == ([path] if old else [])
+
+    def test_save_syncs_the_file_then_renames_then_syncs_the_directory(
+            self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", st.st_ino, st.st_size))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            events.append(("replace", Path(src).name, Path(dst).name))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        path = tmp_path / "store.rfdn"
+        small_store().save(path)
+        monkeypatch.undo()
+        file, folder = path.stat(), tmp_path.stat()
+        # The file is synced whole, under its temporary name, before the
+        # rename; the directory that holds the rename is synced after it.
+        want = [("fsync", file.st_ino, file.st_size),
+                ("replace", f".store.rfdn.{os.getpid()}.tmp", "store.rfdn")]
+        if os.name == "posix":
+            want.append(("fsync", folder.st_ino, folder.st_size))
+        assert events == want
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.rfdn"
@@ -298,13 +331,25 @@ class TestStore:
         path = tmp_path / "store.rfdn"
         store.save(path)
         back = FingerprintStore.load(path)
-        row = RNG.random(N_FEATURES)
-        back.add(Fingerprint(features=row, radio_id="R03", realization=1))
-        back.add(Fingerprint(features=row, radio_id="R01", realization=0))
-        assert len(back) == len(store) + 2
+        rows = RNG.random((3, N_FEATURES))
+        back.add(Fingerprint(features=rows[0], radio_id="R03",
+                             realization=1))
+        back.add(Fingerprint(features=rows[1], radio_id="R01", snr_db=9.0,
+                             realization=0))
+        back.add(Fingerprint(features=rows[2], radio_id="R03",
+                             realization=2))
+        assert len(back) == len(store) + 3
         assert back.radio_ids() == ["R01", "R02", "R03"]
-        assert np.array_equal(back.select("R03"), row[None, :])
-        assert np.array_equal(back.select("R01", [0])[-1], row)
+        # The loaded rows stay first and the added ones follow, in the
+        # order they were added.
+        assert np.array_equal(back._features[:-3], store._features)
+        assert np.array_equal(back._features[-3:], rows)
+        assert back._id_code[-3:].tolist() == [2, 0, 2]
+        assert back._realization[-3:].tolist() == [1, 0, 2]
+        assert np.array_equal(back._snr_db[-3:], [np.nan, 9.0, np.nan],
+                              equal_nan=True)
+        assert np.array_equal(back.select("R03"), rows[[0, 2]])
+        assert np.array_equal(back.select("R01", [0])[-1], rows[1])
 
 
 @st.composite

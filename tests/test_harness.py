@@ -262,6 +262,43 @@ class TestParallelDataset:
         assert pools == [workers]
         assert got.read_bytes() == want.read_bytes()
 
+    def test_columns_and_bytes_match_rows_added_one_by_one(self, cohort,
+                                                             tmp_path):
+        config = tiny_config(n_bursts=2, n_z=2, n_test_realizations=1,
+                             n_train=2, n_train_other=2, master_seed=3)
+        got = generate_dataset(cohort[:3], 15.0, config)
+        want = generate_dataset_serial(cohort[:3], 15.0, config)
+        assert len(got) == 3 * 2 * 2
+        assert got.radio_ids() == want.radio_ids() == ["R01", "R02", "R03"]
+        for column in ("_features", "_id_code", "_snr_db", "_realization"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        got.save(tmp_path / "got.rfdn")
+        want.save(tmp_path / "want.rfdn")
+        assert ((tmp_path / "got.rfdn").read_bytes()
+                == (tmp_path / "want.rfdn").read_bytes())
+
+    def test_store_is_built_from_whole_columns(self, cohort, monkeypatch):
+        def refuse(self, fp):
+            raise AssertionError("generate_dataset added a row")
+
+        monkeypatch.setattr(FingerprintStore, "add", refuse)
+        assert len(generate_dataset(cohort[:2], 15.0,
+                                    tiny_config(n_bursts=1))) == 4
+
+    @pytest.mark.parametrize("n_bursts", [2**40, 2**70])
+    def test_unallocatable_dataset_refused_before_any_worker(
+            self, cohort, monkeypatch, n_bursts):
+        pools = []
+        monkeypatch.setattr(harness, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers))
+        with pytest.raises(InvalidValue, match="cannot hold") as info:
+            generate_dataset(cohort[:3], 15.0,
+                             tiny_config(n_bursts=n_bursts))
+        assert info.type is InvalidValue
+        assert pools == []
+
     def test_worker_error_reaches_caller(self, cohort, monkeypatch):
         # -4000 dB passes the finite-SNR check; add_awgn refuses it inside
         # every worker, since no finite noise scale gives that SNR.
