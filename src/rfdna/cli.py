@@ -31,9 +31,10 @@ def _data_root(args) -> Path:
 
 def _cohort_and_config(args, root: Path):
     """The cohort (the manifest's, else the default) and the config file (or
-    defaults) with the command-line overrides applied, validated once as a
-    whole. The burst count is ``--n-bursts`` if given, else the manifest's,
-    else the config's, so every command sees one count per cohort."""
+    defaults) with ``--snr`` and ``--methods`` applied, validated once as a
+    whole. The burst count is the manifest's if there is one, else the
+    config's, so every command sees one count per cohort. A grid whose SNRs
+    would share a file name is refused."""
     manifest = args.manifest or (root / "cohort.json")
     if args.manifest or Path(manifest).exists():
         profiles, n_bursts = signals.load_manifest(manifest)
@@ -43,20 +44,18 @@ def _cohort_and_config(args, root: Path):
         config = ExperimentConfig.from_json(args.config)
     else:
         config = ExperimentConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in ("n_bursts", "n_z", "k_folds", "master_seed")
-        if getattr(args, name) is not None
-    }
-    if n_bursts is not None:
-        overrides.setdefault("n_bursts", n_bursts)
+    overrides = {} if n_bursts is None else {"n_bursts": n_bursts}
     if args.snr:
         overrides["snr_grid"] = sorted(set(args.snr))
     if args.methods:
         overrides["methods"] = list(dict.fromkeys(args.methods))
-    if args.nr_grid:
-        overrides["nr_grid"] = sorted(set(args.nr_grid))
-    return profiles, dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(config, **overrides)
+    tags = [f"{snr:g}" for snr in config.snr_grid]
+    if len(set(tags)) != len(tags):
+        raise InvalidValue(f"snr_grid {config.snr_grid!r} gives two SNRs one "
+                           f"file name ({tags!r}); make them differ in the "
+                           f"first 6 significant digits")
+    return profiles, config
 
 
 def _store_path(root: Path, snr) -> Path:
@@ -193,16 +192,10 @@ def main(argv=None) -> int:
     parser.add_argument("--data-root", default=None)
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--manifest", default=None, help="cohort manifest")
-    parser.add_argument("--n-bursts", dest="n_bursts", type=int)
-    parser.add_argument("--n-z", dest="n_z", type=int)
-    parser.add_argument("--k-folds", dest="k_folds", type=int)
-    parser.add_argument("--master-seed", dest="master_seed", type=int)
     parser.add_argument("--snr", type=float, action="append",
                         help="SNR in dB; repeat for more")
     parser.add_argument("--methods", action="append", choices=harness.METHODS,
                         help="selection method; repeat for more")
-    parser.add_argument("--nr-grid", dest="nr_grid", type=int,
-                        action="append", help="retained count; repeat for more")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("fingerprint", help="fingerprint the cohort per SNR")

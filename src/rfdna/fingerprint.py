@@ -73,9 +73,7 @@ def _block_stats(blocks: np.ndarray) -> np.ndarray:
     return np.column_stack([sd, var, skew, kurt])
 
 
-def gen_fingerprint(tf: np.ndarray, radio_id: str = "",
-                    snr_db: float | None = None,
-                    realization: int = 0) -> Fingerprint:
+def gen_fingerprint(tf: np.ndarray) -> Fingerprint:
     """Fingerprint of one :func:`rfdna.gabor.normalize_tf` grid: each
     patch's four moments in patch order, then the whole grid's."""
     vals = np.asarray(tf, dtype=np.float64)
@@ -89,10 +87,7 @@ def gen_fingerprint(tf: np.ndarray, radio_id: str = "",
     blocks = blocks.transpose(2, 0, 1, 3).reshape(N_PATCHES, PATCH_T * PATCH_F)
     feats = _block_stats(blocks).ravel()
     global_feats = _block_stats(vals.reshape(1, -1))[0]
-    return Fingerprint(
-        features=np.concatenate([feats, global_feats]),
-        radio_id=radio_id, snr_db=snr_db, realization=realization,
-    )
+    return Fingerprint(np.concatenate([feats, global_feats]))
 
 
 class FingerprintStore:

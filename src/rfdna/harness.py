@@ -225,9 +225,13 @@ def generate_dataset(
     worker writes its radio's rows into its own slab of one preallocated
     feature array, so the store is the same to the byte for any worker count.
     A radio's error is raised for the first failing radio in cohort order; a
-    dataset too large to allocate raises :class:`InvalidValue` before any."""
+    repeated radio id or a dataset too large to allocate raises
+    :class:`InvalidValue` before any."""
     if not is_real(snr_db):
         raise InvalidValue(f"snr_db must be a finite number, got {snr_db!r}")
+    ids = [p.radio_id for p in profiles]
+    if len(set(ids)) != len(ids):
+        raise InvalidValue(f"profiles repeat a radio id: {ids!r}")
     params = GaborParams()
     per_radio = config.n_bursts * config.n_z
     n_rows = len(profiles) * per_radio
@@ -257,11 +261,9 @@ def generate_dataset(
     workers = max(1, min(_usable_cpus(), len(profiles)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill_radio, range(len(profiles)), profiles))
-    code_of: dict[str, int] = {}
-    codes = [code_of.setdefault(p.radio_id, len(code_of)) for p in profiles]
     return FingerprintStore(
-        radio_ids=list(code_of),
-        id_code=np.repeat(codes, per_radio),
+        radio_ids=ids,
+        id_code=np.repeat(np.arange(len(profiles)), per_radio),
         snr_db=np.full(n_rows, float(snr_db)),
         realization=np.tile(np.arange(config.n_z), n_rows // config.n_z),
         features=features)
@@ -471,8 +473,9 @@ class Verifier:
     @classmethod
     def load(cls, path, claimed_id: str, method: str, snr_db) -> "Verifier":
         """The verifier at ``path``. A missing, unreadable, wrong-version or
-        inconsistent file raises :class:`InvalidValue`; one enrolled for
-        another claimed id, method or SNR raises :class:`InvalidModel`."""
+        inconsistent file raises :class:`InvalidValue` naming the first
+        check that failed; one enrolled for another claimed id, method or SNR
+        raises :class:`InvalidModel`."""
         d = load_arrays(path)
         try:
             n_r, idx = int(d["n_r"]), d.get("indices")
@@ -482,26 +485,34 @@ class Verifier:
                              **{k: d[k].item() for k in _SVM_FIELDS[4:]},
                              feature_indices=idx)
             sv = model.support_vectors
-            ok = (d["version"].item() == VERIFIER_VERSION and n_r >= 1
-                  and all(np.isfinite(d[k]).all() for k in d
-                          if k in _SVM_FIELDS + ("basis", "mean"))
-                  and sv.ndim == 2 and sv.shape[1] == n_r
-                  and model.dual_coeffs.shape == (len(sv),)
-                  and model.scaler_mean.shape == model.scaler_scale.shape
-                  == (n_r,) and (
-                      idx.shape == (n_r,) and idx.dtype.kind == "i"
-                      and np.all((idx >= 0) & (idx < N_FEATURES))
-                      if idx is not None else
-                      cut["basis"].shape == (N_FEATURES, n_r)
-                      and cut["mean"].shape == (N_FEATURES,)))
+            checks = {
+                f"version {VERIFIER_VERSION}":
+                    d["version"].item() == VERIFIER_VERSION,
+                "finite arrays": all(np.isfinite(d[k]).all() for k in d
+                                     if k in _SVM_FIELDS + ("basis", "mean")),
+                f"array shapes for N_r = {n_r}": (
+                    n_r >= 1 and sv.ndim == 2 and sv.shape[1] == n_r
+                    and model.dual_coeffs.shape == (len(sv),)
+                    and model.scaler_mean.shape == model.scaler_scale.shape
+                    == (n_r,) and (idx.shape == (n_r,)
+                                   and idx.dtype.kind == "i"
+                                   if idx is not None else
+                                   cut["basis"].shape == (N_FEATURES, n_r)
+                                   and cut["mean"].shape == (N_FEATURES,))),
+                f"feature indices in 0..{N_FEATURES - 1}":
+                    idx is None or idx.dtype.kind == "i"
+                    and np.all((idx >= 0) & (idx < N_FEATURES)),
+            }
+            why = next((name for name, ok in checks.items() if not ok), None)
             found = (str(d["claimed_id"]), str(d["method"]),
                      float(d["snr_db"]))
             flags = {key: bool(d[key]) for key in _FLAGS}
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidValue(f"{path}: not a verifier, {exc!r}") from None
-        if not ok:
-            raise InvalidValue(f"{path} is not a version-{VERIFIER_VERSION} "
-                               f"verifier with consistent N_r = {n_r} arrays")
+        if why:
+            raise InvalidValue(f"{path} is not an intact version-"
+                               f"{VERIFIER_VERSION} verifier (fails {why}); "
+                               f"re-run `rfdna train`")
         if found != (claimed_id, method, float(snr_db)):
             raise InvalidModel(f"{path} holds the verifier of {found}, not "
                                f"of {(claimed_id, method, float(snr_db))}")

@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidValue, check_count
+from .errors import InvalidValue
 from .featsel import bhattacharyya, class_histograms
 from .svm import SvmModel, margin
 
 TVR_GATE, FVR_GATE = 0.90, 0.10  # pass at TVR >= 90% and FVR <= 10%
+PMF_BINS = 100
 
 
 @dataclass
@@ -43,13 +44,11 @@ def build_margin_pmfs(
     model: SvmModel,
     authorized_fps: np.ndarray,
     other_fps: np.ndarray,
-    bins: int = 100,
 ) -> MarginPmfPair:
-    """Histogram the verifier margins of both classes over shared bin edges.
+    """Histogram both classes' verifier margins over ``PMF_BINS`` shared bins.
 
     Margins use y = +1 for the authorized radio and y = -1 for the others.
     PMF means/variances are the empirical moments of the margin samples."""
-    check_count("bins", bins, 1)
     authorized_fps = np.atleast_2d(authorized_fps)
     other_fps = np.atleast_2d(other_fps)
     if authorized_fps.size == 0 or other_fps.size == 0:
@@ -57,7 +56,7 @@ def build_margin_pmfs(
     m_pos = margin(model, authorized_fps, +1)
     m_neg = margin(model, other_fps, -1)
     (pmf_pos,), (pmf_neg,), _ = class_histograms(
-        m_pos[:, None], m_neg[:, None], bins)
+        m_pos[:, None], m_neg[:, None], PMF_BINS)
     return MarginPmfPair(
         pmf_pos=pmf_pos, pmf_neg=pmf_neg,
         mean_pos=float(m_pos.mean()), mean_neg=float(m_neg.mean()),

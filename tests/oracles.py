@@ -11,7 +11,7 @@ from rfdna import harness, svm
 from rfdna.errors import (InvalidModel, InvalidValue, MissingData,
                           TrainingFailed)
 from rfdna.featsel import LabeledFingerprintSet
-from rfdna.fingerprint import FingerprintStore, gen_fingerprint
+from rfdna.fingerprint import Fingerprint, FingerprintStore, gen_fingerprint
 from rfdna.gabor import GaborParams, dgt, gaussian_window, normalize_tf
 from rfdna.modelsel import (CandidateModel, build_margin_pmfs, passes_gate,
                             select_best)
@@ -464,8 +464,8 @@ def generate_dataset_serial(profiles, snr_db, config) -> FingerprintStore:
                 noisy = add_awgn(clean, snr_db, filter_spec=fspec,
                                  seed=np.random.SeedSequence(
                                      [master, 2, ridx, b, z, snr_key]))
-                store.add(gen_fingerprint(
-                    normalize_tf(dgt(noisy, params)),
+                store.add(Fingerprint(
+                    gen_fingerprint(normalize_tf(dgt(noisy, params))).features,
                     radio_id=profile.radio_id, snr_db=snr_db, realization=z))
     return store
 

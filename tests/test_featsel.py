@@ -441,6 +441,23 @@ class TestClassHistograms:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n_a=st.integers(1, 60), n_b=st.integers(1, 60),
+           bins=st.integers(2, 120), constant=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_class_sums_to_one(self, n_a, n_b, bins, constant, seed):
+        rng = np.random.default_rng(seed)
+        # One column of random values and one that is 0.3 in both classes,
+        # or both columns constant.
+        A, B = rng.standard_normal((n_a, 2)), rng.standard_normal((n_b, 2))
+        A[:, 1] = B[:, 1] = 0.3
+        if constant:
+            A[:, 0], B[:, 0] = 0.3, -0.3
+        pa, pb, _ = class_histograms(A, B, bins)
+        assert pa.shape == pb.shape == (2, bins)
+        assert np.all(np.abs(pa.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(np.abs(pb.sum(axis=1) - 1.0) <= 1e-12)
+
     def test_equal_constants_share_one_centred_bin(self):
         pa, pb, edges = class_histograms(np.full((3, 1), 2.0),
                                          np.full((4, 1), 2.0), 4)

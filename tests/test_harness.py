@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -296,6 +297,20 @@ class TestParallelDataset:
         with pytest.raises(InvalidValue, match="cannot hold") as info:
             generate_dataset(cohort[:3], 15.0,
                              tiny_config(n_bursts=n_bursts))
+        assert info.type is InvalidValue
+        assert pools == []
+
+    def test_repeated_radio_id_refused_before_allocation(self, cohort,
+                                                         monkeypatch):
+        # Two different emitters under one id would merge into one radio.
+        # The id check comes first: this dataset could not be allocated.
+        twin = dataclasses.replace(cohort[1], radio_id="R01")
+        pools = []
+        monkeypatch.setattr(harness, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers))
+        with pytest.raises(InvalidValue, match="repeat a radio id") as info:
+            generate_dataset([cohort[0], twin], 15.0,
+                             tiny_config(n_bursts=2**70))
         assert info.type is InvalidValue
         assert pools == []
 
@@ -701,21 +716,29 @@ class TestVerifierFile:
         with pytest.raises(InvalidValue):
             Verifier.load(one_file, "R01", "relieff", 21.0)
 
-    @pytest.mark.parametrize("change", [
-        lambda d: {"version": d["version"] + 1},
-        lambda d: {"support_vectors": d["support_vectors"][:, :-1]},
-        lambda d: {"n_r": d["n_r"] + 1},
-        lambda d: {"indices": d["indices"][:-1]},
-        lambda d: {"indices": d["indices"] + N_FEATURES},
-        lambda d: {"dual_coeffs": d["dual_coeffs"][:-1]},
-        lambda d: {"bias": np.nan},
-    ])
+    @pytest.mark.parametrize("change, check", [
+        (lambda d: {"version": d["version"] + 1}, "version 1"),
+        (lambda d: {"n_r": 0}, "array shapes"),
+        (lambda d: {"support_vectors": d["support_vectors"][:, :-1]},
+         "array shapes"),
+        (lambda d: {"n_r": d["n_r"] + 1}, "array shapes"),
+        (lambda d: {"indices": d["indices"][:-1]}, "array shapes"),
+        (lambda d: {"indices": d["indices"] + N_FEATURES},
+         "feature indices in 0..203"),
+        (lambda d: {"dual_coeffs": d["dual_coeffs"][:-1]}, "array shapes"),
+        (lambda d: {"bias": np.nan}, "finite arrays"),
+        (lambda d: {"support_vectors": np.full_like(d["support_vectors"],
+                                                    np.inf)},
+         "finite arrays"),
+    ], ids=["version", "n_r-0", "sv-columns", "n_r", "indices-length",
+            "index-204", "dual-coeffs", "nan-bias", "inf-support-vector"])
     def test_wrong_version_or_inconsistent_arrays_rejected(self, one_file,
-                                                           change):
+                                                           change, check):
         with np.load(one_file) as npz:
             data = {name: npz[name] for name in npz.files}
         np.savez(one_file, **{**data, **change(data)})
-        with pytest.raises(InvalidValue):
+        with pytest.raises(InvalidValue, match=re.escape(
+                f"verifier (fails {check}")):
             Verifier.load(one_file, "R01", "relieff", 21.0)
 
     @pytest.mark.parametrize("claimed, method, snr", [
@@ -982,19 +1005,43 @@ class TestCli:
         assert rc["evaluate"] == (
             0 if all(r.gates_pass() for r in want) else 1)
 
-    @pytest.mark.parametrize("args, error", [
-        (["evaluate"], MissingData), (["select"], MissingData),
-        (["train"], MissingData), (["report"], InvalidValue),
-        (["--n-z", "1", "fingerprint"], InvalidValue),
-        (["--n-z", "1", "sweep"], InvalidValue),
-        (["--master-seed", "-1", "fingerprint"], InvalidValue)],
+    @pytest.mark.parametrize("config, command, error", [
+        (None, "evaluate", MissingData), (None, "select", MissingData),
+        (None, "train", MissingData), (None, "report", InvalidValue),
+        ({"n_z": 1}, "fingerprint", InvalidValue),
+        ({"n_z": 1}, "sweep", InvalidValue),
+        ({"master_seed": -1}, "fingerprint", InvalidValue)],
         ids=["evaluate", "select", "train", "report", "fingerprint", "sweep",
              "master-seed"])
     def test_failed_command_creates_no_data_root(self, tmp_path, capsys,
-                                                 args, error):
+                                                 config, command, error):
         root = tmp_path / "missing"
-        assert_refused(capsys, ["--data-root", str(root)] + args, error)
+        args = ["--data-root", str(root), command]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args[2:2] = ["--config", str(path)]
+        assert_refused(capsys, args, error)
         assert not root.exists()
+
+    @pytest.mark.parametrize("command", ["fingerprint", "sweep"])
+    @pytest.mark.parametrize("snrs", [["21.0000001", "21.0000002"],
+                                      ["21", "21.0000001"],
+                                      ["-3", "-3.000001"]])
+    def test_snrs_sharing_a_file_name_rejected(self, tmp_path, capsys,
+                                               command, snrs):
+        # Files name an SNR by its first 6 significant digits, so these
+        # SNRs would overwrite each other's store.
+        config_path = tmp_path / "config.json"
+        write_config(cli_config(), config_path)
+        root = tmp_path / "data"
+        argv = ["--data-root", str(root), "--config", str(config_path)]
+        for snr in snrs:
+            argv += ["--snr", snr]
+        assert_refused(capsys, argv + [command], InvalidValue,
+                       "one file name")
+        assert not root.exists()
+        assert not list(tmp_path.rglob("*.rfdn"))
 
     @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
     def test_missing_store_names_the_fingerprint_command(self, tmp_path,
@@ -1005,10 +1052,12 @@ class TestCli:
     def test_missing_explicit_manifest_rejected(self, tmp_path, capsys):
         # A missing <root>/cohort.json means the default cohort; a missing
         # --manifest is a typo, not a request for the default cohort.
-        assert_refused(capsys, ["--data-root", str(tmp_path), "--manifest",
+        config_path = tmp_path / "config.json"
+        write_config(cli_config(), config_path)
+        assert_refused(capsys, ["--data-root", str(tmp_path), "--config",
+                                str(config_path), "--manifest",
                                 str(tmp_path / "typo_cohort.json"),
-                                "--n-bursts", "1", "--n-z", "2", "--snr",
-                                "21", "fingerprint"], InvalidValue)
+                                "fingerprint"], InvalidValue)
         assert not list(tmp_path.glob("*.rfdn"))
 
     @pytest.mark.parametrize("text", ["{", "[]", "null", "3", None])
@@ -1086,17 +1135,19 @@ class TestCli:
         # A repeated value is dropped; methods keep the order of first use.
         rc = cli.main(["--data-root", str(tmp_path), "--snr", "27",
                        "--snr", "21", "--snr", "27", "--methods", "bc",
-                       "--methods", "pca", "--methods", "bc", "--nr-grid",
-                       "20", "--nr-grid", "5", "--nr-grid", "20",
+                       "--methods", "pca", "--methods", "bc",
                        "fingerprint"])
         assert rc == 0
         assert seen[0].snr_grid == [21.0, 27.0]
         assert seen[0].methods == ["bc", "pca"]
-        assert seen[0].nr_grid == [5, 20]
 
     def test_overrides_are_validated(self, tmp_path, capsys):
-        assert_refused(capsys, ["--data-root", str(tmp_path), "--n-z", "1",
-                                "train"], InvalidValue)
+        # The config file's 21 dB grid is valid; --snr replaces it.
+        path = tmp_path / "config.json"
+        write_config(cli_config(), path)
+        assert_refused(capsys, ["--data-root", str(tmp_path), "--config",
+                                str(path), "--snr", "5000", "train"],
+                       InvalidValue, "snr_grid")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -1143,12 +1194,12 @@ class TestCli:
                                 str(path), "fingerprint"], InvalidValue)
         assert not list(tmp_path.glob("*.rfdn"))
 
-    @pytest.mark.parametrize("flags, n_bursts", [([], 2),
-                                                 (["--n-bursts", "5"], 5)])
+    @pytest.mark.parametrize("use_manifest, n_bursts", [(True, 2),
+                                                        (False, 3)])
     def test_fingerprint_and_sweep_use_one_burst_count(
-            self, tmp_path, monkeypatch, flags, n_bursts):
-        # Burst count: --n-bursts if given, else the manifest's (2), never
-        # the config file's (3).
+            self, tmp_path, monkeypatch, use_manifest, n_bursts):
+        # Burst count: the manifest's (2) if one is given, else the config
+        # file's (3).
         manifest = tmp_path / "cohort.json"
         manifest.write_text(json.dumps({
             "n_bursts": 2,
@@ -1165,9 +1216,9 @@ class TestCli:
         rows = {}
         for command in ("fingerprint", "sweep"):
             root = tmp_path / command
+            flags = ["--manifest", str(manifest)] if use_manifest else []
             assert cli.main(["--data-root", str(root), "--config",
-                             str(config_path), "--manifest", str(manifest)]
-                            + flags + [command]) == 0
+                             str(config_path)] + flags + [command]) == 0
             rows[command] = len(FingerprintStore.load(
                 root / "fingerprints_21dB.rfdn"))
         assert rows == {"fingerprint": 18 * n_bursts * 2,

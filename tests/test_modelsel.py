@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rfdna.errors import InvalidValue
 from rfdna.featsel import bhattacharyya
 from rfdna.modelsel import (
+    PMF_BINS,
     CandidateModel,
     MarginPmfPair,
     build_margin_pmfs,
@@ -42,7 +43,7 @@ class TestBuildMarginPmfs:
     def test_identical_margin_multisets_overlap_fully(self):
         model = odd_model()
         X = RNG.standard_normal((200, 2))
-        pair = build_margin_pmfs(model, X, -X, bins=100)
+        pair = build_margin_pmfs(model, X, -X)
         assert np.array_equal(pair.pmf_pos, pair.pmf_neg)
         assert abs(pair.bc - 1.0) <= 1e-12
 
@@ -50,7 +51,7 @@ class TestBuildMarginPmfs:
         model = manual_model([[0.0, 0.0]], [1.0], 5.0)
         auth = RNG.standard_normal((50, 2)) * 0.1
         other = RNG.standard_normal((50, 2)) * 0.1 + 30.0
-        pair = build_margin_pmfs(model, auth, other, bins=100)
+        pair = build_margin_pmfs(model, auth, other)
         assert pair.bc == 0.0
         assert pair.mean_pos > 0 > pair.mean_neg
 
@@ -58,7 +59,7 @@ class TestBuildMarginPmfs:
         model = odd_model()
         auth = RNG.standard_normal((80, 2))
         other = RNG.standard_normal((120, 2)) + 1.0
-        pair = build_margin_pmfs(model, auth, other, bins=40)
+        pair = build_margin_pmfs(model, auth, other)
         m_pos = 2.0 * svm_score(model, auth)
         m_neg = -2.0 * svm_score(model, other)
         assert pair.mean_pos == pytest.approx(m_pos.mean(), abs=1e-15)
@@ -67,7 +68,7 @@ class TestBuildMarginPmfs:
         assert pair.var_neg == pytest.approx(m_neg.var(), abs=1e-15)
         lo = min(m_pos.min(), m_neg.min())
         hi = max(m_pos.max(), m_neg.max())
-        edges = np.linspace(lo, hi, 41)
+        edges = np.linspace(lo, hi, PMF_BINS + 1)
         p = np.histogram(m_pos, bins=edges)[0] / len(m_pos)
         q = np.histogram(m_neg, bins=edges)[0] / len(m_neg)
         assert np.array_equal(pair.pmf_pos, p)
@@ -83,17 +84,15 @@ class TestBuildMarginPmfs:
 
     @settings(max_examples=25, deadline=None)
     @given(n_pos=st.integers(1, 60), n_neg=st.integers(1, 60),
-           bins=st.integers(2, 120), constant=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_each_pmf_sums_to_one(self, n_pos, n_neg, bins, constant, seed):
+           constant=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_each_pmf_sums_to_one(self, n_pos, n_neg, constant, seed):
         rng = np.random.default_rng(seed)
         # A zero-weight model scores every row 0.3: both margins constant.
         model = manual_model([[0.0, 0.0]], [0.0], 0.3) if constant \
             else odd_model()
         pair = build_margin_pmfs(model, rng.standard_normal((n_pos, 2)),
-                                 rng.standard_normal((n_neg, 2)) + 0.5,
-                                 bins=bins)
-        assert len(pair.pmf_pos) == len(pair.pmf_neg) == bins
+                                 rng.standard_normal((n_neg, 2)) + 0.5)
+        assert len(pair.pmf_pos) == len(pair.pmf_neg) == PMF_BINS == 100
         assert abs(pair.pmf_pos.sum() - 1.0) <= 1e-12
         assert abs(pair.pmf_neg.sum() - 1.0) <= 1e-12
 
@@ -101,12 +100,6 @@ class TestBuildMarginPmfs:
         model = odd_model()
         with pytest.raises(InvalidValue, match="sets must be non-empty"):
             build_margin_pmfs(model, np.empty((0, 2)), np.ones((3, 2)))
-
-    @pytest.mark.parametrize("bins", [0, -2, 2.5, True])
-    def test_bad_bin_count_rejected(self, bins):
-        with pytest.raises(InvalidValue):
-            build_margin_pmfs(odd_model(), np.ones((3, 2)), -np.ones((3, 2)),
-                              bins=bins)
 
 
 def fake_candidate(n_r, tvr=0.95, fvr=0.05, bc=0.2, dist=4.0, var=1.0):
