@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -32,45 +34,47 @@ def _data_root(args) -> Path:
 def _cohort_and_config(args, root: Path):
     """The cohort (the manifest's, else the default) and the config file (or
     defaults) with ``--snr`` and ``--methods`` applied, validated once as a
-    whole. The burst count is the manifest's if there is one, else the
-    config's, so every command sees one count per cohort. A grid whose SNRs
-    would share a file name is refused."""
-    manifest = args.manifest or (root / "cohort.json")
-    if args.manifest or Path(manifest).exists():
-        profiles, n_bursts = signals.load_manifest(manifest)
-    else:
-        profiles, n_bursts = default_cohort(), None
+    whole."""
+    manifest = Path(args.manifest or root / "cohort.json")
+    profiles = (signals.load_manifest(manifest)
+                if args.manifest or manifest.exists() else default_cohort())
     if args.config:
         config = ExperimentConfig.from_json(args.config)
     else:
         config = ExperimentConfig()
-    overrides = {} if n_bursts is None else {"n_bursts": n_bursts}
+    overrides = {}
     if args.snr:
         overrides["snr_grid"] = sorted(set(args.snr))
     if args.methods:
         overrides["methods"] = list(dict.fromkeys(args.methods))
-    config = dataclasses.replace(config, **overrides)
-    tags = [f"{snr:g}" for snr in config.snr_grid]
-    if len(set(tags)) != len(tags):
-        raise InvalidValue(f"snr_grid {config.snr_grid!r} gives two SNRs one "
-                           f"file name ({tags!r}); make them differ in the "
-                           f"first 6 significant digits")
-    return profiles, config
+    return profiles, dataclasses.replace(config, **overrides)
 
 
-def _store_path(root: Path, snr) -> Path:
-    return root / f"fingerprints_{snr:g}dB.rfdn"
+def _store(root: Path, profiles, config, snr, remake=False):
+    """The fingerprint store of ``profiles`` at ``snr``: loaded from
+    ``root`` if it is there and ``remake`` is false, else made and saved.
+    The file name holds the SNR and a digest of every input of
+    ``generate_dataset``, so no command reads a store made from another
+    cohort, burst count, realization count, seed or SNR."""
+    key = json.dumps([[dataclasses.astuple(p) for p in profiles],
+                      config.n_bursts, config.n_z, config.master_seed,
+                      float(snr)])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:12]
+    path = root / f"fingerprints_{snr:g}dB_{digest}.rfdn"
+    if path.exists() and not remake:
+        return FingerprintStore.load(path)
+    store = harness.generate_dataset(profiles, snr, config)
+    root.mkdir(parents=True, exist_ok=True)
+    store.save(path)
+    print(f"SNR {snr:g} dB: {len(store)} fingerprints -> {path}")
+    return store
 
 
 def cmd_fingerprint(args) -> int:
     root = _data_root(args)
     profiles, config = _cohort_and_config(args, root)
-    root.mkdir(parents=True, exist_ok=True)
     for snr in config.snr_grid:
-        store = harness.generate_dataset(profiles, snr, config)
-        path = _store_path(root, snr)
-        store.save(path)
-        print(f"SNR {snr:g} dB: {len(store)} fingerprints -> {path}")
+        _store(root, profiles, config, snr, remake=True)
     return 0
 
 
@@ -82,18 +86,15 @@ def _require(path: Path, command: str) -> Path:
 
 
 def _trial_setup(args):
-    """Data root, config, trial and the store at the highest configured SNR:
-    the common inputs of the single-trial commands."""
+    """Data root, cohort, config, trial and the highest configured SNR: the
+    common inputs of the single-trial commands."""
     root = _data_root(args)
     profiles, config = _cohort_and_config(args, root)
     trials = default_trials([p.radio_id for p in profiles])
     if not 1 <= args.trial <= len(trials):
         raise InvalidValue(f"--trial must lie in 1..{len(trials)}, got "
                            f"{args.trial}")
-    trial = trials[args.trial - 1]
-    snr = config.snr_grid[-1]
-    return root, config, trial, snr, FingerprintStore.load(
-        _require(_store_path(root, snr), "fingerprint"))
+    return root, profiles, config, trials[args.trial - 1], config.snr_grid[-1]
 
 
 def _verifier_path(root: Path, method, claimed, snr) -> Path:
@@ -101,7 +102,8 @@ def _verifier_path(root: Path, method, claimed, snr) -> Path:
 
 
 def cmd_select(args) -> int:
-    root, config, trial, snr, store = _trial_setup(args)
+    root, profiles, config, trial, snr = _trial_setup(args)
+    store = _store(root, profiles, config, snr)
     claimed = args.claimed_id or trial.authorized_ids[0]
     fset = harness.training_pool(store, trial, claimed, config)[0]
     for method in config.methods:
@@ -116,7 +118,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    root, config, trial, snr, store = _trial_setup(args)
+    root, profiles, config, trial, snr = _trial_setup(args)
+    store = _store(root, profiles, config, snr)
     ok = True
     for method in config.methods:
         models = harness.train_trial(trial, snr, method, store, config)
@@ -135,13 +138,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    root, config, trial, snr, store = _trial_setup(args)
+    root, profiles, config, trial, snr = _trial_setup(args)
+    # A missing verifier is refused before a missing store is made.
     verifiers = {
         method: {claimed: harness.Verifier.load(
             _require(_verifier_path(root, method, claimed, snr), "train"),
             claimed, method, snr) for claimed in trial.authorized_ids}
         for method in config.methods
     }
+    store = _store(root, profiles, config, snr)
     reports = [harness.evaluate_trial(trial, snr, method, models, store,
                                       config)
                for method, models in verifiers.items()]
@@ -156,17 +161,8 @@ def cmd_sweep(args) -> int:
     root = _data_root(args)
     profiles, config = _cohort_and_config(args, root)
     trials = default_trials([p.radio_id for p in profiles])
-    root.mkdir(parents=True, exist_ok=True)
-
-    def loader(snr):
-        path = _store_path(root, snr)
-        if path.exists():
-            return FingerprintStore.load(path)
-        store = harness.generate_dataset(profiles, snr, config)
-        store.save(path)
-        return store
-
-    reports = harness.snr_sweep(trials, config, loader)
+    reports = harness.snr_sweep(
+        trials, config, lambda snr: _store(root, profiles, config, snr))
     harness.emit_report(reports, root / "reports")
     ok = all(r.gates_pass() for r in reports if r.entries)
     print(f"{len(reports)} reports -> {root / 'reports'}")

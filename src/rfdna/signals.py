@@ -217,16 +217,18 @@ def read_json(path, what: str):
         raise InvalidValue(f"cannot read {what} {path}: {exc}") from None
 
 
-def load_manifest(path) -> tuple[list[EmitterProfile], int]:
-    """Profiles and burst count of ``{"n_bursts": N, "profiles": [...]}``,
-    one object of :class:`EmitterProfile` fields per radio. A missing or
-    malformed manifest raises :class:`InvalidValue`."""
+def load_manifest(path) -> list[EmitterProfile]:
+    """Profiles of ``{"profiles": [...]}``, one object of
+    :class:`EmitterProfile` fields per radio. A missing or malformed
+    manifest, or one with any other key, raises :class:`InvalidValue`."""
     data = read_json(path, "manifest")
     if not isinstance(data, dict) or not isinstance(data.get("profiles"),
                                                     list):
         raise InvalidValue("manifest needs a \"profiles\" list")
-    n_bursts = data.get("n_bursts")
-    check_count("manifest n_bursts", n_bursts, 1)
+    if len(data) > 1:
+        raise InvalidValue(f"manifest holds only \"profiles\", not "
+                           f"{sorted(set(data) - {'profiles'})}; n_bursts is "
+                           f"a config key")
     try:
         profiles = [EmitterProfile(**p) for p in data["profiles"]]
     except TypeError as exc:
@@ -234,4 +236,4 @@ def load_manifest(path) -> tuple[list[EmitterProfile], int]:
     ids = [p.radio_id for p in profiles]
     if len(set(ids)) != len(ids):
         raise InvalidValue(f"manifest lists a radio_id twice: {ids}")
-    return profiles, n_bursts
+    return profiles

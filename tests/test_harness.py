@@ -15,7 +15,8 @@ import pytest
 import rfdna.harness as harness
 from rfdna.errors import (InvalidModel, InvalidValue, MissingData,
                           NumericalFailure)
-from rfdna.fingerprint import N_FEATURES, Fingerprint, FingerprintStore
+from rfdna.fingerprint import (N_FEATURES, Fingerprint, FingerprintStore,
+                               load_arrays)
 from rfdna.harness import (
     ExperimentConfig,
     Reducer,
@@ -859,7 +860,8 @@ def cli_config(**overrides):
     # Two realizations, one for training: each radio's training realization
     # holds 6 rows, above the per-realization quota of 4, so the training
     # pool takes a prefix of every block.
-    return tiny_config(n_bursts=6, n_train=4, n_train_other=4, **overrides)
+    return tiny_config(**{"n_bursts": 6, "n_train": 4, "n_train_other": 4,
+                          **overrides})
 
 
 @pytest.fixture(scope="class")
@@ -873,6 +875,13 @@ def cli_run(tmp_path_factory):
     rc = {cmd: cli.main(base + [cmd])
           for cmd in ("fingerprint", "select", "train", "evaluate")}
     return root, rc
+
+
+def store_path(root, tag="21") -> Path:
+    """The one fingerprint store of SNR ``tag`` under ``root``; its name
+    ends in a digest of the settings that made it."""
+    (path,) = Path(root).glob(f"fingerprints_{tag}dB_*.rfdn")
+    return path
 
 
 def report_json(**fields) -> str:
@@ -898,7 +907,7 @@ class TestCli:
     def test_fingerprint_report(self, cli_run, report):
         root, rc = cli_run
         assert rc["fingerprint"] == 0
-        store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
+        store = FingerprintStore.load(store_path(root))
         assert len(store) == 18 * 6 * 2
 
         emit_report([report], root / "reports_fixture")
@@ -912,7 +921,7 @@ class TestCli:
     def test_select_ranks_the_training_pool(self, cli_run, trials):
         root, rc = cli_run
         assert rc["select"] == 0
-        store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
+        store = FingerprintStore.load(store_path(root))
         cand = train_best_model(trials[0], "R01", "relieff", 21.0, store,
                                 cli_config())
         with open(root / "ranking_relieff_R01_snr21.csv", newline="") as fh:
@@ -922,7 +931,7 @@ class TestCli:
 
     def test_train_exit_code_follows_gates(self, cli_run, trials):
         root, rc = cli_run
-        store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
+        store = FingerprintStore.load(store_path(root))
         gates = []
         for claimed in trials[0].authorized_ids:
             cand = train_best_model(trials[0], claimed, "relieff", 21.0,
@@ -939,7 +948,7 @@ class TestCli:
 
     def test_evaluate_exit_code_follows_gates(self, cli_run, trials):
         root, rc = cli_run
-        store = FingerprintStore.load(root / "fingerprints_21dB.rfdn")
+        store = FingerprintStore.load(store_path(root))
         want = trial_report(trials[0], 21.0, "relieff", store, cli_config())
         data = json.loads((root / "reports" / "reports.json").read_text())
         assert data == [json.loads(json.dumps(want.to_dict()))]
@@ -953,8 +962,7 @@ class TestCli:
         root, _ = cli_run
         copy_root = tmp_path / "data"
         copy_root.mkdir()
-        for path in [*root.glob("verifier_*.npz"),
-                     root / "fingerprints_21dB.rfdn"]:
+        for path in [*root.glob("verifier_*.npz"), store_path(root)]:
             (copy_root / path.name).write_bytes(path.read_bytes())
         config_path = tmp_path / "config.json"
         write_config(cli_config(), config_path)
@@ -977,7 +985,7 @@ class TestCli:
         root, _ = cli_run
         copy_root = tmp_path / "data"
         copy_root.mkdir()
-        store_name = "fingerprints_21dB.rfdn"
+        store_name = store_path(root).name
         (copy_root / store_name).write_bytes((root / store_name).read_bytes())
         config_path = tmp_path / "config.json"
         write_config(cli_config(), config_path)
@@ -1006,8 +1014,8 @@ class TestCli:
             0 if all(r.gates_pass() for r in want) else 1)
 
     @pytest.mark.parametrize("config, command, error", [
-        (None, "evaluate", MissingData), (None, "select", MissingData),
-        (None, "train", MissingData), (None, "report", InvalidValue),
+        (None, "evaluate", MissingData), ({"n_z": 1}, "select", InvalidValue),
+        ({"n_z": 1}, "train", InvalidValue), (None, "report", InvalidValue),
         ({"n_z": 1}, "fingerprint", InvalidValue),
         ({"n_z": 1}, "sweep", InvalidValue),
         ({"master_seed": -1}, "fingerprint", InvalidValue)],
@@ -1028,26 +1036,103 @@ class TestCli:
     @pytest.mark.parametrize("snrs", [["21.0000001", "21.0000002"],
                                       ["21", "21.0000001"],
                                       ["-3", "-3.000001"]])
-    def test_snrs_sharing_a_file_name_rejected(self, tmp_path, capsys,
-                                               command, snrs):
-        # Files name an SNR by its first 6 significant digits, so these
-        # SNRs would overwrite each other's store.
+    def test_snrs_sharing_a_tag_get_a_store_each(self, tmp_path,
+                                                  monkeypatch, command,
+                                                  snrs):
+        # Both SNRs print as one 6-significant-digit tag; the digest in
+        # the file name keeps their stores apart.
         config_path = tmp_path / "config.json"
         write_config(cli_config(), config_path)
         root = tmp_path / "data"
         argv = ["--data-root", str(root), "--config", str(config_path)]
         for snr in snrs:
             argv += ["--snr", snr]
-        assert_refused(capsys, argv + [command], InvalidValue,
-                       "one file name")
-        assert not root.exists()
-        assert not list(tmp_path.rglob("*.rfdn"))
+        monkeypatch.setattr(harness, "train_trial", lambda *args: {})
+        monkeypatch.setattr(
+            harness, "evaluate_trial", lambda trial, snr, method, *args:
+            VerificationReport(trial.trial_id, snr, method, []))
+        assert cli.main(argv + [command]) == 0
+        (tag,) = {f"{float(snr):g}" for snr in snrs}
+        columns = [load_arrays(p)["snr_db"]
+                   for p in root.glob(f"fingerprints_{tag}dB_*.rfdn")]
+        assert sorted(c[0] for c in columns) == sorted(map(float, snrs))
+        assert all(np.all(c == c[0]) for c in columns)
 
     @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
-    def test_missing_store_names_the_fingerprint_command(self, tmp_path,
-                                                         capsys, command):
-        assert_refused(capsys, ["--data-root", str(tmp_path), command],
-                       MissingData, "rfdna fingerprint")
+    def test_every_command_makes_a_missing_store(self, cli_run, tmp_path,
+                                                 capsys, command):
+        # Each makes the store that `fingerprint` made in ``cli_run``, and
+        # prints the line `fingerprint` prints.
+        root, _ = cli_run
+        copy_root = tmp_path / "data"
+        copy_root.mkdir()
+        for path in root.glob("verifier_*.npz"):
+            (copy_root / path.name).write_bytes(path.read_bytes())
+        config_path = tmp_path / "config.json"
+        write_config(cli_config(), config_path)
+        assert cli.main(["--data-root", str(copy_root), "--config",
+                         str(config_path), command]) in (0, 1)
+        made = store_path(copy_root)
+        assert made.name == store_path(root).name
+        assert made.read_bytes() == store_path(root).read_bytes()
+        assert capsys.readouterr().out.startswith(
+            f"SNR 21 dB: {18 * 6 * 2} fingerprints -> {made}\n")
+
+    def test_train_makes_its_own_store_beside_another_configs(
+            self, tmp_path):
+        # `fingerprint` under config A, then `train` under config B (more
+        # bursts, another seed): B trains on a store of its own, and A's
+        # store is neither read nor written.
+        config_a, config_b = tmp_path / "a.json", tmp_path / "b.json"
+        write_config(cli_config(n_bursts=2), config_a)
+        write_config(cli_config(n_bursts=4, master_seed=9), config_b)
+        root, fresh = tmp_path / "data", tmp_path / "fresh"
+        assert cli.main(["--data-root", str(root), "--config",
+                         str(config_a), "fingerprint"]) == 0
+        store_a = store_path(root)
+        # A save replaces the file (os.replace), so an unchanged inode and
+        # mtime mean it was not written again.
+        stat = store_a.stat()
+        before = store_a.read_bytes(), stat.st_ino, stat.st_mtime_ns
+        for data_root in (root, fresh):
+            assert cli.main(["--data-root", str(data_root), "--config",
+                             str(config_b), "train"]) in (0, 1)
+        stat = store_a.stat()
+        assert (store_a.read_bytes(), stat.st_ino, stat.st_mtime_ns) == before
+        (store_b,) = set(root.glob("*.rfdn")) - {store_a}
+        assert len(FingerprintStore.load(store_b)) == 18 * 4 * 2
+        names = sorted(p.name for p in fresh.glob("verifier_*.npz"))
+        assert len(names) == 6
+        assert sorted(p.name for p in root.glob("verifier_*.npz")) == names
+        assert all((root / name).read_bytes() == (fresh / name).read_bytes()
+                   for name in names)
+
+    def test_store_name_digests_every_dataset_input(self, tmp_path, cohort,
+                                                    monkeypatch):
+        # Each named input of generate_dataset changes the name; a setting
+        # that only training reads does not. No store is fingerprinted.
+        monkeypatch.setattr(harness, "generate_dataset",
+                            lambda *args: FingerprintStore())
+        roots = iter(range(100))
+
+        def name(profiles=cohort, snr=21.0, **overrides):
+            root = tmp_path / str(next(roots))
+            cli._store(root, profiles, cli_config(**overrides), snr)
+            return store_path(root, f"{snr:g}").name
+
+        base = name()
+        assert re.fullmatch(r"fingerprints_21dB_[0-9a-f]{12}\.rfdn", base)
+        assert {name(nr_grid=[7]), name(k_folds=3), name(methods=["bc"]),
+                name(n_train=2, n_train_other=2)} == {base}
+        last = cohort[-1]
+        edited = [dataclasses.replace(last, **{f.name: "R99" if f.name ==
+                  "radio_id" else getattr(last, f.name) + 0.001})
+                  for f in dataclasses.fields(last)]
+        names = [name(cohort[:-1] + [p]) for p in edited] + [
+            name(cohort[::-1]), name(cohort[:-1]), name(n_bursts=7),
+            name(n_z=3), name(master_seed=1), name(snr=21.0000001),
+            name(snr=18.0)]
+        assert len(set(names + [base])) == len(names) + 1
 
     def test_missing_explicit_manifest_rejected(self, tmp_path, capsys):
         # A missing <root>/cohort.json means the default cohort; a missing
@@ -1187,22 +1272,29 @@ class TestCli:
         assert_refused(capsys, ["--data-root", str(tmp_path), command,
                                 "--trial", trial], InvalidValue)
 
-    def test_malformed_manifest_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("data, text", [
+        # an older manifest's burst count, which the config now sets
+        ({"n_bursts": 2, "profiles": [
+            dataclasses.asdict(p) for p in default_cohort()]}, "config key"),
+        ({"profiles": [{"radio_id": ""}]}, "radio_id")],
+        ids=["n-bursts", "empty-id"])
+    def test_malformed_manifest_rejected(self, tmp_path, capsys, data,
+                                         text):
         path = tmp_path / "cohort.json"
-        path.write_text(json.dumps({"n_bursts": 0, "profiles": []}))
-        assert_refused(capsys, ["--data-root", str(tmp_path), "--manifest",
-                                str(path), "fingerprint"], InvalidValue)
-        assert not list(tmp_path.glob("*.rfdn"))
+        path.write_text(json.dumps(data))
+        root = tmp_path / "data"
+        assert_refused(capsys, ["--data-root", str(root), "--manifest",
+                                str(path), "fingerprint"], InvalidValue,
+                       text)
+        assert not root.exists()
 
-    @pytest.mark.parametrize("use_manifest, n_bursts", [(True, 2),
-                                                        (False, 3)])
+    @pytest.mark.parametrize("use_manifest", [True, False])
     def test_fingerprint_and_sweep_use_one_burst_count(
-            self, tmp_path, monkeypatch, use_manifest, n_bursts):
-        # Burst count: the manifest's (2) if one is given, else the config
-        # file's (3).
+            self, tmp_path, monkeypatch, use_manifest):
+        # The burst count is the config file's (3), with or without a
+        # manifest, which holds only profiles.
         manifest = tmp_path / "cohort.json"
         manifest.write_text(json.dumps({
-            "n_bursts": 2,
             "profiles": [dataclasses.asdict(p) for p in default_cohort()]}))
         config_path = tmp_path / "config.json"
         write_config(tiny_config(n_bursts=3), config_path)
@@ -1213,23 +1305,24 @@ class TestCli:
 
         monkeypatch.setattr(harness, "snr_sweep", sweep)
         monkeypatch.setattr(harness, "emit_report", lambda reports, out: [])
-        rows = {}
+        stores = {}
         for command in ("fingerprint", "sweep"):
             root = tmp_path / command
             flags = ["--manifest", str(manifest)] if use_manifest else []
             assert cli.main(["--data-root", str(root), "--config",
                              str(config_path)] + flags + [command]) == 0
-            rows[command] = len(FingerprintStore.load(
-                root / "fingerprints_21dB.rfdn"))
-        assert rows == {"fingerprint": 18 * n_bursts * 2,
-                        "sweep": 18 * n_bursts * 2}
+            stores[command] = store_path(root)
+        assert len(FingerprintStore.load(stores["sweep"])) == 18 * 3 * 2
+        assert stores["sweep"].name == stores["fingerprint"].name
+        assert (stores["sweep"].read_bytes()
+                == stores["fingerprint"].read_bytes())
 
     def test_sweep_reuses_a_saved_store(self, tmp_path, monkeypatch):
         config_path = tmp_path / "config.json"
         write_config(cli_config(), config_path)
         base = ["--data-root", str(tmp_path), "--config", str(config_path)]
         assert cli.main(base + ["--snr", "21", "fingerprint"]) == 0
-        saved = tmp_path / "fingerprints_21dB.rfdn"
+        saved = store_path(tmp_path)
         # A save replaces the file (os.replace), so an unchanged inode and
         # mtime mean it was not written again.
         stat = saved.stat()
@@ -1253,8 +1346,8 @@ class TestCli:
         assert generated == [18.0]
         assert (saved.read_bytes(), saved.stat().st_ino,
                 saved.stat().st_mtime_ns) == before
-        assert sorted(p.name for p in tmp_path.glob("*.rfdn")) == [
-            "fingerprints_18dB.rfdn", "fingerprints_21dB.rfdn"]
+        assert store_path(tmp_path, "18") != saved
+        assert len(list(tmp_path.glob("*.rfdn"))) == 2
         reloaded = FingerprintStore.load(saved)
         assert all(np.array_equal(stores[21.0].select(rid),
                                   reloaded.select(rid))

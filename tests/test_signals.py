@@ -225,36 +225,42 @@ class TestIo:
                     EmitterProfile("R02", pa_nonlinearity=0.3)]
         path = tmp_path / "cohort.json"
         path.write_text(json.dumps(
-            {"n_bursts": 42, "profiles": [asdict(p) for p in profiles]}))
-        back, n = load_manifest(path)
-        assert back == profiles
-        assert n == 42
+            {"profiles": [asdict(p) for p in profiles]}))
+        assert load_manifest(path) == profiles
 
     @pytest.mark.parametrize("text", [json.dumps(d) for d in [
-        {"n_bursts": 4},                                   # no profiles
-        {"n_bursts": 4, "profiles": [{"radio_id": "R01", "gain": 1.0}]},
-        {"n_bursts": 4, "profiles": [{"iq_gain_imbalance": 1.0}]},
-        {"n_bursts": "x", "profiles": [{"radio_id": "R01"}]},
-        {"n_bursts": 0, "profiles": [{"radio_id": "R01"}]},
-        {"n_bursts": -3, "profiles": [{"radio_id": "R01"}]},
-        {"profiles": [{"radio_id": "R01"}]},               # no n_bursts
+        {},                                                # no profiles
+        {"profiles": [{"radio_id": "R01", "gain": 1.0}]},
+        {"profiles": [{"iq_gain_imbalance": 1.0}]},
+        {"profiles": {"radio_id": "R01"}},                 # not a list
         [{"radio_id": "R01"}],
-        {"n_bursts": 4, "profiles": [{"radio_id": "R01"},  # id twice
-                                     {"radio_id": "R02"},
-                                     {"radio_id": "R01"}]},
-        {"n_bursts": 4, "profiles": [{"radio_id": "R01",   # emitted as NaN
-                                      "pa_nonlinearity": float("nan")}]},
-        {"n_bursts": 4, "profiles": [{"radio_id": "R01",   # as Infinity
-                                      "iq_gain_imbalance": float("inf")}]},
-        {"n_bursts": 4, "profiles": [{"radio_id": "R01",
-                                      "ramp_time_constant": -5.0}]},
-        {"n_bursts": 4, "profiles": [{"radio_id": 7}]},
-        {"n_bursts": 4, "profiles": [{"radio_id": ""}]},
-        {"n_bursts": 4, "profiles": [{"radio_id": "R01",
-                                      "iq_gain_imbalance": True}]},
-    ]] + ["{n_bursts: 4"])                                 # not JSON
+        {"profiles": [{"radio_id": "R01"},                 # id twice
+                      {"radio_id": "R02"},
+                      {"radio_id": "R01"}]},
+        {"profiles": [{"radio_id": "R01",                  # emitted as NaN
+                       "pa_nonlinearity": float("nan")}]},
+        {"profiles": [{"radio_id": "R01",                  # as Infinity
+                       "iq_gain_imbalance": float("inf")}]},
+        {"profiles": [{"radio_id": "R01",
+                       "ramp_time_constant": -5.0}]},
+        {"profiles": [{"radio_id": 7}]},
+        {"profiles": [{"radio_id": ""}]},
+        {"profiles": [{"radio_id": "R01",
+                       "iq_gain_imbalance": True}]},
+        {"n_bursts": 4, "profiles": [{"radio_id": "R01"}]},  # a config key
+        {"profiles": [{"radio_id": "R01"}], "n_z": 2},
+    ]] + ["{profiles: []"])                                # not JSON
     def test_malformed_manifest_rejected(self, tmp_path, text):
         path = tmp_path / "cohort.json"
         path.write_text(text)
         with pytest.raises(InvalidValue):
+            load_manifest(path)
+
+    def test_manifest_burst_count_named_as_a_config_key(self, tmp_path):
+        # A manifest that once set the burst count is refused, not read
+        # with the config's count in its place.
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps({"n_bursts": 42, "profiles": [
+            asdict(EmitterProfile("R01"))]}))
+        with pytest.raises(InvalidValue, match="n_bursts is a config key"):
             load_manifest(path)
