@@ -26,41 +26,60 @@ from .modelsel import export_candidates, passes_gate
 
 
 def _data_root(args) -> Path:
-    """The data root; only a command that writes there creates it, after
-    its inputs are checked."""
+    """The data root; only a command that writes there makes it."""
     return Path(args.data_root or os.environ.get("RFDNA_DATA", "data"))
 
 
-def _cohort_and_config(args, root: Path):
-    """The cohort (the manifest's, else the default) and the config file (or
-    defaults) with ``--snr`` and ``--methods`` applied, validated once as a
-    whole."""
+def _setup(args):
+    """The inputs of every command but ``report``, checked before any file
+    is written: the data root, the cohort (the manifest's, else the default),
+    the config file (or defaults) with ``--snr`` and ``--methods`` applied,
+    and the cohort's trials."""
+    root = _data_root(args)
     manifest = Path(args.manifest or root / "cohort.json")
     profiles = (signals.load_manifest(manifest)
                 if args.manifest or manifest.exists() else default_cohort())
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
+    config = (ExperimentConfig.from_json(args.config) if args.config
+              else ExperimentConfig())
     overrides = {}
     if args.snr:
         overrides["snr_grid"] = sorted(set(args.snr))
     if args.methods:
         overrides["methods"] = list(dict.fromkeys(args.methods))
-    return profiles, dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(config, **overrides)
+    trials = default_trials([p.radio_id for p in profiles])
+    return root, profiles, config, trials
+
+
+def _trial(args, trials):
+    if not 1 <= args.trial <= len(trials):
+        raise InvalidValue(f"--trial must lie in 1..{len(trials)}, got "
+                           f"{args.trial}")
+    return trials[args.trial - 1]
+
+
+def _path(root: Path, profiles, config, snr, kind, *ids) -> Path:
+    """``root``'s file of ``kind`` for ``ids`` at ``snr``, named by a digest
+    of what made it: a store (``fingerprints``) by every input of
+    ``generate_dataset``, a trained file by those and every config field but
+    ``snr_grid`` and ``methods``. So no command reads another's file."""
+    key = [[dataclasses.astuple(p) for p in profiles], config.n_bursts,
+           config.n_z, config.master_seed, float(snr)]
+    if kind == "fingerprints":
+        name, suffix = f"fingerprints_{snr:g}dB", ".rfdn"
+    else:
+        key.append({k: v for k, v in dataclasses.asdict(config).items()
+                    if k not in ("snr_grid", "methods")})
+        name = f"{'_'.join([kind, *ids])}_snr{snr:g}"
+        suffix = ".npz" if kind == "verifier" else ".csv"
+    digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()[:12]
+    return root / f"{name}_{digest}{suffix}"
 
 
 def _store(root: Path, profiles, config, snr, remake=False):
     """The fingerprint store of ``profiles`` at ``snr``: loaded from
-    ``root`` if it is there and ``remake`` is false, else made and saved.
-    The file name holds the SNR and a digest of every input of
-    ``generate_dataset``, so no command reads a store made from another
-    cohort, burst count, realization count, seed or SNR."""
-    key = json.dumps([[dataclasses.astuple(p) for p in profiles],
-                      config.n_bursts, config.n_z, config.master_seed,
-                      float(snr)])
-    digest = hashlib.sha256(key.encode()).hexdigest()[:12]
-    path = root / f"fingerprints_{snr:g}dB_{digest}.rfdn"
+    ``root`` if it is there and ``remake`` is false, else made and saved."""
+    path = _path(root, profiles, config, snr, "fingerprints")
     if path.exists() and not remake:
         return FingerprintStore.load(path)
     store = harness.generate_dataset(profiles, snr, config)
@@ -71,45 +90,23 @@ def _store(root: Path, profiles, config, snr, remake=False):
 
 
 def cmd_fingerprint(args) -> int:
-    root = _data_root(args)
-    profiles, config = _cohort_and_config(args, root)
+    root, profiles, config, _ = _setup(args)
     for snr in config.snr_grid:
         _store(root, profiles, config, snr, remake=True)
     return 0
 
 
-def _require(path: Path, command: str) -> Path:
-    if not path.exists():
-        raise MissingData(f"{path} does not exist: run 'rfdna {command}' "
-                          f"first")
-    return path
-
-
-def _trial_setup(args):
-    """Data root, cohort, config, trial and the highest configured SNR: the
-    common inputs of the single-trial commands."""
-    root = _data_root(args)
-    profiles, config = _cohort_and_config(args, root)
-    trials = default_trials([p.radio_id for p in profiles])
-    if not 1 <= args.trial <= len(trials):
-        raise InvalidValue(f"--trial must lie in 1..{len(trials)}, got "
-                           f"{args.trial}")
-    return root, profiles, config, trials[args.trial - 1], config.snr_grid[-1]
-
-
-def _verifier_path(root: Path, method, claimed, snr) -> Path:
-    return root / f"verifier_{method}_{claimed}_snr{snr:g}.npz"
-
-
 def cmd_select(args) -> int:
-    root, profiles, config, trial, snr = _trial_setup(args)
+    root, profiles, config, trials = _setup(args)
+    trial, snr = _trial(args, trials), config.snr_grid[-1]
     store = _store(root, profiles, config, snr)
     claimed = args.claimed_id or trial.authorized_ids[0]
     fset = harness.training_pool(store, trial, claimed, config)[0]
     for method in config.methods:
         reducer = harness.Reducer(method).fit(fset, config)
         if reducer.ranking is not None:
-            out = root / f"ranking_{method}_{claimed}_snr{snr:g}.csv"
+            out = _path(root, profiles, config, snr, "ranking", method,
+                        claimed)
             featsel.export_ranking(reducer.ranking, out)
             print(f"{method}: ranking -> {out}")
         else:
@@ -118,18 +115,18 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    root, profiles, config, trial, snr = _trial_setup(args)
+    root, profiles, config, trials = _setup(args)
+    trial, snr = _trial(args, trials), config.snr_grid[-1]
     store = _store(root, profiles, config, snr)
     ok = True
     for method in config.methods:
         models = harness.train_trial(trial, snr, method, store, config)
         for claimed, cand in models.items():
-            path = _verifier_path(root, method, claimed, snr)
+            path = _path(root, profiles, config, snr, "verifier", method,
+                         claimed)
             harness.Verifier.of(cand, method, snr).save(path)
-            export_candidates(
-                cand.meta["candidates"], cand,
-                root / f"candidates_{method}_{claimed}_snr{snr:g}.csv",
-            )
+            export_candidates(cand.meta["candidates"], cand, _path(
+                root, profiles, config, snr, "candidates", method, claimed))
             print(f"{method} {claimed}: N_r={cand.n_r} "
                   f"tvr_train={cand.tvr_train:.3f} "
                   f"fvr_others={cand.fvr_others_train:.3f} -> {path}")
@@ -138,14 +135,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    root, profiles, config, trial, snr = _trial_setup(args)
+    root, profiles, config, trials = _setup(args)
+    trial, snr = _trial(args, trials), config.snr_grid[-1]
     # A missing verifier is refused before a missing store is made.
-    verifiers = {
-        method: {claimed: harness.Verifier.load(
-            _require(_verifier_path(root, method, claimed, snr), "train"),
-            claimed, method, snr) for claimed in trial.authorized_ids}
-        for method in config.methods
-    }
+    verifiers = {method: {} for method in config.methods}
+    for method, models in verifiers.items():
+        for claimed in trial.authorized_ids:
+            path = _path(root, profiles, config, snr, "verifier", method,
+                         claimed)
+            if not path.exists():
+                raise MissingData(f"{path} does not exist: run 'rfdna "
+                                  f"train' under these settings first")
+            models[claimed] = harness.Verifier.load(path, claimed, method, snr)
     store = _store(root, profiles, config, snr)
     reports = [harness.evaluate_trial(trial, snr, method, models, store,
                                       config)
@@ -158,9 +159,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    root = _data_root(args)
-    profiles, config = _cohort_and_config(args, root)
-    trials = default_trials([p.radio_id for p in profiles])
+    root, profiles, config, trials = _setup(args)
     reports = harness.snr_sweep(
         trials, config, lambda snr: _store(root, profiles, config, snr))
     harness.emit_report(reports, root / "reports")

@@ -9,7 +9,6 @@ frequency blocks of 10.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tokenize
@@ -204,29 +203,43 @@ def save_arrays(path, **arrays) -> None:
 
 
 def load_arrays(path) -> dict:
-    """The arrays of a :func:`save_arrays` file by name, each member's CRC-32
-    checked before numpy parses it. The file must hold nothing but the
-    archive; any fault raises :class:`InvalidValue`."""
+    """The arrays of a :func:`save_arrays` file by name, each member streamed
+    from the file, its CRC-32 checked before numpy parses it. The file must
+    hold nothing but the archive; any fault raises :class:`InvalidValue`."""
     try:
-        buf = Path(path).read_bytes()
-        # zipfile skips bytes before the first member and after the end
-        # record (written last, no comment); save_arrays writes neither
-        if buf[:4] != b"PK\x03\x04":
-            raise zipfile.BadZipFile("no local file header at offset 0")
-        if buf[-22:-18] != b"PK\x05\x06" or buf[-2:] != b"\0\0":
-            raise zipfile.BadZipFile("bytes after the end record")
-        # zipfile shifts every offset by bytes before the archive; 0xFFFFFFFF
-        # defers to the zip64 end record, which ends at the 20-byte locator
-        offset = int.from_bytes(buf[-6:-2], "little")
-        if offset == 0xFFFFFFFF:
-            offset = int.from_bytes(buf[-50:-42], "little")
-        with zipfile.ZipFile(io.BytesIO(buf)) as z:
-            if z.start_dir != offset:
-                raise zipfile.BadZipFile(f"central directory at {z.start_dir}"
-                                         f", end record says {offset}")
-            return {m.filename.removesuffix(".npy"): np.lib.format.read_array(
-                io.BytesIO(z.read(m)), allow_pickle=False)
-                for m in z.infolist()}
+        with open(path, "rb") as f:
+            head = f.read(4)
+            f.seek(max(f.seek(0, os.SEEK_END) - 50, 0))
+            tail = f.read()
+            # zipfile skips bytes before the first member and after the end
+            # record (written last, no comment); save_arrays writes neither
+            if head != b"PK\x03\x04":
+                raise zipfile.BadZipFile("no local file header at offset 0")
+            if tail[-22:-18] != b"PK\x05\x06" or tail[-2:] != b"\0\0":
+                raise zipfile.BadZipFile("bytes after the end record")
+            # zipfile shifts offsets by bytes before the archive; 0xFFFFFFFF
+            # defers to the zip64 end record, which ends at the 20-byte locator
+            offset = int.from_bytes(tail[-6:-2], "little")
+            if offset == 0xFFFFFFFF:
+                offset = int.from_bytes(tail[-50:-42], "little")
+            with zipfile.ZipFile(f) as z:
+                if z.start_dir != offset:
+                    raise zipfile.BadZipFile(f"central directory at "
+                                             f"{z.start_dir}, end record "
+                                             f"says {offset}")
+                # zipfile checks a member's CRC at its last byte, which numpy
+                # may never read: read every member to its end first
+                for m in z.infolist():
+                    with z.open(m) as member:
+                        while member.read(1 << 20):
+                            pass
+                arrays = {}
+                for m in z.infolist():
+                    with z.open(m) as member:
+                        arrays[m.filename.removesuffix(".npy")] = (
+                            np.lib.format.read_array(member,
+                                                     allow_pickle=False))
+                return arrays
     except (OSError, EOFError, ValueError, RuntimeError, NotImplementedError,
             zipfile.BadZipFile, zlib.error, tokenize.TokenError) as exc:
         raise InvalidValue(f"{path}: not a readable array file, {exc!r}"

@@ -473,11 +473,11 @@ class Verifier:
     @classmethod
     def load(cls, path, claimed_id: str, method: str, snr_db) -> "Verifier":
         """The verifier at ``path``. A missing, unreadable, wrong-version or
-        inconsistent file raises :class:`InvalidValue` naming the first
-        check that failed; one enrolled for another claimed id, method or SNR
-        raises :class:`InvalidModel`."""
-        d = load_arrays(path)
+        inconsistent file raises :class:`InvalidValue` naming the reason:
+        :func:`load_arrays`' or the first check that failed. One enrolled for
+        another claimed id, method or SNR raises :class:`InvalidModel`."""
         try:
+            d = load_arrays(path)
             n_r, idx = int(d["n_r"]), d.get("indices")
             cut = ({"indices": idx} if idx is not None
                    else {"basis": d["basis"], "mean": d["mean"]})
@@ -503,15 +503,18 @@ class Verifier:
                     idx is None or idx.dtype.kind == "i"
                     and np.all((idx >= 0) & (idx < N_FEATURES)),
             }
-            why = next((name for name, ok in checks.items() if not ok), None)
+            why = next((f"fails {name}" for name, ok in checks.items()
+                        if not ok), None)
             found = (str(d["claimed_id"]), str(d["method"]),
                      float(d["snr_db"]))
             flags = {key: bool(d[key]) for key in _FLAGS}
+        except InvalidValue as exc:
+            why = str(exc).removeprefix(f"{path}: ")
         except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidValue(f"{path}: not a verifier, {exc!r}") from None
+            why = repr(exc)
         if why:
             raise InvalidValue(f"{path} is not an intact version-"
-                               f"{VERIFIER_VERSION} verifier (fails {why}); "
+                               f"{VERIFIER_VERSION} verifier ({why}); "
                                f"re-run `rfdna train`")
         if found != (claimed_id, method, float(snr_db)):
             raise InvalidModel(f"{path} holds the verifier of {found}, not "

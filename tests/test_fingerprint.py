@@ -2,6 +2,7 @@ import errno
 import io
 import os
 import re
+import tracemalloc
 import zipfile
 from collections import Counter
 from pathlib import Path
@@ -204,6 +205,25 @@ class TestStore:
         # SNR None round-trips through the NaN sentinel of the SNR column.
         assert np.array_equal(back._snr_db[:6], [21.0] * 6)
         assert np.isnan(back._snr_db[6:]).all()
+
+    def test_load_adds_little_beyond_the_features(self, tmp_path):
+        # Members are streamed from the file: loading 20,000 rows allocates
+        # at most 1.5x their feature bytes at its peak, not a whole-file
+        # copy, a member copy and the arrays (about 3x).
+        n = 20_000
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((n, N_FEATURES))
+        path = tmp_path / "big.rfdn"
+        FingerprintStore(["R01", "R02"], np.arange(n) % 2, np.full(n, 21.0),
+                         np.arange(n) % 10, features).save(path)
+        tracemalloc.start()
+        try:
+            back = FingerprintStore.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back._features, features)
+        assert peak <= 1.5 * features.nbytes
 
     @pytest.mark.parametrize("z", [0, 2**32 - 1, np.uint32(2**32 - 1)])
     def test_realization_range_ends_roundtrip(self, tmp_path, z):
@@ -475,6 +495,9 @@ class TestCorruption:
         assert seen["flip", "refused"] + seen["flip", "equal"] == self.FLIPS
         assert seen["cut", "equal"] == 0
         assert seen["prepend", "refused"] == 1
+        # Every refusal names its reason and the command that remakes it.
+        assert all(re.search(r"verifier \(.+\); re-run", m)
+                   for m in why.values())
         assert "offset 0" in why["prepend", 1]
 
 

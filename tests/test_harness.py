@@ -884,6 +884,14 @@ def store_path(root, tag="21") -> Path:
     return path
 
 
+def trained_path(root, kind, method, claimed, tag="21") -> Path:
+    """The one ``kind`` file (``verifier``, ``candidates`` or ``ranking``)
+    of ``method`` and ``claimed`` at SNR ``tag`` under ``root``; its name
+    ends in a digest of the settings that trained it."""
+    (path,) = Path(root).glob(f"{kind}_{method}_{claimed}_snr{tag}_*.*")
+    return path
+
+
 def report_json(**fields) -> str:
     """A one-report ``reports.json`` with one authorized entry, with
     ``fields`` replacing the report's own."""
@@ -924,7 +932,8 @@ class TestCli:
         store = FingerprintStore.load(store_path(root))
         cand = train_best_model(trials[0], "R01", "relieff", 21.0, store,
                                 cli_config())
-        with open(root / "ranking_relieff_R01_snr21.csv", newline="") as fh:
+        with open(trained_path(root, "ranking", "relieff", "R01"),
+                  newline="") as fh:
             exported = [int(row["feature_index"])
                         for row in csv.DictReader(fh)]
         assert exported == cand.meta["reducer"].ranking.order.tolist()
@@ -938,8 +947,9 @@ class TestCli:
                                     store, cli_config())
             gates.append(cand.tvr_train >= 0.90
                          and cand.fvr_others_train <= 0.10)
-            assert (root / f"verifier_relieff_{claimed}_snr21.npz").exists()
-            with open(root / f"candidates_relieff_{claimed}_snr21.csv",
+            assert trained_path(root, "verifier", "relieff", claimed).suffix \
+                == ".npz"
+            with open(trained_path(root, "candidates", "relieff", claimed),
                       newline="") as fh:
                 selected = [int(row["n_r"]) for row in csv.DictReader(fh)
                             if row["selected"] == "1"]
@@ -977,7 +987,7 @@ class TestCli:
         want = json.loads((root / "reports" / "reports.json").read_text())
         assert got == want
 
-        (copy_root / "verifier_relieff_R03_snr21.npz").unlink()
+        trained_path(copy_root, "verifier", "relieff", "R03").unlink()
         assert_refused(capsys, base + ["evaluate"], MissingData, "rfdna train")
 
     def test_every_configured_method_is_trained_and_evaluated(
@@ -995,8 +1005,10 @@ class TestCli:
         rc = {cmd: cli.main(base + [cmd]) for cmd in ("train", "evaluate")}
 
         ids = trials[0].authorized_ids
-        assert sorted(p.name for p in copy_root.glob("verifier_*.npz")) == [
-            f"verifier_{m}_{c}_snr21.npz" for m in methods for c in ids]
+        names = sorted(p.name for p in copy_root.glob("verifier_*.npz"))
+        assert [name.rsplit("_", 1)[0] for name in names] == [
+            f"verifier_{m}_{c}_snr21" for m in methods for c in ids]
+        assert len({name.rsplit("_", 1)[1] for name in names}) == 1
         store = FingerprintStore.load(copy_root / store_name)
         train_ok, want = True, []
         for method in methods:
@@ -1134,6 +1146,82 @@ class TestCli:
             name(snr=18.0)]
         assert len(set(names + [base])) == len(names) + 1
 
+    @pytest.mark.parametrize("snr, digest", [(21.0, "6aac6e7b9c96"),
+                                             (18.0, "eb8aae1eebdf")])
+    def test_store_names_are_kept(self, cohort, snr, digest):
+        # The CI command's config. A store's name is a fixed function of
+        # its dataset inputs, so a store already saved is found again.
+        config = ExperimentConfig(snr_grid=[21.0], n_bursts=40, n_z=2,
+                                  n_train=40, n_train_other=20,
+                                  nr_grid=[20, 60, 120])
+        assert cli._path(Path("data"), cohort, config, snr,
+                         "fingerprints").name == (
+            f"fingerprints_{snr:g}dB_{digest}.rfdn")
+
+    def test_trained_file_names_digest_every_setting(self, cohort):
+        # A verifier, candidate table or ranking is named by every input of
+        # its store and every config field but the SNR grid and the methods:
+        # the SNR it was trained at is in the store's inputs, the methods
+        # only say which files a command writes.
+        changes = {"n_bursts": 7, "n_z": 3, "k_folds": 3, "n_train": 2,
+                   "n_train_other": 2, "nr_grid": [5], "master_seed": 1,
+                   "n_test_realizations": 0, "relieff_neighbors": 4}
+        assert set(changes) | {"snr_grid", "methods"} == {
+            f.name for f in dataclasses.fields(ExperimentConfig)}
+
+        def name(profiles=cohort, snr=21.0, kind="verifier", **overrides):
+            return cli._path(Path("data"), profiles, cli_config(**overrides),
+                             snr, kind, "relieff", "R01").name
+
+        base = name()
+        assert re.fullmatch(r"verifier_relieff_R01_snr21_[0-9a-f]{12}\.npz",
+                            base)
+        digest = base[-16:-4]
+        assert name(kind="candidates") == (
+            f"candidates_relieff_R01_snr21_{digest}.csv")
+        assert name(kind="ranking") == (
+            f"ranking_relieff_R01_snr21_{digest}.csv")
+        assert {name(methods=["bc", "relieff"]),
+                name(snr_grid=[3.0, 21.0])} == {base}
+        last = cohort[-1]
+        edited = [dataclasses.replace(last, **{f.name: "R99" if f.name ==
+                  "radio_id" else getattr(last, f.name) + 0.001})
+                  for f in dataclasses.fields(last)]
+        names = [name(cohort[:-1] + [p]) for p in edited] + [
+            name(cohort[::-1]), name(cohort[:-1]), name(snr=21.0000001),
+            name(snr=18.0)] + [name(**{k: v}) for k, v in changes.items()]
+        assert len(set(names + [base])) == len(names) + 1
+
+    def test_evaluate_refuses_verifiers_of_other_settings(self, trials,
+                                                          tmp_path, capsys):
+        # `train` under config B, then `evaluate` under config A (fewer
+        # bursts, another seed) in the same root: A finds no verifier of
+        # its own, so it is refused before it makes a store, and B's
+        # verifiers are not scored on A's data.
+        b = cli_config(n_bursts=4, master_seed=9)
+        config_a, config_b = tmp_path / "a.json", tmp_path / "b.json"
+        write_config(cli_config(n_bursts=2), config_a)
+        write_config(b, config_b)
+        root = tmp_path / "data"
+        base = ["--data-root", str(root), "--config"]
+        assert cli.main(base + [str(config_b), "train"]) in (0, 1)
+        capsys.readouterr()
+        trained = sorted(root.iterdir())
+        assert_refused(capsys, base + [str(config_a), "evaluate"],
+                       MissingData, "rfdna train")
+        assert sorted(root.iterdir()) == trained
+        # Under B, evaluate gives the reports training in memory gives.
+        rc = cli.main(base + [str(config_b), "evaluate"])
+        store = FingerprintStore.load(store_path(root))
+        assert len(store) == 18 * 4 * 2
+        models = harness.train_trial(trials[0], 21.0, "relieff", store, b)
+        want = evaluate_trial(trials[0], 21.0, "relieff", models, store, b)
+        emit_report([want], tmp_path / "want")
+        assert {p.name: p.read_bytes() for p in (root / "reports").iterdir()
+                } == {p.name: p.read_bytes()
+                      for p in (tmp_path / "want").iterdir()}
+        assert rc == (0 if want.gates_pass() else 1)
+
     def test_missing_explicit_manifest_rejected(self, tmp_path, capsys):
         # A missing <root>/cohort.json means the default cohort; a missing
         # --manifest is a typo, not a request for the default cohort.
@@ -1214,8 +1302,7 @@ class TestCli:
                                                  monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "cmd_fingerprint",
-                            lambda args: seen.append(
-                                cli._cohort_and_config(args, tmp_path)[1])
+                            lambda args: seen.append(cli._setup(args)[2])
                             or 0)
         # A repeated value is dropped; methods keep the order of first use.
         rc = cli.main(["--data-root", str(tmp_path), "--snr", "27",
@@ -1276,8 +1363,12 @@ class TestCli:
         # an older manifest's burst count, which the config now sets
         ({"n_bursts": 2, "profiles": [
             dataclasses.asdict(p) for p in default_cohort()]}, "config key"),
-        ({"profiles": [{"radio_id": ""}]}, "radio_id")],
-        ids=["n-bursts", "empty-id"])
+        ({"profiles": [{"radio_id": ""}]}, "radio_id"),
+        # cohorts the trial layout refuses, so no command could use a store
+        ({"profiles": []}, "18 radios"),
+        ({"profiles": [dataclasses.asdict(p)
+                       for p in default_cohort()[:17]]}, "18 radios")],
+        ids=["n-bursts", "empty-id", "no-radio", "17-radios"])
     def test_malformed_manifest_rejected(self, tmp_path, capsys, data,
                                          text):
         path = tmp_path / "cohort.json"
