@@ -11,6 +11,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -18,11 +19,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import featsel, harness, signals
-from .errors import InvalidValue, MissingData, RfdnaError
+from . import harness, signals
+from .errors import InvalidModel, InvalidValue, MissingData, RfdnaError
 from .fingerprint import FingerprintStore
 from .harness import ExperimentConfig, default_cohort, default_trials
-from .modelsel import export_candidates, passes_gate
+from .modelsel import model_quality, passes_gate
 
 
 def _data_root(args) -> Path:
@@ -76,6 +77,16 @@ def _path(root: Path, profiles, config, snr, kind, *ids) -> Path:
     return root / f"{name}_{digest}{suffix}"
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """``header`` and then ``rows`` as one CSV file, the format of the
+    ranking and candidate tables; their floats are written as ``repr``, so
+    one read back is the float that was written."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _store(root: Path, profiles, config, snr, remake=False):
     """The fingerprint store of ``profiles`` at ``snr``: loaded from
     ``root`` if it is there and ``remake`` is false, else made and saved."""
@@ -99,15 +110,21 @@ def cmd_fingerprint(args) -> int:
 def cmd_select(args) -> int:
     root, profiles, config, trials = _setup(args)
     trial, snr = _trial(args, trials), config.snr_grid[-1]
-    store = _store(root, profiles, config, snr)
     claimed = args.claimed_id or trial.authorized_ids[0]
+    if claimed not in trial.authorized_ids:
+        raise InvalidModel(f"{claimed} is not authorized in trial "
+                           f"{trial.trial_id}")
+    store = _store(root, profiles, config, snr)
     fset = harness.training_pool(store, trial, claimed, config)[0]
     for method in config.methods:
         reducer = harness.Reducer(method).fit(fset, config)
-        if reducer.ranking is not None:
+        ranking = reducer.ranking
+        if ranking is not None:
             out = _path(root, profiles, config, snr, "ranking", method,
                         claimed)
-            featsel.export_ranking(reducer.ranking, out)
+            _write_csv(out, ["feature_index", "score", "rank", "method"],
+                       ([int(i), repr(float(ranking.scores[i])), rank, method]
+                        for rank, i in enumerate(ranking.order)))
             print(f"{method}: ranking -> {out}")
         else:
             print(f"{method}: projection method, no ranking export")
@@ -125,8 +142,16 @@ def cmd_train(args) -> int:
             path = _path(root, profiles, config, snr, "verifier", method,
                          claimed)
             harness.Verifier.of(cand, method, snr).save(path)
-            export_candidates(cand.meta["candidates"], cand, _path(
-                root, profiles, config, snr, "candidates", method, claimed))
+            rows = []
+            for c in cand.meta["candidates"]:
+                distance, bc, variance = model_quality(c.pmf_pair)
+                rows.append([c.n_r, *map(repr, (
+                    c.tvr_train, c.fvr_others_train, bc, distance,
+                    variance)), int(c is cand)])
+            _write_csv(_path(root, profiles, config, snr, "candidates",
+                             method, claimed),
+                       ["n_r", "tvr_train", "fvr_others_train", "bc",
+                        "mean_distance", "variance_sum", "selected"], rows)
             print(f"{method} {claimed}: N_r={cand.n_r} "
                   f"tvr_train={cand.tvr_train:.3f} "
                   f"fvr_others={cand.fvr_others_train:.3f} -> {path}")

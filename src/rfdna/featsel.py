@@ -7,7 +7,6 @@ radio) and returns either a ranked feature order or a linear projection basis.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,6 @@ class LabeledFingerprintSet:
 
 @dataclass
 class FeatureRanking:
-    method: str
     scores: np.ndarray              # one score per feature, feature-indexed
     order: np.ndarray               # best-first feature indices
     meta: dict = field(default_factory=dict)
@@ -117,7 +115,7 @@ def rank_dra(relevance) -> FeatureRanking:
     if np.any(lam < 0) or np.any(lam > 1) or not np.all(np.isfinite(lam)):
         raise InvalidValue("relevance entries must lie in [0, 1]")
     order = np.argsort(-lam, kind="stable")
-    return FeatureRanking(method="dra", scores=lam, order=order)
+    return FeatureRanking(scores=lam, order=order)
 
 
 def train_grlvq_relevance(
@@ -344,7 +342,7 @@ def rank_nca(
     scores = w**2
     order = np.argsort(-scores, kind="stable")
     return FeatureRanking(
-        method="nca", scores=scores, order=order,
+        scores=scores, order=order,
         meta={"objective_history": history},
     )
 
@@ -398,7 +396,7 @@ def rank_poeacc(fset: LabeledFingerprintSet) -> FeatureRanking:
         remaining[pick] = False
         acc_sum += corr[:, pick]
 
-    return FeatureRanking(method="poeacc", scores=scores, order=order)
+    return FeatureRanking(scores=scores, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +411,7 @@ def rank_bc(fset: LabeledFingerprintSet, bins: int | None = None) -> FeatureRank
     p1, p2, _ = class_histograms(fset.X1, fset.X2, bins)
     bc = bhattacharyya(p1, p2)
     order = np.argsort(bc, kind="stable")
-    return FeatureRanking(method="bc", scores=bc, order=order)
+    return FeatureRanking(scores=bc, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +459,7 @@ def rank_ttest(fset: LabeledFingerprintSet) -> FeatureRanking:
     pvals[excluded] = 1.0
     order = np.argsort(pvals, kind="stable")
     return FeatureRanking(
-        method="ttest", scores=pvals, order=order,
+        scores=pvals, order=order,
         meta={"t": t, "excluded_features": np.flatnonzero(excluded)},
     )
 
@@ -512,11 +510,11 @@ def rank_relieff(fset: LabeledFingerprintSet, n_k: int = 10) -> FeatureRanking:
         w += (priors[cj] / (1.0 - priors[ci])) * diff_m.sum(axis=0) / (n * n_k)
 
     order = np.argsort(-w, kind="stable")
-    return FeatureRanking(method="relieff", scores=w, order=order)
+    return FeatureRanking(scores=w, order=order)
 
 
 # ---------------------------------------------------------------------------
-# Selection + export
+# Selection
 # ---------------------------------------------------------------------------
 
 def select_top(ranking: FeatureRanking, n_r: int) -> np.ndarray:
@@ -525,14 +523,3 @@ def select_top(ranking: FeatureRanking, n_r: int) -> np.ndarray:
         raise InvalidValue(f"n_r {n_r} exceeds ranked count "
                            f"{len(ranking.order)}")
     return ranking.order[:n_r].copy()
-
-
-def export_ranking(ranking: FeatureRanking, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_index", "score", "rank", "method"])
-        for rank, idx in enumerate(ranking.order):
-            writer.writerow(
-                [int(idx), repr(float(ranking.scores[idx])), rank,
-                 ranking.method]
-            )

@@ -602,7 +602,9 @@ def evaluate_trial(
     """Score held-out realizations: TVR per authorized radio plus FVR for
     every other-authorized and rogue presentation of that claimed ID, by each
     claimed id's :class:`Verifier` or :func:`train_best_model` candidate in
-    ``models``. The meta holds ``selected_nr`` and the training flags."""
+    ``models``. The meta holds ``selected_nr`` and the training flags. A
+    verifier enrolled for another claimed id, method or SNR raises
+    :class:`InvalidModel`."""
     missing = set(trial.authorized_ids) - set(models)
     if missing:
         raise InvalidModel(f"no model for claimed ids {sorted(missing)}")
@@ -612,9 +614,10 @@ def evaluate_trial(
     test_z = config.test_realizations
     entries = []
     for claimed, v in verifiers.items():
-        if v.claimed_id != claimed:
-            raise InvalidModel(f"model for {v.claimed_id} presented as "
-                               f"{claimed}")
+        found = (v.claimed_id, v.method, float(v.snr_db))
+        if found != (claimed, method, float(snr_db)):
+            raise InvalidModel(f"model of {found} presented as "
+                               f"{(claimed, method, float(snr_db))}")
         others = [r for r in trial.authorized_ids if r != claimed]
         for kind, actual_ids in (("authorized", [claimed]), ("other", others),
                                  ("rogue", trial.rogue_ids)):

@@ -91,21 +91,3 @@ def select_best(candidates: list[CandidateModel]) -> CandidateModel:
             return (bc, -mean_distance, variance_sum, cand.n_r)
         return min(survivors, key=key)
     return min(candidates, key=lambda cand: (-cand.tvr_train, cand.n_r))
-
-
-def export_candidates(candidates, selected, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "n_r", "tvr_train", "fvr_others_train", "bc", "mean_distance",
-            "variance_sum", "selected",
-        ])
-        for cand in candidates:
-            mean_distance, bc, variance_sum = model_quality(cand.pmf_pair)
-            writer.writerow([
-                cand.n_r, repr(cand.tvr_train), repr(cand.fvr_others_train),
-                repr(bc), repr(mean_distance), repr(variance_sum),
-                int(cand is selected),
-            ])

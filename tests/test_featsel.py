@@ -1,4 +1,3 @@
-import csv
 import tracemalloc
 
 import numpy as np
@@ -10,11 +9,9 @@ from scipy import stats as spstats
 from rfdna import featsel
 from rfdna.errors import InvalidValue
 from rfdna.featsel import (
-    FeatureRanking,
     LabeledFingerprintSet,
     bhattacharyya,
     class_histograms,
-    export_ranking,
     project_lda,
     project_pca,
     rank_bc,
@@ -700,15 +697,3 @@ class TestSelection:
             select_top(r, 0)
         with pytest.raises(InvalidValue, match="n_r 7 exceeds ranked count 6"):
             select_top(r, 7)
-
-    def test_export_roundtrip(self, tmp_path):
-        r = FeatureRanking(method="demo", scores=np.array([0.5, 0.9, 0.1]),
-                           order=np.array([1, 0, 2]))
-        path = tmp_path / "ranking.csv"
-        export_ranking(r, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["feature_index", "score", "rank", "method"]
-        assert [int(row[0]) for row in rows[1:]] == [1, 0, 2]
-        assert [float(row[1]) for row in rows[1:]] == [0.9, 0.5, 0.1]
-        assert all(row[3] == "demo" for row in rows[1:])

@@ -31,7 +31,7 @@ from rfdna.harness import (
     train_best_model,
     training_pool,
 )
-from rfdna.modelsel import passes_gate
+from rfdna.modelsel import model_quality, passes_gate
 from rfdna.svm import svm_score
 from rfdna.signals import CAPTURE_FILTER, TEMPLATE_LEN
 from rfdna import cli
@@ -610,6 +610,19 @@ class TestEvaluation:
             evaluate_trial(trials[0], 21.0, "relieff", swapped, store21,
                            tiny_config())
 
+    @pytest.mark.parametrize("method, snr", [("bc", 21.0), ("relieff", 3.0)],
+                             ids=["method", "snr"])
+    def test_verifier_of_other_settings_rejected(self, trials, store21,
+                                                 trial1_models, method, snr):
+        models, _ = trial1_models
+        verifiers = {c: Verifier.of(cand, "relieff", 21.0)
+                     for c, cand in models.items()}
+        with pytest.raises(InvalidModel, match=re.escape(
+                f"('R01', 'relieff', 21.0) presented as "
+                f"('R01', '{method}', {snr})")):
+            evaluate_trial(trials[0], snr, method, verifiers, store21,
+                           tiny_config())
+
     def test_gates_logic(self, report):
         good = VerificationReport(1, 21.0, "relieff", [
             {"kind": "authorized", "claimed_id": "a", "actual_id": "a",
@@ -803,15 +816,27 @@ class TestSweepElimination:
         assert loaded == [21.0, 15.0]      # no store once all are eliminated
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats():
-    # A fresh interpreter: this one has imported both already.
-    code = ("import sys, rfdna.cli; print(sorted(m for m in sys.modules "
-            "if m in ('scipy.signal', 'scipy.stats')))")
+def loaded_after_import(module, prefixes) -> list:
+    """The modules named by ``prefixes`` that importing ``module`` loads, in
+    a fresh interpreter: this one has imported them all already."""
+    code = (f"import json, sys, {module}; print(json.dumps(sorted(m for m "
+            f"in sys.modules if m.startswith({tuple(prefixes)!r}))))")
     src = Path(cli.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.split() == ["[]"]
+    return json.loads(out.stdout)
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    assert loaded_after_import("rfdna.cli",
+                               ["scipy.signal", "scipy.stats"]) == []
+
+
+def test_package_import_loads_no_submodule_or_scipy():
+    # The package root holds only __version__; each name is imported from
+    # its module.
+    assert loaded_after_import("rfdna", ["rfdna.", "scipy"]) == []
 
 
 # Trial 1 with Relief-F at the CI command's config; prints the SHA-256 of
@@ -932,11 +957,14 @@ class TestCli:
         store = FingerprintStore.load(store_path(root))
         cand = train_best_model(trials[0], "R01", "relieff", 21.0, store,
                                 cli_config())
+        ranking = cand.meta["reducer"].ranking
         with open(trained_path(root, "ranking", "relieff", "R01"),
                   newline="") as fh:
-            exported = [int(row["feature_index"])
-                        for row in csv.DictReader(fh)]
-        assert exported == cand.meta["reducer"].ranking.order.tolist()
+            rows = list(csv.reader(fh))
+        # Best feature first; a score's repr reads back as the same float.
+        assert rows == [["feature_index", "score", "rank", "method"]] + [
+            [str(i), repr(float(ranking.scores[i])), str(rank), "relieff"]
+            for rank, i in enumerate(ranking.order)]
 
     def test_train_exit_code_follows_gates(self, cli_run, trials):
         root, rc = cli_run
@@ -951,9 +979,17 @@ class TestCli:
                 == ".npz"
             with open(trained_path(root, "candidates", "relieff", claimed),
                       newline="") as fh:
-                selected = [int(row["n_r"]) for row in csv.DictReader(fh)
-                            if row["selected"] == "1"]
-            assert selected == [cand.n_r]
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["n_r", "tvr_train", "fvr_others_train", "bc",
+                               "mean_distance", "variance_sum", "selected"]
+            # One row per candidate in N_r order, floats as their repr.
+            want = []
+            for c in cand.meta["candidates"]:
+                distance, bc, variance = model_quality(c.pmf_pair)
+                want.append([str(c.n_r), *map(repr, (
+                    c.tvr_train, c.fvr_others_train, bc, distance,
+                    variance)), str(int(c.n_r == cand.n_r))])
+            assert rows[1:] == want
         assert rc["train"] == (0 if all(gates) else 1)
 
     def test_evaluate_exit_code_follows_gates(self, cli_run, trials):
@@ -1027,16 +1063,17 @@ class TestCli:
 
     @pytest.mark.parametrize("config, command, error", [
         (None, "evaluate", MissingData), ({"n_z": 1}, "select", InvalidValue),
+        (None, "select --claimed-id ../x", InvalidModel),
         ({"n_z": 1}, "train", InvalidValue), (None, "report", InvalidValue),
         ({"n_z": 1}, "fingerprint", InvalidValue),
         ({"n_z": 1}, "sweep", InvalidValue),
         ({"master_seed": -1}, "fingerprint", InvalidValue)],
-        ids=["evaluate", "select", "train", "report", "fingerprint", "sweep",
-             "master-seed"])
+        ids=["evaluate", "select", "claimed-id", "train", "report",
+             "fingerprint", "sweep", "master-seed"])
     def test_failed_command_creates_no_data_root(self, tmp_path, capsys,
                                                  config, command, error):
         root = tmp_path / "missing"
-        args = ["--data-root", str(root), command]
+        args = ["--data-root", str(root), *command.split()]
         if config is not None:
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))

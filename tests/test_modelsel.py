@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from rfdna.modelsel import (
     CandidateModel,
     MarginPmfPair,
     build_margin_pmfs,
-    export_candidates,
     model_quality,
     select_best,
 )
@@ -153,18 +150,3 @@ class TestSelectBest:
     def test_empty_list_rejected(self):
         with pytest.raises(InvalidValue, match="empty candidate list"):
             select_best([])
-
-
-class TestExport:
-    def test_export_candidates_csv(self, tmp_path):
-        cands = [fake_candidate(10, bc=0.4), fake_candidate(20, bc=0.1)]
-        chosen = select_best(cands)
-        path = tmp_path / "candidates.csv"
-        export_candidates(cands, chosen, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][0] == "n_r"
-        assert len(rows) == 3
-        flags = {int(r[0]): int(r[6]) for r in rows[1:]}
-        assert flags == {10: 0, 20: 1}
-        assert float(rows[1][3]) == 0.4
