@@ -2,10 +2,10 @@
 
 Subcommands mirror the pipeline stages: fingerprint -> select / train
 (writes verifiers) -> evaluate (reads them) -> sweep -> report. The data
-root comes from --data-root or the RFDNA_DATA environment variable. Exit
-status 0: every gate the command checks passes; 1: a gate failed; 2: the
-input was refused, with one ``rfdna: <error class>: <message>`` line on
-stderr.
+root comes only from --data-root (default ``data``), the cohort only from
+--manifest (else the built-in one). Exit status 0: every gate the command
+checks passes; 1: a gate failed; 2: the input was refused, with one
+``rfdna: <error class>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,31 +15,24 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import harness, signals
-from .errors import InvalidModel, InvalidValue, MissingData, RfdnaError
+from .errors import (InvalidModel, InvalidValue, MissingData, RfdnaError,
+                     check_count)
 from .fingerprint import FingerprintStore
 from .harness import ExperimentConfig, default_cohort, default_trials
 from .modelsel import model_quality, passes_gate
 
 
-def _data_root(args) -> Path:
-    """The data root; only a command that writes there makes it."""
-    return Path(args.data_root or os.environ.get("RFDNA_DATA", "data"))
-
-
 def _setup(args):
     """The inputs of every command but ``report``, checked before any file
-    is written: the data root, the cohort (the manifest's, else the default),
-    the config file (or defaults) with ``--snr`` and ``--methods`` applied,
-    and the cohort's trials."""
-    root = _data_root(args)
-    manifest = Path(args.manifest or root / "cohort.json")
-    profiles = (signals.load_manifest(manifest)
-                if args.manifest or manifest.exists() else default_cohort())
+    is written: the data root, the cohort (``--manifest``'s, else the
+    built-in one), the config file (or defaults) with ``--snr`` and
+    ``--methods`` applied, and the cohort's trials."""
+    profiles = (signals.load_manifest(args.manifest) if args.manifest
+                else default_cohort())
     config = (ExperimentConfig.from_json(args.config) if args.config
               else ExperimentConfig())
     overrides = {}
@@ -49,7 +42,7 @@ def _setup(args):
         overrides["methods"] = list(dict.fromkeys(args.methods))
     config = dataclasses.replace(config, **overrides)
     trials = default_trials([p.radio_id for p in profiles])
-    return root, profiles, config, trials
+    return Path(args.data_root), profiles, config, trials
 
 
 def _trial(args, trials):
@@ -141,7 +134,7 @@ def cmd_train(args) -> int:
         for claimed, cand in models.items():
             path = _path(root, profiles, config, snr, "verifier", method,
                          claimed)
-            harness.Verifier.of(cand, method, snr).save(path)
+            harness.Verifier.of(cand).save(path)
             rows = []
             for c in cand.meta["candidates"]:
                 distance, bc, variance = model_quality(c.pmf_pair)
@@ -161,6 +154,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     root, profiles, config, trials = _setup(args)
+    check_count("n_test_realizations", config.n_test_realizations, 1)
     trial, snr = _trial(args, trials), config.snr_grid[-1]
     # A missing verifier is refused before a missing store is made.
     verifiers = {method: {} for method in config.methods}
@@ -171,7 +165,7 @@ def cmd_evaluate(args) -> int:
             if not path.exists():
                 raise MissingData(f"{path} does not exist: run 'rfdna "
                                   f"train' under these settings first")
-            models[claimed] = harness.Verifier.load(path, claimed, method, snr)
+            models[claimed] = harness.Verifier.load(path)
     store = _store(root, profiles, config, snr)
     reports = [harness.evaluate_trial(trial, snr, method, models, store,
                                       config)
@@ -185,6 +179,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     root, profiles, config, trials = _setup(args)
+    check_count("n_test_realizations", config.n_test_realizations, 1)
     reports = harness.snr_sweep(
         trials, config, lambda snr: _store(root, profiles, config, snr))
     harness.emit_report(reports, root / "reports")
@@ -194,7 +189,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    root = _data_root(args)
+    root = Path(args.data_root)
     src = args.reports or (root / "reports" / "reports.json")
     data = signals.read_json(src, "reports")
     if not isinstance(data, list):
@@ -209,7 +204,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rfdna", description="RF-DNA radio identity verification"
     )
-    parser.add_argument("--data-root", default=None)
+    parser.add_argument("--data-root", default="data")
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--manifest", default=None, help="cohort manifest")
     parser.add_argument("--snr", type=float, action="append",

@@ -375,9 +375,11 @@ def train_best_model(
     margin-PMF-selected verifier.
 
     For each count, one SVM is trained per (training realization, fold) pair
-    and the lowest-validation-error one represents that count. The meta
-    records whether no candidate passed the gate (``gate_fallback``) and
-    whether the training pool fell short of its quota (``pool_underfilled``)."""
+    and the lowest-validation-error one represents that count. Each meta
+    holds the claimed id, the SNR and the fitted :class:`Reducer`; the
+    selected one's also whether no candidate passed the gate
+    (``gate_fallback``) and whether the training pool fell short of its
+    quota (``pool_underfilled``)."""
     if len(store) == 0:
         raise MissingData(f"no fingerprints available at SNR {snr_db}")
     pool, blocks, short = training_pool(store, trial, claimed_id, config)
@@ -419,7 +421,8 @@ def train_best_model(
         candidates.append(CandidateModel(
             model=model, n_r=n_r, tvr_train=tvr_train,
             fvr_others_train=fvr_others, pmf_pair=pair,
-            meta={"reducer": reducer, "claimed_id": claimed_id},
+            meta={"reducer": reducer, "claimed_id": claimed_id,
+                  "snr_db": snr_db},
         ))
     if not candidates:
         raise MissingData("no trainable candidate at any retained count")
@@ -456,11 +459,13 @@ class Verifier:
     flags: dict
 
     @classmethod
-    def of(cls, cand: CandidateModel, method: str, snr_db) -> "Verifier":
-        """The verifier of a :func:`train_best_model` candidate."""
-        return cls(cand.meta["claimed_id"], method, snr_db, cand.n_r,
-                   cand.meta["reducer"].cut(cand.n_r), cand.model,
-                   {key: cand.meta[key] for key in _FLAGS})
+    def of(cls, cand: CandidateModel) -> "Verifier":
+        """The verifier of a :func:`train_best_model` candidate, enrolled
+        for the claimed id, method and SNR it was trained for."""
+        reducer = cand.meta["reducer"]
+        return cls(cand.meta["claimed_id"], reducer.method,
+                   cand.meta["snr_db"], cand.n_r, reducer.cut(cand.n_r),
+                   cand.model, {key: cand.meta[key] for key in _FLAGS})
 
     def save(self, path) -> None:
         # numpy keeps a cut's layout (Fortran order for PCA), so a reloaded
@@ -471,11 +476,11 @@ class Verifier:
                     **{k: getattr(self.model, k) for k in _SVM_FIELDS})
 
     @classmethod
-    def load(cls, path, claimed_id: str, method: str, snr_db) -> "Verifier":
-        """The verifier at ``path``. A missing, unreadable, wrong-version or
-        inconsistent file raises :class:`InvalidValue` naming the reason:
-        :func:`load_arrays`' or the first check that failed. One enrolled for
-        another claimed id, method or SNR raises :class:`InvalidModel`."""
+    def load(cls, path) -> "Verifier":
+        """The verifier at ``path``, enrolled for the claimed id, method and
+        SNR it holds. A missing, unreadable, wrong-version or inconsistent
+        file raises :class:`InvalidValue` naming the reason:
+        :func:`load_arrays`' or the first check that failed."""
         try:
             d = load_arrays(path)
             n_r, idx = int(d["n_r"]), d.get("indices")
@@ -505,8 +510,8 @@ class Verifier:
             }
             why = next((f"fails {name}" for name, ok in checks.items()
                         if not ok), None)
-            found = (str(d["claimed_id"]), str(d["method"]),
-                     float(d["snr_db"]))
+            enrolled = (str(d["claimed_id"]), str(d["method"]),
+                        float(d["snr_db"]))
             flags = {key: bool(d[key]) for key in _FLAGS}
         except InvalidValue as exc:
             why = str(exc).removeprefix(f"{path}: ")
@@ -516,10 +521,7 @@ class Verifier:
             raise InvalidValue(f"{path} is not an intact version-"
                                f"{VERIFIER_VERSION} verifier ({why}); "
                                f"re-run `rfdna train`")
-        if found != (claimed_id, method, float(snr_db)):
-            raise InvalidModel(f"{path} holds the verifier of {found}, not "
-                               f"of {(claimed_id, method, float(snr_db))}")
-        return cls(claimed_id, method, snr_db, n_r, cut, model, flags)
+        return cls(*enrolled, n_r, cut, model, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +605,13 @@ def evaluate_trial(
     every other-authorized and rogue presentation of that claimed ID, by each
     claimed id's :class:`Verifier` or :func:`train_best_model` candidate in
     ``models``. The meta holds ``selected_nr`` and the training flags. A
-    verifier enrolled for another claimed id, method or SNR raises
-    :class:`InvalidModel`."""
+    model enrolled for another claimed id, method or SNR raises
+    :class:`InvalidModel`: this is the one check of a model's identity."""
     missing = set(trial.authorized_ids) - set(models)
     if missing:
         raise InvalidModel(f"no model for claimed ids {sorted(missing)}")
     verifiers = {c: models[c] if isinstance(models[c], Verifier)
-                 else Verifier.of(models[c], method, snr_db)
+                 else Verifier.of(models[c])
                  for c in trial.authorized_ids}
     test_z = config.test_realizations
     entries = []
@@ -685,7 +687,8 @@ def snr_sweep(
 
 def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
     """Write ``reports.json``, ``reports.csv`` and one plot-data JSON per
-    report with entries; return the written paths."""
+    report with entries, and delete any other plot-data file in ``outdir``
+    (an earlier run's); return the written paths."""
     if not reports:
         raise InvalidValue("no reports to emit")
     outdir = Path(outdir)
@@ -737,4 +740,6 @@ def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
             "method": r.method, "groups": groups,
         }, indent=2))
         written.append(path)
+    for stale in set(outdir.glob("plotdata_*.json")) - set(written):
+        stale.unlink()
     return written

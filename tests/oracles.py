@@ -651,7 +651,8 @@ def train_best_model_reference(trial, claimed_id, method, snr_db, store,
             tvr_train=float(np.mean(svm.svm_decide(model, Xp1) == 1)),
             fvr_others_train=float(np.mean(svm.svm_decide(model, Xp2) == 1)),
             pmf_pair=build_margin_pmfs(model, Xp1, Xp2),
-            meta={"reducer": reducer, "claimed_id": claimed_id},
+            meta={"reducer": reducer, "claimed_id": claimed_id,
+                  "snr_db": snr_db},
         ))
     if not candidates:
         raise MissingData("no trainable candidate at any retained count")

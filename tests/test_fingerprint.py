@@ -489,9 +489,7 @@ class TestCorruption:
     def test_verifier(self, tmp_path, method):
         path = tmp_path / "verifier.npz"
         small_verifier(method).save(path)
-        seen, why = self.outcomes(
-            path, lambda p: Verifier.load(p, "R01", method, 21.0),
-            verifier_fields)
+        seen, why = self.outcomes(path, Verifier.load, verifier_fields)
         assert seen["flip", "refused"] + seen["flip", "equal"] == self.FLIPS
         assert seen["cut", "equal"] == 0
         assert seen["prepend", "refused"] == 1
@@ -550,8 +548,7 @@ class TestArrayFile:
         save, load = {
             "arrays": (lambda p: save_arrays(p, x=np.arange(3)), load_arrays),
             "store": (small_store().save, FingerprintStore.load),
-            "verifier": (small_verifier().save,
-                         lambda p: Verifier.load(p, "R01", "relieff", 21.0)),
+            "verifier": (small_verifier().save, Verifier.load),
         }[kind]
         save(path)
         load(path)

@@ -413,8 +413,8 @@ class TestPcaRank:
         cand = train_best_model(trials[0], "R01", "pca", 21.0, store21,
                                 tiny_config(nr_grid=[47, 100]))
         path = tmp_path / "verifier.npz"
-        Verifier.of(cand, "pca", 21.0).save(path)
-        v = Verifier.load(path, "R01", "pca", 21.0)
+        Verifier.of(cand).save(path)
+        v = Verifier.load(path)
         assert v.n_r == 47
         assert same_bits(v.cut["basis"],
                          cand.meta["reducer"].basis.basis)
@@ -508,7 +508,8 @@ class TestAgainstReferenceSweep:
             (got, got_log), (want, want_log) = runs
             assert got_log == want_log
             assert got.n_r == want.n_r
-            for key in ("gate_fallback", "pool_underfilled", "claimed_id"):
+            for key in ("gate_fallback", "pool_underfilled", "claimed_id",
+                        "snr_db"):
                 assert got.meta[key] == want.meta[key]
             for a, b in zip(got.meta["candidates"], want.meta["candidates"],
                             strict=True):
@@ -610,17 +611,22 @@ class TestEvaluation:
             evaluate_trial(trials[0], 21.0, "relieff", swapped, store21,
                            tiny_config())
 
+    @pytest.mark.parametrize("form", ["verifier", "candidate"])
     @pytest.mark.parametrize("method, snr", [("bc", 21.0), ("relieff", 3.0)],
                              ids=["method", "snr"])
     def test_verifier_of_other_settings_rejected(self, trials, store21,
-                                                 trial1_models, method, snr):
+                                                 trial1_models, form, method,
+                                                 snr):
+        # Relief-F models trained at 21 dB, as a Verifier or as the
+        # candidate train_best_model returns: each knows what it was
+        # trained for, so no caller can present it as anything else.
         models, _ = trial1_models
-        verifiers = {c: Verifier.of(cand, "relieff", 21.0)
-                     for c, cand in models.items()}
+        if form == "verifier":
+            models = {c: Verifier.of(cand) for c, cand in models.items()}
         with pytest.raises(InvalidModel, match=re.escape(
                 f"('R01', 'relieff', 21.0) presented as "
                 f"('R01', '{method}', {snr})")):
-            evaluate_trial(trials[0], snr, method, verifiers, store21,
+            evaluate_trial(trials[0], snr, method, models, store21,
                            tiny_config())
 
     def test_gates_logic(self, report):
@@ -673,8 +679,8 @@ class TestVerifierFile:
             loaded = {}
             for claimed, cand in cands.items():
                 path = tmp / f"{method}_{claimed}.npz"
-                Verifier.of(cand, method, 21.0).save(path)
-                loaded[claimed] = Verifier.load(path, claimed, method, 21.0)
+                Verifier.of(cand).save(path)
+                loaded[claimed] = Verifier.load(path)
             out[method] = config, cands, loaded
         return out
 
@@ -711,12 +717,12 @@ class TestVerifierFile:
     def one_file(self, saved, tmp_path):
         _, cands, _ = saved["relieff"]
         path = tmp_path / "verifier.npz"
-        Verifier.of(cands["R01"], "relieff", 21.0).save(path)
+        Verifier.of(cands["R01"]).save(path)
         return path
 
     def test_missing_and_truncated_files_rejected(self, one_file, tmp_path):
         with pytest.raises(InvalidValue):
-            Verifier.load(tmp_path / "absent.npz", "R01", "relieff", 21.0)
+            Verifier.load(tmp_path / "absent.npz")
         # The first member's compression method, in the central directory,
         # set to one zipfile does not support.
         data = bytearray(one_file.read_bytes())
@@ -725,10 +731,10 @@ class TestVerifierFile:
         unsupported = tmp_path / "unsupported.npz"
         unsupported.write_bytes(bytes(data))
         with pytest.raises(InvalidValue):
-            Verifier.load(unsupported, "R01", "relieff", 21.0)
+            Verifier.load(unsupported)
         one_file.write_bytes(one_file.read_bytes()[:500])
         with pytest.raises(InvalidValue):
-            Verifier.load(one_file, "R01", "relieff", 21.0)
+            Verifier.load(one_file)
 
     @pytest.mark.parametrize("change, check", [
         (lambda d: {"version": d["version"] + 1}, "version 1"),
@@ -753,15 +759,23 @@ class TestVerifierFile:
         np.savez(one_file, **{**data, **change(data)})
         with pytest.raises(InvalidValue, match=re.escape(
                 f"verifier (fails {check}")):
-            Verifier.load(one_file, "R01", "relieff", 21.0)
+            Verifier.load(one_file)
 
     @pytest.mark.parametrize("claimed, method, snr", [
         ("R02", "relieff", 21.0), ("R01", "bc", 21.0),
         ("R01", "relieff", 27.0)])
-    def test_another_enrolment_rejected(self, one_file, claimed, method,
-                                        snr):
-        with pytest.raises(InvalidModel):
-            Verifier.load(one_file, claimed, method, snr)
+    def test_another_enrolment_rejected(self, trials, store21, saved,
+                                        one_file, claimed, method, snr):
+        # The file holds R01's Relief-F verifier at 21 dB; loading returns
+        # what it holds, and evaluate_trial refuses it as anything else.
+        config, _, loaded = saved["relieff"]
+        v = Verifier.load(one_file)
+        assert (v.claimed_id, v.method, v.snr_db) == ("R01", "relieff", 21.0)
+        with pytest.raises(InvalidModel, match=re.escape(
+                f"('R01', 'relieff', 21.0) presented as "
+                f"('{claimed}', '{method}', {snr})")):
+            evaluate_trial(trials[0], snr, method, {**loaded, claimed: v},
+                           store21, config)
 
 
 class TestEmission:
@@ -856,7 +870,7 @@ store = generate_dataset(profiles, 21.0, config)
 store.save(out / "store.rfdn")
 models = train_trial(trial, 21.0, "relieff", store, config)
 for claimed, cand in models.items():
-    Verifier.of(cand, "relieff", 21.0).save(out / f"{claimed}.npz")
+    Verifier.of(cand).save(out / f"{claimed}.npz")
 report = evaluate_trial(trial, 21.0, "relieff", models, store, config)
 digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
@@ -1067,9 +1081,13 @@ class TestCli:
         ({"n_z": 1}, "train", InvalidValue), (None, "report", InvalidValue),
         ({"n_z": 1}, "fingerprint", InvalidValue),
         ({"n_z": 1}, "sweep", InvalidValue),
-        ({"master_seed": -1}, "fingerprint", InvalidValue)],
+        ({"master_seed": -1}, "fingerprint", InvalidValue),
+        # nothing held out to score
+        ({"n_test_realizations": 0}, "evaluate", InvalidValue),
+        ({"n_test_realizations": 0}, "sweep", InvalidValue)],
         ids=["evaluate", "select", "claimed-id", "train", "report",
-             "fingerprint", "sweep", "master-seed"])
+             "fingerprint", "sweep", "master-seed", "untested-evaluate",
+             "untested-sweep"])
     def test_failed_command_creates_no_data_root(self, tmp_path, capsys,
                                                  config, command, error):
         root = tmp_path / "missing"
@@ -1260,8 +1278,8 @@ class TestCli:
         assert rc == (0 if want.gates_pass() else 1)
 
     def test_missing_explicit_manifest_rejected(self, tmp_path, capsys):
-        # A missing <root>/cohort.json means the default cohort; a missing
-        # --manifest is a typo, not a request for the default cohort.
+        # A missing --manifest is a typo, not a request for the default
+        # cohort.
         config_path = tmp_path / "config.json"
         write_config(cli_config(), config_path)
         assert_refused(capsys, ["--data-root", str(tmp_path), "--config",
@@ -1269,6 +1287,87 @@ class TestCli:
                                 str(tmp_path / "typo_cohort.json"),
                                 "fingerprint"], InvalidValue)
         assert not list(tmp_path.glob("*.rfdn"))
+
+    def test_data_root_comes_only_from_its_flag(self, tmp_path,
+                                                monkeypatch):
+        # No environment variable names the data root: without
+        # --data-root it is ./data. No store is fingerprinted.
+        monkeypatch.setattr(harness, "generate_dataset",
+                            lambda *args: FingerprintStore())
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RFDNA_DATA", str(tmp_path / "env"))
+        config_path = tmp_path / "config.json"
+        write_config(cli_config(), config_path)
+        assert cli.main(["--config", str(config_path), "fingerprint"]) == 0
+        assert store_path(tmp_path / "data").exists()
+        assert not (tmp_path / "env").exists()
+
+    def test_cohort_comes_only_from_the_manifest_flag(self, tmp_path,
+                                                      monkeypatch, cohort):
+        # A cohort.json in the data root is a file like any other: without
+        # --manifest the cohort is the built-in one. No store is
+        # fingerprinted.
+        monkeypatch.setattr(harness, "generate_dataset",
+                            lambda *args: FingerprintStore())
+        root = tmp_path / "data"
+        root.mkdir()
+        other = cohort[::-1]
+        (root / "cohort.json").write_text(json.dumps({
+            "profiles": [dataclasses.asdict(p) for p in other]}))
+        config_path = tmp_path / "config.json"
+        write_config(cli_config(), config_path)
+        assert cli.main(["--data-root", str(root), "--config",
+                         str(config_path), "fingerprint"]) == 0
+        name = store_path(root).name
+        assert name == cli._path(root, cohort, cli_config(), 21.0,
+                                 "fingerprints").name
+        assert name != cli._path(root, other, cli_config(), 21.0,
+                                 "fingerprints").name
+
+    def test_zero_test_realizations_accepted_for_training(self, tmp_path):
+        # evaluate and sweep refuse a config with nothing held out (see
+        # test_failed_command_creates_no_data_root); select and train read
+        # only the training realizations, so they run on it.
+        path = tmp_path / "config.json"
+        write_config(cli_config(n_test_realizations=0), path)
+        root = tmp_path / "data"
+        base = ["--data-root", str(root), "--config", str(path)]
+        assert cli.main(base + ["select"]) == 0
+        assert cli.main(base + ["train"]) in (0, 1)
+        assert trained_path(root, "ranking", "relieff", "R01").exists()
+        assert len(list(root.glob("verifier_relieff_*.npz"))) == 6
+
+    def test_reports_directory_holds_only_the_last_run(self, cli_run,
+                                                       tmp_path, monkeypatch):
+        # A sweep writes plot data for all three trials; a later evaluate
+        # of trial 1 leaves only its own, so the directory is what `report
+        # --out` re-emits from its reports.json.
+        root, _ = cli_run
+        copy_root = tmp_path / "data"
+        copy_root.mkdir()
+        for path in [*root.glob("verifier_*.npz"), store_path(root)]:
+            (copy_root / path.name).write_bytes(path.read_bytes())
+        config_path = tmp_path / "config.json"
+        write_config(cli_config(), config_path)
+        base = ["--data-root", str(copy_root), "--config", str(config_path)]
+        entry = {"kind": "authorized", "claimed_id": "R01",
+                 "actual_id": "R01", "n_r": 5, "tvr": 1.0, "frr": 0.0,
+                 "n": 3}
+        with monkeypatch.context() as m:
+            m.setattr(harness, "train_trial", lambda *args: {})
+            m.setattr(harness, "evaluate_trial",
+                      lambda trial, snr, method, *args: VerificationReport(
+                          trial.trial_id, snr, method, [entry]))
+            assert cli.main(base + ["sweep"]) == 0
+        reports = copy_root / "reports"
+        assert len(list(reports.glob("plotdata_*.json"))) == 3
+        assert cli.main(base + ["evaluate"]) in (0, 1)
+        assert [p.name for p in reports.glob("plotdata_*.json")] == [
+            "plotdata_trial1_snr21.0_relieff.json"]
+        assert cli.main(base + ["report", "--out",
+                                str(tmp_path / "again")]) == 0
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == {
+            p.name: p.read_bytes() for p in (tmp_path / "again").iterdir()}
 
     @pytest.mark.parametrize("text", ["{", "[]", "null", "3", None])
     def test_config_not_a_json_object_rejected(self, tmp_path, capsys, text):
