@@ -11,7 +11,6 @@ checks passes; 1: a gate failed; 2: the input was refused, with one
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -19,10 +18,10 @@ import sys
 from pathlib import Path
 
 from . import harness, signals
-from .errors import (InvalidModel, InvalidValue, MissingData, RfdnaError,
-                     check_count)
+from .errors import InvalidValue, MissingData, RfdnaError, check_count
 from .fingerprint import FingerprintStore
-from .harness import ExperimentConfig, default_cohort, default_trials
+from .harness import (ExperimentConfig, default_cohort, default_trials,
+                      write_csv)
 from .modelsel import model_quality, passes_gate
 
 
@@ -70,16 +69,6 @@ def _path(root: Path, profiles, config, snr, kind, *ids) -> Path:
     return root / f"{name}_{digest}{suffix}"
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """``header`` and then ``rows`` as one CSV file, the format of the
-    ranking and candidate tables; their floats are written as ``repr``, so
-    one read back is the float that was written."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _store(root: Path, profiles, config, snr, remake=False):
     """The fingerprint store of ``profiles`` at ``snr``: loaded from
     ``root`` if it is there and ``remake`` is false, else made and saved."""
@@ -103,10 +92,8 @@ def cmd_fingerprint(args) -> int:
 def cmd_select(args) -> int:
     root, profiles, config, trials = _setup(args)
     trial, snr = _trial(args, trials), config.snr_grid[-1]
-    claimed = args.claimed_id or trial.authorized_ids[0]
-    if claimed not in trial.authorized_ids:
-        raise InvalidModel(f"{claimed} is not authorized in trial "
-                           f"{trial.trial_id}")
+    claimed = trial.check_authorized(args.claimed_id
+                                     or trial.authorized_ids[0])
     store = _store(root, profiles, config, snr)
     fset = harness.training_pool(store, trial, claimed, config)[0]
     for method in config.methods:
@@ -115,9 +102,9 @@ def cmd_select(args) -> int:
         if ranking is not None:
             out = _path(root, profiles, config, snr, "ranking", method,
                         claimed)
-            _write_csv(out, ["feature_index", "score", "rank", "method"],
-                       ([int(i), repr(float(ranking.scores[i])), rank, method]
-                        for rank, i in enumerate(ranking.order)))
+            write_csv(out, ["feature_index", "score", "rank", "method"],
+                      ([int(i), repr(float(ranking.scores[i])), rank, method]
+                       for rank, i in enumerate(ranking.order)))
             print(f"{method}: ranking -> {out}")
         else:
             print(f"{method}: projection method, no ranking export")
@@ -141,10 +128,10 @@ def cmd_train(args) -> int:
                 rows.append([c.n_r, *map(repr, (
                     c.tvr_train, c.fvr_others_train, bc, distance,
                     variance)), int(c is cand)])
-            _write_csv(_path(root, profiles, config, snr, "candidates",
-                             method, claimed),
-                       ["n_r", "tvr_train", "fvr_others_train", "bc",
-                        "mean_distance", "variance_sum", "selected"], rows)
+            write_csv(_path(root, profiles, config, snr, "candidates",
+                            method, claimed),
+                      ["n_r", "tvr_train", "fvr_others_train", "bc",
+                       "mean_distance", "variance_sum", "selected"], rows)
             print(f"{method} {claimed}: N_r={cand.n_r} "
                   f"tvr_train={cand.tvr_train:.3f} "
                   f"fvr_others={cand.fvr_others_train:.3f} -> {path}")
@@ -156,7 +143,7 @@ def cmd_evaluate(args) -> int:
     root, profiles, config, trials = _setup(args)
     check_count("n_test_realizations", config.n_test_realizations, 1)
     trial, snr = _trial(args, trials), config.snr_grid[-1]
-    # A missing verifier is refused before a missing store is made.
+    # A missing or foreign verifier is refused before a store is made.
     verifiers = {method: {} for method in config.methods}
     for method, models in verifiers.items():
         for claimed in trial.authorized_ids:
@@ -165,7 +152,8 @@ def cmd_evaluate(args) -> int:
             if not path.exists():
                 raise MissingData(f"{path} does not exist: run 'rfdna "
                                   f"train' under these settings first")
-            models[claimed] = harness.Verifier.load(path)
+            models[claimed] = harness.Verifier.load(path).enrolled_as(
+                claimed, method, snr)
     store = _store(root, profiles, config, snr)
     reports = [harness.evaluate_trial(trial, snr, method, models, store,
                                       config)

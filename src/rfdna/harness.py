@@ -12,7 +12,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,13 @@ class TrialConfig:
             raise InvalidValue("a trial needs 6 authorized and 12 rogue radios")
         if set(self.authorized_ids) & set(self.rogue_ids):
             raise InvalidValue("authorized and rogue sets must be disjoint")
+
+    def check_authorized(self, claimed: str) -> str:
+        """``claimed`` if it is authorized in this trial, else InvalidModel."""
+        if claimed not in self.authorized_ids:
+            raise InvalidModel(f"{claimed} is not authorized in trial "
+                               f"{self.trial_id}")
+        return claimed
 
 
 @dataclass
@@ -340,9 +347,7 @@ def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
     ``n_train // n_z_train`` or ``n_train_other // n_z_train``) contributes
     all of its rows: the pool is then smaller than the config asks for, and
     ``underfilled`` is true."""
-    if claimed not in trial.authorized_ids:
-        raise InvalidModel(f"{claimed} is not authorized in trial "
-                           f"{trial.trial_id}")
+    trial.check_authorized(claimed)
     train_z = config.train_realizations
     per_z1 = config.n_train // len(train_z)
     per_z2 = config.n_train_other // len(train_z)
@@ -523,6 +528,15 @@ class Verifier:
                                f"re-run `rfdna train`")
         return cls(*enrolled, n_r, cut, model, flags)
 
+    def enrolled_as(self, claimed_id: str, method: str, snr_db) -> "Verifier":
+        """This verifier, if enrolled for ``claimed_id``, ``method`` and
+        ``snr_db``; else InvalidModel. The one check of a model's identity."""
+        found = (self.claimed_id, self.method, float(self.snr_db))
+        asked = (claimed_id, method, float(snr_db))
+        if found != asked:
+            raise InvalidModel(f"model of {found} presented as {asked}")
+        return self
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -555,11 +569,7 @@ class VerificationReport:
         return True
 
     def to_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id, "snr_db": self.snr_db,
-            "method": self.method, "entries": self.entries,
-            "meta": dict(self.meta),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
@@ -586,11 +596,8 @@ class VerificationReport:
                     or {type(e["claimed_id"]), type(e["actual_id"])} != {str}):
                 raise InvalidValue(f"report entry {e!r} needs text ids, the "
                                    f"keys {sorted(keys)}, a numeric {rate}")
-        return cls(
-            trial_id=data["trial_id"], snr_db=data["snr_db"],
-            method=data["method"], entries=data["entries"],
-            meta=data.get("meta", {}),
-        )
+        return cls(data["trial_id"], data["snr_db"], data["method"],
+                   data["entries"], data.get("meta", {}))
 
 
 def evaluate_trial(
@@ -606,20 +613,18 @@ def evaluate_trial(
     claimed id's :class:`Verifier` or :func:`train_best_model` candidate in
     ``models``. The meta holds ``selected_nr`` and the training flags. A
     model enrolled for another claimed id, method or SNR raises
-    :class:`InvalidModel`: this is the one check of a model's identity."""
+    :class:`InvalidModel` (:meth:`Verifier.enrolled_as`) before any store
+    row is read."""
     missing = set(trial.authorized_ids) - set(models)
     if missing:
         raise InvalidModel(f"no model for claimed ids {sorted(missing)}")
     verifiers = {c: models[c] if isinstance(models[c], Verifier)
-                 else Verifier.of(models[c])
-                 for c in trial.authorized_ids}
+                 else Verifier.of(models[c]) for c in trial.authorized_ids}
+    for claimed, v in verifiers.items():
+        v.enrolled_as(claimed, method, snr_db)
     test_z = config.test_realizations
     entries = []
     for claimed, v in verifiers.items():
-        found = (v.claimed_id, v.method, float(v.snr_db))
-        if found != (claimed, method, float(snr_db)):
-            raise InvalidModel(f"model of {found} presented as "
-                               f"{(claimed, method, float(snr_db))}")
         others = [r for r in trial.authorized_ids if r != claimed]
         for kind, actual_ids in (("authorized", [claimed]), ("other", others),
                                  ("rogue", trial.rogue_ids)):
@@ -685,6 +690,16 @@ def snr_sweep(
 # Report emission
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header, rows) -> None:
+    """``header`` and then ``rows`` as one CSV file, the format of every
+    table: the reports, rankings and candidates. Floats are written as
+    ``repr``, so one read back is the float that was written."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
     """Write ``reports.json``, ``reports.csv`` and one plot-data JSON per
     report with entries, and delete any other plot-data file in ``outdir``
@@ -697,21 +712,17 @@ def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
     path.write_text(json.dumps([r.to_dict() for r in reports], indent=2))
     written = [path]
 
+    rows = []
+    for r in reports:
+        for e in r.entries:
+            verified = e.get("tvr", e.get("fvr"))
+            rows.append([r.trial_id, r.snr_db, r.method, e["kind"],
+                         e["claimed_id"], e["actual_id"], e["n_r"],
+                         repr(verified), repr(1.0 - verified), e["n"]])
     path = outdir / "reports.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "trial_id", "snr_db", "method", "kind", "claimed_id",
-            "actual_id", "n_r", "rate_verified", "rate_rejected", "n",
-        ])
-        for r in reports:
-            for e in r.entries:
-                verified = e.get("tvr", e.get("fvr"))
-                writer.writerow([
-                    r.trial_id, r.snr_db, r.method, e["kind"],
-                    e["claimed_id"], e["actual_id"], e["n_r"],
-                    repr(verified), repr(1.0 - verified), e["n"],
-                ])
+    write_csv(path, ["trial_id", "snr_db", "method", "kind", "claimed_id",
+                     "actual_id", "n_r", "rate_verified", "rate_rejected",
+                     "n"], rows)
     written.append(path)
 
     for r in reports:

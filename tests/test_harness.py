@@ -629,6 +629,23 @@ class TestEvaluation:
             evaluate_trial(trials[0], snr, method, models, store21,
                            tiny_config())
 
+    def test_identity_checked_before_any_store_row_is_read(
+            self, trials, store21, trial1_models):
+        # A BC candidate at the third claimed id, among Relief-F ones: no
+        # test realization of the first two is scored before the refusal.
+        models, _ = trial1_models
+        trial, config = trials[0], tiny_config()
+        third = trial.authorized_ids[2]
+        store = copy.deepcopy(store21)
+        bc = train_best_model(trial, third, "bc", 21.0, store, config)
+        store.access_log.clear()
+        with pytest.raises(InvalidModel, match=re.escape(
+                f"model of ('{third}', 'bc', 21.0) presented as "
+                f"('{third}', 'relieff', 21.0)")):
+            evaluate_trial(trial, 21.0, "relieff", {**models, third: bc},
+                           store, config)
+        assert store.access_log == []
+
     def test_gates_logic(self, report):
         good = VerificationReport(1, 21.0, "relieff", [
             {"kind": "authorized", "claimed_id": "a", "actual_id": "a",
@@ -1039,6 +1056,26 @@ class TestCli:
 
         trained_path(copy_root, "verifier", "relieff", "R03").unlink()
         assert_refused(capsys, base + ["evaluate"], MissingData, "rfdna train")
+
+    def test_evaluate_refuses_a_swapped_verifier_before_making_a_store(
+            self, cli_run, tmp_path, capsys):
+        # R02's Relief-F verifier under R01's file name, and no store: the
+        # file is refused as it is loaded, so no cohort is fingerprinted.
+        root, _ = cli_run
+        copy_root = tmp_path / "data"
+        copy_root.mkdir()
+        for path in root.glob("verifier_*.npz"):
+            (copy_root / path.name).write_bytes(path.read_bytes())
+        trained_path(copy_root, "verifier", "relieff", "R01").write_bytes(
+            trained_path(root, "verifier", "relieff", "R02").read_bytes())
+        config_path = tmp_path / "config.json"
+        write_config(cli_config(), config_path)
+        assert_refused(capsys, ["--data-root", str(copy_root), "--config",
+                                str(config_path), "evaluate"], InvalidModel,
+                       "model of ('R02', 'relieff', 21.0) presented as "
+                       "('R01', 'relieff', 21.0)\n")
+        assert not list(copy_root.glob("fingerprints_*.rfdn"))
+        assert not (copy_root / "reports").exists()
 
     def test_every_configured_method_is_trained_and_evaluated(
             self, cli_run, trials, tmp_path):
