@@ -444,8 +444,8 @@ def welch_t(a: np.ndarray, b: np.ndarray):
 def rank_ttest(fset: LabeledFingerprintSet) -> FeatureRanking:
     """Two-sided Welch t-test per feature; order by ascending p-value.
 
-    A feature with zero variance in both classes carries p = 1 and is
-    flagged as excluded if its class means are equal, and p = 0 otherwise.
+    A feature with zero variance in both classes carries p = 1 (excluded)
+    if its class means are equal, and p = 0 otherwise.
     """
     if fset.n1 < 2 or fset.n2 < 2:
         raise InvalidValue("both classes need at least 2 samples")
@@ -458,10 +458,7 @@ def rank_ttest(fset: LabeledFingerprintSet) -> FeatureRanking:
     pvals[np.isinf(t)] = 0.0
     pvals[excluded] = 1.0
     order = np.argsort(pvals, kind="stable")
-    return FeatureRanking(
-        scores=pvals, order=order,
-        meta={"t": t, "excluded_features": np.flatnonzero(excluded)},
-    )
+    return FeatureRanking(scores=pvals, order=order, meta={"t": t})
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,14 @@ N_TIME_BLOCKS, N_FREQ_BLOCKS = 10, 5
 PATCH_T, PATCH_F = 15, 10
 N_PATCHES = N_TIME_BLOCKS * N_FREQ_BLOCKS
 
-_VERSION = 3    # store file format
+_VERSION = 4    # store file format
 
 
 @dataclass
 class Fingerprint:
+    """One fingerprint row. Its SNR is not read, as a store holds one SNR,
+    its maker's; the field stays only until the bench stops passing it."""
+
     features: np.ndarray
     radio_id: str = ""
     snr_db: float | None = None
@@ -92,21 +95,22 @@ def gen_fingerprint(tf: np.ndarray) -> Fingerprint:
 class FingerprintStore:
     """In-memory columnar fingerprint collection with binary persistence.
 
-    Rows live in four whole columns (features, radio-id code, SNR,
-    realization). Reads through :meth:`select` are logged in ``access_log``
-    so a harness audit can prove no rogue-labeled rows were touched during
-    training.
+    Rows live in three whole columns (radio-id code, realization,
+    features). A store holds one cohort at one SNR, its maker's (the SNR
+    given to :func:`rfdna.harness.generate_dataset`; the CLI puts it in the
+    file name), so no row records it. Reads through :meth:`select` are
+    logged in ``access_log`` so a harness audit can prove no rogue-labeled
+    rows were touched during training.
     """
 
-    def __init__(self, radio_ids=(), id_code=(), snr_db=(), realization=(),
+    def __init__(self, radio_ids=(), id_code=(), realization=(),
                  features=()):
         """A store of whole columns: row ``i`` is ``features[i]`` of radio
-        ``radio_ids[id_code[i]]``, at ``snr_db[i]`` (NaN: none recorded) and
-        noise realization ``realization[i]``. A column already of the
-        store's dtype is kept, not copied."""
+        ``radio_ids[id_code[i]]`` at noise realization ``realization[i]``,
+        all at the SNR of the store's maker. A column already of the store's
+        dtype is kept, not copied."""
         self._code_of = {rid: i for i, rid in enumerate(radio_ids)}
         self._id_code = np.asarray(id_code, dtype=np.int64)
-        self._snr_db = np.asarray(snr_db, dtype=np.float64)
         self._realization = np.asarray(realization, dtype=np.int64)
         self._features = np.asarray(features, dtype=np.float64).reshape(
             -1, N_FEATURES)
@@ -121,8 +125,6 @@ class FingerprintStore:
         code = self._code_of.setdefault(fp.radio_id, len(self._code_of))
         self._features = np.concatenate([self._features, [fp.features]])
         self._id_code = np.append(self._id_code, code)
-        self._snr_db = np.append(
-            self._snr_db, np.nan if fp.snr_db is None else float(fp.snr_db))
         self._realization = np.append(self._realization, int(fp.realization))
 
     def select(self, radio_id: str, realizations=None) -> np.ndarray:
@@ -143,26 +145,24 @@ class FingerprintStore:
         save_arrays(path, version=_VERSION,
                     radio_ids=json.dumps(list(self._code_of)),
                     id_code=self._id_code.astype("<u4"),
-                    snr_db=self._snr_db.astype("<f8", copy=False),
                     realization=self._realization.astype("<u4"),
                     features=self._features.astype("<f8", copy=False))
 
     @classmethod
     def load(cls, path) -> "FingerprintStore":
-        """The store at ``path``. A file that is not an intact version-3
+        """The store at ``path``. A file that is not an intact version-4
         store, an older store included, raises :class:`InvalidValue` naming
         the reason: :func:`load_arrays`' or the first check that failed."""
         try:
             d = load_arrays(path)
             ids = json.loads(d["radio_ids"].item())
-            code, snr, z, x = (d[k] for k in ("id_code", "snr_db",
-                                              "realization", "features"))
+            code, z, x = (d[k] for k in ("id_code", "realization",
+                                         "features"))
             checks = {
                 "distinct string ids":
                     ids == list(dict.fromkeys(map(str, ids))),
                 f"version {_VERSION}": d["version"].item() == _VERSION,
-                "column shapes": (code.shape == snr.shape == z.shape
-                                  == (len(code),)
+                "column shapes": (code.shape == z.shape == (len(code),)
                                   and x.shape == (len(code), N_FEATURES)),
                 "u32 columns": code.dtype == z.dtype == np.uint32,
                 "known id codes": np.all(code < len(ids)),
@@ -177,7 +177,7 @@ class FingerprintStore:
         if why:
             raise InvalidValue(f"{path} is not an intact version-{_VERSION} "
                                f"store ({why}); re-run `rfdna fingerprint`")
-        return cls(ids, code, snr, z, x)
+        return cls(ids, code, z, x)
 
 
 def save_arrays(path, **arrays) -> None:

@@ -271,7 +271,6 @@ def generate_dataset(
     return FingerprintStore(
         radio_ids=ids,
         id_code=np.repeat(np.arange(len(profiles)), per_radio),
-        snr_db=np.full(n_rows, float(snr_db)),
         realization=np.tile(np.arange(config.n_z), n_rows // config.n_z),
         features=features)
 

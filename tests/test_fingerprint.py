@@ -199,12 +199,12 @@ class TestStore:
         store.save(path)
         back = FingerprintStore.load(path)
         assert len(back) == len(store)
-        for rid in store.radio_ids():
-            assert np.array_equal(store.select(rid), back.select(rid))
         assert back.radio_ids() == store.radio_ids()
-        # SNR None round-trips through the NaN sentinel of the SNR column.
-        assert np.array_equal(back._snr_db[:6], [21.0] * 6)
-        assert np.isnan(back._snr_db[6:]).all()
+        # R02's rows, added with no SNR, load like R01's.
+        for rid in store.radio_ids():
+            for z in (None, [0], [1]):
+                assert np.array_equal(store.select(rid, z),
+                                      back.select(rid, z))
 
     def test_load_adds_little_beyond_the_features(self, tmp_path):
         # Members are streamed from the file: loading 20,000 rows allocates
@@ -214,8 +214,8 @@ class TestStore:
         rng = np.random.default_rng(5)
         features = rng.standard_normal((n, N_FEATURES))
         path = tmp_path / "big.rfdn"
-        FingerprintStore(["R01", "R02"], np.arange(n) % 2, np.full(n, 21.0),
-                         np.arange(n) % 10, features).save(path)
+        FingerprintStore(["R01", "R02"], np.arange(n) % 2, np.arange(n) % 10,
+                         features).save(path)
         tracemalloc.start()
         try:
             back = FingerprintStore.load(path)
@@ -344,6 +344,17 @@ class TestStore:
             with pytest.raises(InvalidValue,
                                match="offset 0.*re-run `rfdna fingerprint`"):
                 FingerprintStore.load(path)
+        # A format-3 store held one more member, a per-row SNR.
+        small_store().save(path)
+        arrays = load_arrays(path)
+        assert sorted(arrays) == sorted(["version", "radio_ids", "id_code",
+                                         "realization", "features"])
+        arrays["version"] = 3
+        save_arrays(path, **arrays,
+                    snr_db=np.full(len(arrays["id_code"]), 21.0))
+        with pytest.raises(InvalidValue, match=r"fails version 4\); "
+                                               r"re-run `rfdna fingerprint`"):
+            FingerprintStore.load(path)
 
     def test_add_after_load_appends(self, tmp_path):
         store = small_store()
@@ -365,21 +376,22 @@ class TestStore:
         assert np.array_equal(back._features[-3:], rows)
         assert back._id_code[-3:].tolist() == [2, 0, 2]
         assert back._realization[-3:].tolist() == [1, 0, 2]
-        assert np.array_equal(back._snr_db[-3:], [np.nan, 9.0, np.nan],
-                              equal_nan=True)
         assert np.array_equal(back.select("R03"), rows[[0, 2]])
+        assert np.array_equal(back.select("R03", [2]), rows[[2]])
         assert np.array_equal(back.select("R01", [0])[-1], rows[1])
 
 
 @st.composite
 def stores(draw):
     """Stores of up to 8 rows over up to 4 unicode ids (the empty id and the
-    empty store included), with any SNR (None, NaN and infinities
-    included) and any realization the u32 column holds."""
+    empty store included), with any SNR (None, NaN, infinities and
+    non-numbers included), which a store does not keep, and any realization
+    the u32 column holds."""
     ids = draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=6),
                         min_size=1, max_size=4, unique=True))
     rows = draw(st.lists(st.tuples(
-        st.sampled_from(ids), st.none() | st.floats(),
+        st.sampled_from(ids),
+        st.none() | st.floats() | st.text(max_size=3) | st.just([1, 2]),
         st.integers(0, 2**32 - 1),
         hnp.arrays(np.float64, N_FEATURES, elements=st.floats(
             allow_nan=False, allow_infinity=False))), max_size=8))
@@ -402,7 +414,8 @@ class TestStoreRoundtripProperty:
         store.save(path)
         back = FingerprintStore.load(path)
         assert back.radio_ids() == store.radio_ids()
-        for column in ("_features", "_id_code", "_snr_db", "_realization"):
+        assert len(back) == len(store)
+        for column in ("_features", "_id_code", "_realization"):
             assert same_bits(getattr(back, column), getattr(store, column))
         for rid in store.radio_ids() + ["not in the store"]:
             assert same_bits(back.select(rid), store.select(rid))
@@ -426,8 +439,7 @@ def verifier_fields(v):
 def store_fields(store):
     return (store.radio_ids(),) + tuple(
         (a.dtype, a.shape, a.tobytes()) for a in (
-            store._features, store._id_code, store._snr_db,
-            store._realization))
+            store._features, store._id_code, store._realization))
 
 
 class TestCorruption:

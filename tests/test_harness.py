@@ -15,8 +15,7 @@ import pytest
 import rfdna.harness as harness
 from rfdna.errors import (InvalidModel, InvalidValue, MissingData,
                           NumericalFailure)
-from rfdna.fingerprint import (N_FEATURES, Fingerprint, FingerprintStore,
-                               load_arrays)
+from rfdna.fingerprint import N_FEATURES, Fingerprint, FingerprintStore
 from rfdna.harness import (
     ExperimentConfig,
     Reducer,
@@ -272,7 +271,7 @@ class TestParallelDataset:
         want = generate_dataset_serial(cohort[:3], 15.0, config)
         assert len(got) == 3 * 2 * 2
         assert got.radio_ids() == want.radio_ids() == ["R01", "R02", "R03"]
-        for column in ("_features", "_id_code", "_snr_db", "_realization"):
+        for column in ("_features", "_id_code", "_realization"):
             a, b = getattr(got, column), getattr(want, column)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
@@ -1141,12 +1140,13 @@ class TestCli:
                                       ["21", "21.0000001"],
                                       ["-3", "-3.000001"]])
     def test_snrs_sharing_a_tag_get_a_store_each(self, tmp_path,
-                                                  monkeypatch, command,
-                                                  snrs):
+                                                  monkeypatch, cohort,
+                                                  command, snrs):
         # Both SNRs print as one 6-significant-digit tag; the digest in
         # the file name keeps their stores apart.
         config_path = tmp_path / "config.json"
-        write_config(cli_config(), config_path)
+        config = cli_config()
+        write_config(config, config_path)
         root = tmp_path / "data"
         argv = ["--data-root", str(root), "--config", str(config_path)]
         for snr in snrs:
@@ -1157,10 +1157,14 @@ class TestCli:
             VerificationReport(trial.trial_id, snr, method, []))
         assert cli.main(argv + [command]) == 0
         (tag,) = {f"{float(snr):g}" for snr in snrs}
-        columns = [load_arrays(p)["snr_db"]
-                   for p in root.glob(f"fingerprints_{tag}dB_*.rfdn")]
-        assert sorted(c[0] for c in columns) == sorted(map(float, snrs))
-        assert all(np.all(c == c[0]) for c in columns)
+        got = [FingerprintStore.load(p).select("R01").tobytes()
+               for p in root.glob(f"fingerprints_{tag}dB_*.rfdn")]
+        # Each store holds the rows made at its own SNR: R01, the first
+        # radio, is seeded alike in a cohort of one.
+        want = {generate_dataset(cohort[:1], float(snr), config)
+                .select("R01").tobytes() for snr in snrs}
+        assert len(got) == len(want) == 2
+        assert set(got) == want
 
     @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
     def test_every_command_makes_a_missing_store(self, cli_run, tmp_path,
