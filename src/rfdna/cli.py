@@ -27,9 +27,9 @@ from .modelsel import model_quality, passes_gate
 
 def _setup(args):
     """The inputs of every command but ``report``, checked before any file
-    is written: the data root, the cohort (``--manifest``'s, else the
-    built-in one), the config file (or defaults) with ``--snr`` and
-    ``--methods`` applied, and the cohort's trials."""
+    is written: the data root (a directory, if it exists), the cohort
+    (``--manifest``'s, else the built-in one), the config file (or defaults)
+    with ``--snr`` and ``--methods`` applied, and the cohort's trials."""
     profiles = (signals.load_manifest(args.manifest) if args.manifest
                 else default_cohort())
     config = (ExperimentConfig.from_json(args.config) if args.config
@@ -41,7 +41,15 @@ def _setup(args):
         overrides["methods"] = list(dict.fromkeys(args.methods))
     config = dataclasses.replace(config, **overrides)
     trials = default_trials([p.radio_id for p in profiles])
-    return Path(args.data_root), profiles, config, trials
+    return _directory(args.data_root), profiles, config, trials
+
+
+def _directory(path) -> Path:
+    """``path`` to write into; refused if it or a parent is a file."""
+    path = Path(path)
+    if any(p.exists() and not p.is_dir() for p in (path, *path.parents)):
+        raise InvalidValue(f"{path} is not a directory")
+    return path
 
 
 def _trial(args, trials):
@@ -178,12 +186,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     root = Path(args.data_root)
+    out = _directory(args.out or root / "reports")
     src = args.reports or (root / "reports" / "reports.json")
     data = signals.read_json(src, "reports")
     if not isinstance(data, list):
         raise InvalidValue(f"{src} does not hold a list of reports")
     reports = [harness.VerificationReport.from_dict(d) for d in data]
-    harness.emit_report(reports, args.out or (root / "reports"))
+    harness.emit_report(reports, out)
     print(f"re-emitted {len(reports)} reports")
     return 0
 

@@ -573,8 +573,9 @@ class VerificationReport:
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
         """The report of :meth:`to_dict`. A report or entry that lacks a key
-        :func:`emit_report` reads, or whose trial id, SNR or method would not
-        make a plot-data file name, raises :class:`InvalidValue`."""
+        :func:`emit_report` reads, whose kind is not one it reads, or whose
+        trial id, SNR or method would not make a plot-data file name, raises
+        :class:`InvalidValue`."""
         keys = {"trial_id", "snr_db", "method", "entries"}
         if (not isinstance(data, dict) or not keys <= set(data)
                 or not isinstance(data["entries"], list)
@@ -591,10 +592,12 @@ class VerificationReport:
                     and e.get("kind") == "authorized" else "fvr")
             keys = {"kind", "claimed_id", "actual_id", "n_r", rate, "n"}
             if (not isinstance(e, dict) or not keys <= set(e)
+                    or e["kind"] not in ("authorized", "other", "rogue")
                     or not is_real(e[rate])
                     or {type(e["claimed_id"]), type(e["actual_id"])} != {str}):
                 raise InvalidValue(f"report entry {e!r} needs text ids, the "
-                                   f"keys {sorted(keys)}, a numeric {rate}")
+                                   f"keys {sorted(keys)}, a numeric {rate} "
+                                   f"and a kind authorized, other or rogue")
         return cls(data["trial_id"], data["snr_db"], data["method"],
                    data["entries"], data.get("meta", {}))
 
@@ -702,9 +705,14 @@ def write_csv(path, header, rows) -> None:
 def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
     """Write ``reports.json``, ``reports.csv`` and one plot-data JSON per
     report with entries, and delete any other plot-data file in ``outdir``
-    (an earlier run's); return the written paths."""
+    (an earlier run's); return the written paths. Two reports that would
+    write one plot-data file raise :class:`InvalidValue` before any write."""
     if not reports:
         raise InvalidValue("no reports to emit")
+    plots = {f"plotdata_trial{r.trial_id}_snr{r.snr_db}_{r.method}.json": r
+             for r in reports if r.entries}
+    if len(plots) < sum(1 for r in reports if r.entries):
+        raise InvalidValue("two reports of one trial, SNR and method")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "reports.json"
@@ -724,9 +732,7 @@ def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
                      "n"], rows)
     written.append(path)
 
-    for r in reports:
-        if not r.entries:
-            continue
+    for name, r in plots.items():
         groups = []
         for e in r.rows(kind="authorized"):
             claimed = e["claimed_id"]
@@ -743,8 +749,7 @@ def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
                     for o in r.rows(kind="rogue", claimed_id=claimed)
                 },
             })
-        path = outdir / (f"plotdata_trial{r.trial_id}_snr{r.snr_db}_"
-                         f"{r.method}.json")
+        path = outdir / name
         path.write_text(json.dumps({
             "trial_id": r.trial_id, "snr_db": r.snr_db,
             "method": r.method, "groups": groups,

@@ -37,10 +37,11 @@ class EmitterProfile:
     ramp_time_constant: float = 20.0    # samples
 
     def __post_init__(self):
-        # A store writes radio ids as text.
-        if not isinstance(self.radio_id, str) or not self.radio_id:
-            raise InvalidValue(f"radio_id must be a non-empty string, got "
-                               f"{self.radio_id!r}")
+        # A store writes radio ids as text, and rfdna puts them in file names.
+        if (not isinstance(self.radio_id, str) or not self.radio_id
+                or any(c in self.radio_id for c in "/\\\0")):
+            raise InvalidValue(f"radio_id must be a non-empty string without "
+                               f"'/', '\\' or NUL, got {self.radio_id!r}")
         if not all(map(is_real, astuple(self)[1:])):
             raise InvalidValue(f"{self.radio_id!r} has an impairment that is "
                                f"not a finite number")

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -947,6 +948,18 @@ def trained_path(root, kind, method, claimed, tag="21") -> Path:
     return path
 
 
+def data_root_copy(tmp_path, paths):
+    """A data root under ``tmp_path`` holding copies of ``paths``, and the
+    arguments that run ``cli.main`` on it under ``cli_config()``."""
+    root = tmp_path / "data"
+    root.mkdir()
+    for path in paths:
+        (root / path.name).write_bytes(path.read_bytes())
+    config_path = tmp_path / "config.json"
+    write_config(cli_config(), config_path)
+    return root, ["--data-root", str(root), "--config", str(config_path)]
+
+
 def report_json(**fields) -> str:
     """A one-report ``reports.json`` with one authorized entry, with
     ``fields`` replacing the report's own."""
@@ -1036,18 +1049,13 @@ class TestCli:
         # A copy of the data root without retraining: evaluate reads the
         # verifier files and never calls train_best_model.
         root, _ = cli_run
-        copy_root = tmp_path / "data"
-        copy_root.mkdir()
-        for path in [*root.glob("verifier_*.npz"), store_path(root)]:
-            (copy_root / path.name).write_bytes(path.read_bytes())
-        config_path = tmp_path / "config.json"
-        write_config(cli_config(), config_path)
+        copy_root, base = data_root_copy(
+            tmp_path, [*root.glob("verifier_*.npz"), store_path(root)])
 
         def no_training(*args):
             raise AssertionError("evaluate retrained a verifier")
 
         monkeypatch.setattr(harness, "train_best_model", no_training)
-        base = ["--data-root", str(copy_root), "--config", str(config_path)]
         cli.main(base + ["evaluate"])
         got = json.loads((copy_root / "reports" / "reports.json").read_text())
         want = json.loads((root / "reports" / "reports.json").read_text())
@@ -1061,41 +1069,67 @@ class TestCli:
         # R02's Relief-F verifier under R01's file name, and no store: the
         # file is refused as it is loaded, so no cohort is fingerprinted.
         root, _ = cli_run
-        copy_root = tmp_path / "data"
-        copy_root.mkdir()
-        for path in root.glob("verifier_*.npz"):
-            (copy_root / path.name).write_bytes(path.read_bytes())
+        copy_root, base = data_root_copy(tmp_path,
+                                         root.glob("verifier_*.npz"))
         trained_path(copy_root, "verifier", "relieff", "R01").write_bytes(
             trained_path(root, "verifier", "relieff", "R02").read_bytes())
-        config_path = tmp_path / "config.json"
-        write_config(cli_config(), config_path)
-        assert_refused(capsys, ["--data-root", str(copy_root), "--config",
-                                str(config_path), "evaluate"], InvalidModel,
+        assert_refused(capsys, base + ["evaluate"], InvalidModel,
                        "model of ('R02', 'relieff', 21.0) presented as "
                        "('R01', 'relieff', 21.0)\n")
         assert not list(copy_root.glob("fingerprints_*.rfdn"))
         assert not (copy_root / "reports").exists()
 
+    @pytest.mark.parametrize("how, kind, fault", [
+        ("flip", "store", "Bad CRC-32 for file 'features.npy'"),
+        ("flip", "verifier", "Bad CRC-32 for file"),
+        ("prepend", "store", "no local file header at offset 0"),
+        ("header", "verifier", "central directory at")])
+    def test_evaluate_refuses_a_corrupt_file(self, cli_run, tmp_path, capsys,
+                                             how, kind, fault):
+        # A flip changes one byte in the data of the file's last member,
+        # which ends where the zip's central directory starts; the others
+        # put one byte or a local-header signature before the archive.
+        root, _ = cli_run
+        copy_root, base = data_root_copy(
+            tmp_path, [*root.glob("verifier_*.npz"), store_path(root)])
+        path = (store_path(copy_root) if kind == "store" else
+                trained_path(copy_root, "verifier", "relieff", "R01"))
+        data = bytearray(path.read_bytes())
+        if how == "flip":
+            with zipfile.ZipFile(path) as z:
+                data[z.start_dir - 1] ^= 0xFF
+        else:
+            data[:0] = {"prepend": b"\0", "header": b"PK\x03\x04"}[how]
+        path.write_bytes(bytes(data))
+        assert_refused(capsys, base + ["evaluate"], InvalidValue, fault)
+        assert not (copy_root / "reports").exists()
+
+    def test_saves_leave_no_temporary_file(self, cli_run):
+        # Every save renamed its temporary file onto the saved name.
+        root, _ = cli_run
+        assert list(root.glob("*.rfdn")) and list(root.glob("*.npz"))
+        assert not list(root.rglob(".*.tmp"))
+
     def test_every_configured_method_is_trained_and_evaluated(
             self, cli_run, trials, tmp_path):
         root, _ = cli_run
-        copy_root = tmp_path / "data"
-        copy_root.mkdir()
-        store_name = store_path(root).name
-        (copy_root / store_name).write_bytes((root / store_name).read_bytes())
-        config_path = tmp_path / "config.json"
-        write_config(cli_config(), config_path)
+        copy_root, base = data_root_copy(tmp_path, [store_path(root)])
         methods = ["bc", "relieff"]
-        base = ["--data-root", str(copy_root), "--config", str(config_path),
-                "--methods", methods[0], "--methods", methods[1]]
-        rc = {cmd: cli.main(base + [cmd]) for cmd in ("train", "evaluate")}
+        base += ["--methods", methods[0], "--methods", methods[1]]
+        rc = {cmd: cli.main(base + [cmd])
+              for cmd in ("select", "train", "evaluate")}
 
+        # select ranks the first authorized radio's pool with each method.
         ids = trials[0].authorized_ids
+        names = sorted(p.name for p in copy_root.glob("ranking_*.csv"))
+        assert [name.rsplit("_", 1)[0] for name in names] == [
+            f"ranking_{m}_R01_snr21" for m in methods]
+        assert rc["select"] == 0
         names = sorted(p.name for p in copy_root.glob("verifier_*.npz"))
         assert [name.rsplit("_", 1)[0] for name in names] == [
             f"verifier_{m}_{c}_snr21" for m in methods for c in ids]
         assert len({name.rsplit("_", 1)[1] for name in names}) == 1
-        store = FingerprintStore.load(copy_root / store_name)
+        store = FingerprintStore.load(store_path(copy_root))
         train_ok, want = True, []
         for method in methods:
             models = harness.train_trial(trials[0], 21.0, method, store,
@@ -1114,26 +1148,51 @@ class TestCli:
     @pytest.mark.parametrize("config, command, error", [
         (None, "evaluate", MissingData), ({"n_z": 1}, "select", InvalidValue),
         (None, "select --claimed-id ../x", InvalidModel),
+        (None, "select --claimed-id R07", InvalidModel),     # a rogue
         ({"n_z": 1}, "train", InvalidValue), (None, "report", InvalidValue),
         ({"n_z": 1}, "fingerprint", InvalidValue),
         ({"n_z": 1}, "sweep", InvalidValue),
         ({"master_seed": -1}, "fingerprint", InvalidValue),
         # nothing held out to score
         ({"n_test_realizations": 0}, "evaluate", InvalidValue),
-        ({"n_test_realizations": 0}, "sweep", InvalidValue)],
-        ids=["evaluate", "select", "claimed-id", "train", "report",
-             "fingerprint", "sweep", "master-seed", "untested-evaluate",
-             "untested-sweep"])
+        ({"n_test_realizations": 0}, "sweep", InvalidValue),
+        # a radio id that cannot be part of a verifier's file name
+        ({**dataclasses.asdict(cli_config()), "profiles": [
+            {"radio_id": "R/01"},
+            *map(dataclasses.asdict, default_cohort()[1:])]},
+         "train", InvalidValue)],
+        ids=["evaluate", "select", "claimed-id", "rogue-claimed-id", "train",
+             "report", "fingerprint", "sweep", "master-seed",
+             "untested-evaluate", "untested-sweep", "slash-radio-id"])
     def test_failed_command_creates_no_data_root(self, tmp_path, capsys,
                                                  config, command, error):
         root = tmp_path / "missing"
         args = ["--data-root", str(root), *command.split()]
         if config is not None:
+            config = dict(config)
+            if "profiles" in config:        # a cohort, read by --manifest
+                path = tmp_path / "cohort.json"
+                path.write_text(json.dumps({"profiles":
+                                            config.pop("profiles")}))
+                args[2:2] = ["--manifest", str(path)]
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))
             args[2:2] = ["--config", str(path)]
         assert_refused(capsys, args, error)
         assert not root.exists()
+
+    def test_data_root_that_is_a_file_refused(self, tmp_path, capsys):
+        # Refused before the cohort is fingerprinted. The data root exists
+        # here, so the check is that the file is unchanged and no store was
+        # written anywhere.
+        root, config_path = tmp_path / "data", tmp_path / "config.json"
+        root.write_text("not a directory")
+        write_config(cli_config(), config_path)
+        assert_refused(capsys, ["--data-root", str(root), "--config",
+                                str(config_path), "fingerprint"],
+                       InvalidValue, "is not a directory")
+        assert root.read_text() == "not a directory"
+        assert not list(tmp_path.rglob("*.rfdn"))
 
     @pytest.mark.parametrize("command", ["fingerprint", "sweep"])
     @pytest.mark.parametrize("snrs", [["21.0000001", "21.0000002"],
@@ -1172,14 +1231,9 @@ class TestCli:
         # Each makes the store that `fingerprint` made in ``cli_run``, and
         # prints the line `fingerprint` prints.
         root, _ = cli_run
-        copy_root = tmp_path / "data"
-        copy_root.mkdir()
-        for path in root.glob("verifier_*.npz"):
-            (copy_root / path.name).write_bytes(path.read_bytes())
-        config_path = tmp_path / "config.json"
-        write_config(cli_config(), config_path)
-        assert cli.main(["--data-root", str(copy_root), "--config",
-                         str(config_path), command]) in (0, 1)
+        copy_root, base = data_root_copy(tmp_path,
+                                         root.glob("verifier_*.npz"))
+        assert cli.main(base + [command]) in (0, 1)
         made = store_path(copy_root)
         assert made.name == store_path(root).name
         assert made.read_bytes() == store_path(root).read_bytes()
@@ -1384,13 +1438,8 @@ class TestCli:
         # of trial 1 leaves only its own, so the directory is what `report
         # --out` re-emits from its reports.json.
         root, _ = cli_run
-        copy_root = tmp_path / "data"
-        copy_root.mkdir()
-        for path in [*root.glob("verifier_*.npz"), store_path(root)]:
-            (copy_root / path.name).write_bytes(path.read_bytes())
-        config_path = tmp_path / "config.json"
-        write_config(cli_config(), config_path)
-        base = ["--data-root", str(copy_root), "--config", str(config_path)]
+        copy_root, base = data_root_copy(
+            tmp_path, [*root.glob("verifier_*.npz"), store_path(root)])
         entry = {"kind": "authorized", "claimed_id": "R01",
                  "actual_id": "R01", "n_r": 5, "tvr": 1.0, "frr": 0.0,
                  "n": 3}
@@ -1420,7 +1469,7 @@ class TestCli:
                                 str(path), "fingerprint"], InvalidValue)
         assert not list(root.glob("*.rfdn"))
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("text, out", [(text, "out") for text in [
         "not json",
         json.dumps({"trial_id": 1}),
         json.dumps([{"trial_id": 1}]),
@@ -1449,19 +1498,28 @@ class TestCli:
              "n_r": 5, "tvr": 1.0, "n": 3},
             {"kind": "rogue", "claimed_id": "R01", "actual_id": [7],
              "n_r": 5, "fvr": 0.0, "n": 3}]),
-    ], ids=["not-json", "not-a-list", "no-snr", "entries-object",
-            "meta-list", "no-kind", "authorized-without-tvr", "text-rate",
-            "method-path", "text-snr", "far-snr", "trial-id-path",
-            "trial-id-zero", "list-actual-id"])
+        # a kind the gates do not read: a failed gate would pass
+        report_json(entries=[
+            {"kind": "Rogue", "claimed_id": "R01", "actual_id": "R07",
+             "n_r": 5, "fvr": 0.9, "n": 3}]),
+        # two reports that would write one plot-data file
+        json.dumps(json.loads(report_json()) * 2),
+    ]] + [(report_json(), "reports.json")],     # --out names a file
+        ids=["not-json", "not-a-list", "no-snr", "entries-object",
+             "meta-list", "no-kind", "authorized-without-tvr", "text-rate",
+             "method-path", "text-snr", "far-snr", "trial-id-path",
+             "trial-id-zero", "list-actual-id", "unknown-kind",
+             "one-plot-data-name", "out-is-a-file"])
     def test_report_input_checked_before_writing(self, tmp_path, capsys,
-                                                 text):
+                                                 text, out):
         src = tmp_path / "reports.json"
         src.write_text(text)
-        out = tmp_path / "out"
         assert_refused(capsys, ["--data-root", str(tmp_path), "report",
-                                "--reports", str(src), "--out", str(out)],
-                       InvalidValue)
-        assert not out.exists()
+                                "--reports", str(src), "--out",
+                                str(tmp_path / out)], InvalidValue)
+        # Nothing is written: the input is all there is, as it was.
+        assert list(tmp_path.iterdir()) == [src]
+        assert src.read_text() == text
 
     def test_plot_data_named_by_report_fields(self, tmp_path):
         src = tmp_path / "reports.json"

@@ -53,11 +53,13 @@ class TestProfile:
 
     @pytest.mark.parametrize("fields", [
         {"radio_id": 7}, {"radio_id": None}, {"radio_id": ""},
+        {"radio_id": "R/01"}, {"radio_id": "R\0"}, {"radio_id": "a\\b"},
         {"radio_id": "X", "pa_nonlinearity": True},
         {"radio_id": "X", "ramp_time_constant": "20"},
     ])
     def test_id_or_impairment_of_wrong_type_rejected(self, fields):
-        # A store writes radio ids as text.
+        # A store writes radio ids as text, and rfdna puts them in file
+        # names.
         with pytest.raises(InvalidValue):
             EmitterProfile(**fields)
 
