@@ -100,8 +100,9 @@ def cmd_fingerprint(args) -> int:
 def cmd_select(args) -> int:
     root, profiles, config, trials = _setup(args)
     trial, snr = _trial(args, trials), config.snr_grid[-1]
-    claimed = trial.check_authorized(args.claimed_id
-                                     or trial.authorized_ids[0])
+    claimed = trial.check_authorized(trial.authorized_ids[0]
+                                     if args.claimed_id is None
+                                     else args.claimed_id)
     store = _store(root, profiles, config, snr)
     fset = harness.training_pool(store, trial, claimed, config)[0]
     for method in config.methods:

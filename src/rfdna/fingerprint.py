@@ -9,6 +9,7 @@ frequency blocks of 10.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tokenize
@@ -150,34 +151,22 @@ class FingerprintStore:
 
     @classmethod
     def load(cls, path) -> "FingerprintStore":
-        """The store at ``path``. A file that is not an intact version-4
-        store, an older store included, raises :class:`InvalidValue` naming
-        the reason: :func:`load_arrays`' or the first check that failed."""
-        try:
-            d = load_arrays(path)
+        """The store at ``path``; :func:`load_checked` refuses a file that
+        is not an intact version-4 store, an older store included."""
+        def checks(d):
             ids = json.loads(d["radio_ids"].item())
-            code, z, x = (d[k] for k in ("id_code", "realization",
-                                         "features"))
-            checks = {
-                "distinct string ids":
-                    ids == list(dict.fromkeys(map(str, ids))),
-                f"version {_VERSION}": d["version"].item() == _VERSION,
-                "column shapes": (code.shape == z.shape == (len(code),)
-                                  and x.shape == (len(code), N_FEATURES)),
-                "u32 columns": code.dtype == z.dtype == np.uint32,
-                "known id codes": np.all(code < len(ids)),
-                "finite features": np.all(np.isfinite(x)),
-            }
-            why = next((f"fails {name}" for name, ok in checks.items()
-                        if not ok), None)
-        except InvalidValue as exc:
-            why = str(exc).removeprefix(f"{path}: ")
-        except (KeyError, TypeError, ValueError) as exc:
-            why = repr(exc)
-        if why:
-            raise InvalidValue(f"{path} is not an intact version-{_VERSION} "
-                               f"store ({why}); re-run `rfdna fingerprint`")
-        return cls(ids, code, z, x)
+            yield "distinct string ids", ids == [*dict.fromkeys(map(str, ids))]
+            code, z, x = d["id_code"], d["realization"], d["features"]
+            yield "column shapes", (code.shape == z.shape == (len(code),)
+                                    and x.shape == (len(code), N_FEATURES))
+            yield "u32 columns", code.dtype == z.dtype == np.uint32
+            yield "known id codes", np.all(code < len(ids))
+            yield "finite features", np.all(np.isfinite(x))
+
+        return load_checked(path, "store", _VERSION, "fingerprint", checks,
+                            lambda d: cls(json.loads(d["radio_ids"].item()),
+                                          d["id_code"], d["realization"],
+                                          d["features"]))
 
 
 def save_arrays(path, **arrays) -> None:
@@ -244,3 +233,25 @@ def load_arrays(path) -> dict:
             zipfile.BadZipFile, zlib.error, tokenize.TokenError) as exc:
         raise InvalidValue(f"{path}: not a readable array file, {exc!r}"
                            ) from None
+
+
+def load_checked(path, what: str, version: int, command: str, checks, build):
+    """``build(arrays)`` of the :func:`save_arrays` file at ``path`` if it is
+    an intact version-``version`` ``what``: its ``version`` member is read
+    first, then ``checks(arrays)`` yields the format's named checks as
+    ``(name, ok)``, in order. Any fault raises one :class:`InvalidValue`
+    naming it and ``rfdna <command>``, which remakes the file."""
+    try:
+        d = load_arrays(path)
+        v = d.get("version", np.empty(0))
+        why = next((f"fails {name}" for name, ok in itertools.chain(
+            [(f"version {version}", v.shape == () and v.item() == version)],
+            checks(d)) if not ok), None)
+        if why is None:
+            return build(d)
+    except InvalidValue as exc:
+        why = str(exc).removeprefix(f"{path}: ")
+    except (KeyError, TypeError, ValueError) as exc:
+        why = repr(exc)
+    raise InvalidValue(f"{path} is not an intact version-{version} {what} "
+                       f"({why}); re-run `rfdna {command}`")

@@ -21,7 +21,7 @@ from . import featsel
 from .errors import (InvalidModel, InvalidValue, MissingData, TrainingFailed,
                      check_count, is_real)
 from .fingerprint import (N_FEATURES, FingerprintStore, gen_fingerprint,
-                          load_arrays, save_arrays)
+                          load_checked, save_arrays)
 from .gabor import GaborParams, dgt, normalize_tf
 from .modelsel import (FVR_GATE, TVR_GATE, CandidateModel, build_margin_pmfs,
                        passes_gate, select_best)
@@ -75,7 +75,7 @@ class TrialConfig:
     def check_authorized(self, claimed: str) -> str:
         """``claimed`` if it is authorized in this trial, else InvalidModel."""
         if claimed not in self.authorized_ids:
-            raise InvalidModel(f"{claimed} is not authorized in trial "
+            raise InvalidModel(f"{claimed!r} is not authorized in trial "
                                f"{self.trial_id}")
         return claimed
 
@@ -482,50 +482,37 @@ class Verifier:
     @classmethod
     def load(cls, path) -> "Verifier":
         """The verifier at ``path``, enrolled for the claimed id, method and
-        SNR it holds. A missing, unreadable, wrong-version or inconsistent
-        file raises :class:`InvalidValue` naming the reason:
-        :func:`load_arrays`' or the first check that failed."""
-        try:
-            d = load_arrays(path)
+        SNR it holds; :func:`load_checked` refuses a file that is not an
+        intact version-1 verifier."""
+        def checks(d):
+            yield "finite arrays", all(np.isfinite(d[k]).all() for k in d
+                                       if k in _SVM_FIELDS + ("basis", "mean"))
             n_r, idx = int(d["n_r"]), d.get("indices")
+            sv = d["support_vectors"]
+            yield f"array shapes for N_r = {n_r}", (
+                n_r >= 1 and sv.ndim == 2 and sv.shape[1] == n_r
+                and d["dual_coeffs"].shape == (len(sv),)
+                and d["scaler_mean"].shape == d["scaler_scale"].shape
+                == (n_r,) and (idx.shape == (n_r,) if idx is not None else
+                               d["basis"].shape == (N_FEATURES, n_r)
+                               and d["mean"].shape == (N_FEATURES,)))
+            yield f"feature indices in 0..{N_FEATURES - 1}", (
+                idx is None or idx.dtype.kind == "i"
+                and np.all((idx >= 0) & (idx < N_FEATURES)))
+
+        def build(d):
+            idx = d.get("indices")
             cut = ({"indices": idx} if idx is not None
                    else {"basis": d["basis"], "mean": d["mean"]})
             model = SvmModel(**{k: d[k] for k in _SVM_FIELDS[:4]},
                              **{k: d[k].item() for k in _SVM_FIELDS[4:]},
                              feature_indices=idx)
-            sv = model.support_vectors
-            checks = {
-                f"version {VERIFIER_VERSION}":
-                    d["version"].item() == VERIFIER_VERSION,
-                "finite arrays": all(np.isfinite(d[k]).all() for k in d
-                                     if k in _SVM_FIELDS + ("basis", "mean")),
-                f"array shapes for N_r = {n_r}": (
-                    n_r >= 1 and sv.ndim == 2 and sv.shape[1] == n_r
-                    and model.dual_coeffs.shape == (len(sv),)
-                    and model.scaler_mean.shape == model.scaler_scale.shape
-                    == (n_r,) and (idx.shape == (n_r,)
-                                   and idx.dtype.kind == "i"
-                                   if idx is not None else
-                                   cut["basis"].shape == (N_FEATURES, n_r)
-                                   and cut["mean"].shape == (N_FEATURES,))),
-                f"feature indices in 0..{N_FEATURES - 1}":
-                    idx is None or idx.dtype.kind == "i"
-                    and np.all((idx >= 0) & (idx < N_FEATURES)),
-            }
-            why = next((f"fails {name}" for name, ok in checks.items()
-                        if not ok), None)
-            enrolled = (str(d["claimed_id"]), str(d["method"]),
-                        float(d["snr_db"]))
-            flags = {key: bool(d[key]) for key in _FLAGS}
-        except InvalidValue as exc:
-            why = str(exc).removeprefix(f"{path}: ")
-        except (KeyError, TypeError, ValueError) as exc:
-            why = repr(exc)
-        if why:
-            raise InvalidValue(f"{path} is not an intact version-"
-                               f"{VERIFIER_VERSION} verifier ({why}); "
-                               f"re-run `rfdna train`")
-        return cls(*enrolled, n_r, cut, model, flags)
+            return cls(str(d["claimed_id"]), str(d["method"]),
+                       float(d["snr_db"]), int(d["n_r"]), cut, model,
+                       {key: bool(d[key]) for key in _FLAGS})
+
+        return load_checked(path, "verifier", VERIFIER_VERSION, "train",
+                            checks, build)
 
     def enrolled_as(self, claimed_id: str, method: str, snr_db) -> "Verifier":
         """This verifier, if enrolled for ``claimed_id``, ``method`` and

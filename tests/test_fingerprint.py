@@ -1,5 +1,6 @@
 import errno
 import io
+import json
 import os
 import re
 import tracemalloc
@@ -298,40 +299,28 @@ class TestStore:
         assert events == want
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_load_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.rfdn"
-        path.write_bytes(b"JUNKxxxx")
-        with pytest.raises(InvalidValue):
-            FingerprintStore.load(path)
-
-    def test_load_rejects_truncated_file(self, tmp_path):
-        store = FingerprintStore()
-        for i in range(60):
-            store.add(Fingerprint(features=RNG.random(N_FEATURES),
-                                  radio_id=f"R{i % 3:02d}", snr_db=21.0,
-                                  realization=i % 2))
-        path = tmp_path / "store.rfdn"
-        store.save(path)
-        buf = path.read_bytes()
-        path.write_bytes(buf[:len(buf) // 2])
-        with pytest.raises(InvalidValue):
-            FingerprintStore.load(path)
-
-    def test_load_rejects_trailing_bytes(self, tmp_path):
+    @pytest.mark.parametrize("change, check", [
+        (lambda d: {"radio_ids": json.dumps(["R01", "R01"])},
+         "distinct string ids"),
+        (lambda d: {"radio_ids": json.dumps(["R01", 2])},
+         "distinct string ids"),
+        (lambda d: {"features": d["features"][:, :-1]}, "column shapes"),
+        (lambda d: {"realization": d["realization"][:-1]}, "column shapes"),
+        (lambda d: {"realization": d["realization"].astype(np.int64)},
+         "u32 columns"),
+        (lambda d: {"id_code": d["id_code"] + 1}, "known id codes"),
+        (lambda d: {"features": np.where(d["features"] > 0.5, np.nan,
+                                         d["features"])}, "finite features"),
+    ], ids=["repeated-id", "int-id", "feature-columns", "realization-rows",
+            "i64-realization", "id-code-2", "nan-feature"])
+    def test_inconsistent_arrays_rejected(self, tmp_path, change, check):
+        # Well-formed files, every CRC intact, each failing one check.
         path = tmp_path / "store.rfdn"
         small_store().save(path)
-        path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(InvalidValue):
-            FingerprintStore.load(path)
-
-    def test_load_rejects_non_finite_features(self, tmp_path):
-        path = tmp_path / "store.rfdn"
-        small_store().save(path)
-        # A well-formed file, every CRC intact, that holds one NaN feature.
         arrays = load_arrays(path)
-        arrays["features"][-1, -1] = np.nan
-        save_arrays(path, **arrays)
-        with pytest.raises(InvalidValue):
+        save_arrays(path, **{**arrays, **change(arrays)})
+        with pytest.raises(InvalidValue, match=re.escape(
+                f"store (fails {check})")):
             FingerprintStore.load(path)
 
     def test_load_rejects_version_1(self, tmp_path):
@@ -404,6 +393,47 @@ def stores(draw):
 def same_bits(a, b):
     return (a.dtype == b.dtype and a.shape == b.shape
             and a.tobytes() == b.tobytes())
+
+
+class TestRefusal:
+    """Both saved formats follow one rule: the ``version`` member is read
+    first, then the format's named checks in order, and any fault raises one
+    InvalidValue naming the reason and the command that remakes the file."""
+
+    FORMATS = {"store": (FingerprintStore.load, 4, "fingerprint"),
+               "verifier": (Verifier.load, 1, "train")}
+
+    @pytest.mark.parametrize("kind, change, reason", [
+        ("store", None, r"not a readable array file, FileNotFoundError\(.+"),
+        ("verifier", None,
+         r"not a readable array file, FileNotFoundError\(.+"),
+        # files of other formats, without a member this format has
+        ("store", lambda d: {"version": 5, "radio_ids": None},
+         "fails version 4"),
+        ("verifier", lambda d: {"version": 2, "n_r": None}, "fails version 1"),
+        # the first failed check is named, though a later one would raise
+        ("store", lambda d: {"id_code": d["id_code"].astype(str)},
+         "fails u32 columns"),
+        ("verifier", lambda d: {"indices": d["indices"].astype(float)},
+         "fails feature indices in 0..203"),
+    ], ids=["store-missing", "verifier-missing", "store-version-5",
+            "verifier-version-2", "store-text-id-codes",
+            "verifier-float-indices"])
+    def test_refused_naming_the_reason(self, tmp_path, kind, change, reason):
+        load, version, command = self.FORMATS[kind]
+        path = tmp_path / kind
+        if change is not None:
+            SAVERS[kind](path)
+            arrays = load_arrays(path)
+            arrays.update(change(arrays))
+            save_arrays(path, **{k: a for k, a in arrays.items()
+                                 if a is not None})
+        with pytest.raises(InvalidValue) as refused:
+            load(path)
+        assert re.fullmatch(
+            re.escape(f"{path} is not an intact version-{version} {kind} (")
+            + reason + re.escape(f"); re-run `rfdna {command}`"),
+            str(refused.value))
 
 
 class TestStoreRoundtripProperty:
@@ -513,7 +543,8 @@ class TestCorruption:
 
 class TestArrayFile:
     """load_arrays on files whose every CRC holds but whose content is not
-    a save_arrays file, and on one member flagged as encrypted."""
+    a save_arrays file, and on a member zipfile cannot read: one flagged as
+    encrypted or of an unknown compression method."""
 
     def test_refuses_pickled_objects(self, tmp_path):
         path = tmp_path / "x.npz"
@@ -542,6 +573,16 @@ class TestArrayFile:
         with pytest.raises(InvalidValue, match="encrypted"):
             load_arrays(path)
 
+    def test_refuses_unknown_compression_method(self, tmp_path):
+        path = tmp_path / "x.npz"
+        save_arrays(path, x=np.arange(3))
+        data = bytearray(path.read_bytes())
+        at = data.index(b"PK\x01\x02") + 10       # compression method
+        data[at:at + 2] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidValue, match="compression method is not"):
+            load_arrays(path)
+
     def test_refuses_bytes_before_the_archive(self, tmp_path):
         # zipfile finds the members from the end record, so the prepended
         # byte alone would not stop it; the offset-0 header check does.
@@ -549,6 +590,15 @@ class TestArrayFile:
         save_arrays(path, x=np.arange(3))
         path.write_bytes(b"\0" + path.read_bytes())
         with pytest.raises(InvalidValue, match="no local file header at off"):
+            load_arrays(path)
+
+    def test_refuses_bytes_after_the_end_record(self, tmp_path):
+        # zipfile would take them for a comment the end record does not
+        # announce.
+        path = tmp_path / "x.npz"
+        save_arrays(path, x=np.arange(3))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(InvalidValue, match="bytes after the end record"):
             load_arrays(path)
 
     @pytest.mark.parametrize("kind", ["arrays", "store", "verifier"])

@@ -737,22 +737,6 @@ class TestVerifierFile:
         Verifier.of(cands["R01"]).save(path)
         return path
 
-    def test_missing_and_truncated_files_rejected(self, one_file, tmp_path):
-        with pytest.raises(InvalidValue):
-            Verifier.load(tmp_path / "absent.npz")
-        # The first member's compression method, in the central directory,
-        # set to one zipfile does not support.
-        data = bytearray(one_file.read_bytes())
-        at = data.index(b"PK\x01\x02") + 10
-        data[at:at + 2] = (99).to_bytes(2, "little")
-        unsupported = tmp_path / "unsupported.npz"
-        unsupported.write_bytes(bytes(data))
-        with pytest.raises(InvalidValue):
-            Verifier.load(unsupported)
-        one_file.write_bytes(one_file.read_bytes()[:500])
-        with pytest.raises(InvalidValue):
-            Verifier.load(one_file)
-
     @pytest.mark.parametrize("change, check", [
         (lambda d: {"version": d["version"] + 1}, "version 1"),
         (lambda d: {"n_r": 0}, "array shapes"),
@@ -1149,6 +1133,7 @@ class TestCli:
         (None, "evaluate", MissingData), ({"n_z": 1}, "select", InvalidValue),
         (None, "select --claimed-id ../x", InvalidModel),
         (None, "select --claimed-id R07", InvalidModel),     # a rogue
+        (None, "select --claimed-id=", InvalidModel),        # an empty id
         ({"n_z": 1}, "train", InvalidValue), (None, "report", InvalidValue),
         ({"n_z": 1}, "fingerprint", InvalidValue),
         ({"n_z": 1}, "sweep", InvalidValue),
@@ -1161,11 +1146,19 @@ class TestCli:
             {"radio_id": "R/01"},
             *map(dataclasses.asdict, default_cohort()[1:])]},
          "train", InvalidValue)],
-        ids=["evaluate", "select", "claimed-id", "rogue-claimed-id", "train",
-             "report", "fingerprint", "sweep", "master-seed",
-             "untested-evaluate", "untested-sweep", "slash-radio-id"])
+        ids=["evaluate", "select", "claimed-id", "rogue-claimed-id",
+             "empty-claimed-id", "train", "report", "fingerprint", "sweep",
+             "master-seed", "untested-evaluate", "untested-sweep",
+             "slash-radio-id"])
     def test_failed_command_creates_no_data_root(self, tmp_path, capsys,
-                                                 config, command, error):
+                                                 monkeypatch, config, command,
+                                                 error):
+        # Every input is refused before a store is made; one that is not
+        # fails here at once, not after fingerprinting the default cohort.
+        def no_store(*args):
+            raise AssertionError("a store was made before the refusal")
+
+        monkeypatch.setattr(harness, "generate_dataset", no_store)
         root = tmp_path / "missing"
         args = ["--data-root", str(root), *command.split()]
         if config is not None:
