@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -50,13 +51,6 @@ def _directory(path) -> Path:
     if any(p.exists() and not p.is_dir() for p in (path, *path.parents)):
         raise InvalidValue(f"{path} is not a directory")
     return path
-
-
-def _trial(args, trials):
-    if not 1 <= args.trial <= len(trials):
-        raise InvalidValue(f"--trial must lie in 1..{len(trials)}, got "
-                           f"{args.trial}")
-    return trials[args.trial - 1]
 
 
 def _path(root: Path, profiles, config, snr, kind, *ids) -> Path:
@@ -99,77 +93,86 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_select(args) -> int:
     root, profiles, config, trials = _setup(args)
-    trial, snr = _trial(args, trials), config.snr_grid[-1]
-    claimed = trial.check_authorized(trial.authorized_ids[0]
-                                     if args.claimed_id is None
-                                     else args.claimed_id)
-    store = _store(root, profiles, config, snr)
-    fset = harness.training_pool(store, trial, claimed, config)[0]
-    for method in config.methods:
-        reducer = harness.Reducer(method).fit(fset, config)
-        ranking = reducer.ranking
-        if ranking is not None:
-            out = _path(root, profiles, config, snr, "ranking", method,
-                        claimed)
-            write_csv(out, ["feature_index", "score", "rank", "method"],
-                      ([int(i), repr(float(ranking.scores[i])), rank, method]
-                       for rank, i in enumerate(ranking.order)))
-            print(f"{method}: ranking -> {out}")
-        else:
-            print(f"{method}: projection method, no ranking export")
+    for snr in config.snr_grid:
+        store = _store(root, profiles, config, snr)
+        for trial in trials:
+            for claimed in trial.authorized_ids:
+                fset = harness.training_pool(store, trial, claimed, config)[0]
+                for method in config.methods:
+                    ranking = harness.Reducer(method).fit(fset, config).ranking
+                    if ranking is None:
+                        print(f"{method} {claimed} @ {snr:g} dB: projection "
+                              f"method, no ranking export")
+                        continue
+                    out = _path(root, profiles, config, snr, "ranking",
+                                method, claimed)
+                    write_csv(out, ["feature_index", "score", "rank",
+                                    "method"],
+                              ([int(i), repr(float(ranking.scores[i])), rank,
+                                method]
+                               for rank, i in enumerate(ranking.order)))
+                    print(f"{method} {claimed} @ {snr:g} dB: ranking -> {out}")
+        del store       # so one SNR's store is held at a time
     return 0
 
 
 def cmd_train(args) -> int:
     root, profiles, config, trials = _setup(args)
-    trial, snr = _trial(args, trials), config.snr_grid[-1]
-    store = _store(root, profiles, config, snr)
     ok = True
-    for method in config.methods:
-        models = harness.train_trial(trial, snr, method, store, config)
-        for claimed, cand in models.items():
-            path = _path(root, profiles, config, snr, "verifier", method,
-                         claimed)
-            harness.Verifier.of(cand).save(path)
-            rows = []
-            for c in cand.meta["candidates"]:
-                distance, bc, variance = model_quality(c.pmf_pair)
-                rows.append([c.n_r, *map(repr, (
-                    c.tvr_train, c.fvr_others_train, bc, distance,
-                    variance)), int(c is cand)])
-            write_csv(_path(root, profiles, config, snr, "candidates",
-                            method, claimed),
-                      ["n_r", "tvr_train", "fvr_others_train", "bc",
-                       "mean_distance", "variance_sum", "selected"], rows)
-            print(f"{method} {claimed}: N_r={cand.n_r} "
-                  f"tvr_train={cand.tvr_train:.3f} "
-                  f"fvr_others={cand.fvr_others_train:.3f} -> {path}")
-        ok = ok and all(map(passes_gate, models.values()))
+    for snr in config.snr_grid:
+        store = _store(root, profiles, config, snr)
+        for method, trial in itertools.product(config.methods, trials):
+            models = harness.train_trial(trial, snr, method, store, config)
+            for claimed, cand in models.items():
+                path = _path(root, profiles, config, snr, "verifier", method,
+                             claimed)
+                harness.Verifier.of(cand).save(path)
+                rows = []
+                for c in cand.meta["candidates"]:
+                    distance, bc, variance = model_quality(c.pmf_pair)
+                    rows.append([c.n_r, *map(repr, (
+                        c.tvr_train, c.fvr_others_train, bc, distance,
+                        variance)), int(c is cand)])
+                write_csv(_path(root, profiles, config, snr, "candidates",
+                                method, claimed),
+                          ["n_r", "tvr_train", "fvr_others_train", "bc",
+                           "mean_distance", "variance_sum", "selected"], rows)
+                print(f"{method} {claimed} @ {snr:g} dB: N_r={cand.n_r} "
+                      f"tvr_train={cand.tvr_train:.3f} "
+                      f"fvr_others={cand.fvr_others_train:.3f} -> {path}")
+            ok = ok and all(map(passes_gate, models.values()))
+        del store
     return 0 if ok else 1
 
 
 def cmd_evaluate(args) -> int:
     root, profiles, config, trials = _setup(args)
     check_count("n_test_realizations", config.n_test_realizations, 1)
-    trial, snr = _trial(args, trials), config.snr_grid[-1]
-    # A missing or foreign verifier is refused before a store is made.
-    verifiers = {method: {} for method in config.methods}
-    for method, models in verifiers.items():
-        for claimed in trial.authorized_ids:
-            path = _path(root, profiles, config, snr, "verifier", method,
-                         claimed)
-            if not path.exists():
-                raise MissingData(f"{path} does not exist: run 'rfdna "
-                                  f"train' under these settings first")
-            models[claimed] = harness.Verifier.load(path).enrolled_as(
-                claimed, method, snr)
-    store = _store(root, profiles, config, snr)
-    reports = [harness.evaluate_trial(trial, snr, method, models, store,
-                                      config)
-               for method, models in verifiers.items()]
+
+    def verifier(snr, method, claimed):
+        path = _path(root, profiles, config, snr, "verifier", method, claimed)
+        if not path.exists():
+            raise MissingData(f"{path} does not exist: run 'rfdna train' "
+                              f"under these settings first")
+        return harness.Verifier.load(path).enrolled_as(claimed, method, snr)
+
+    # Every verifier is checked before a store is made, then loaded again
+    # with its SNR's store: one SNR's store and verifiers are held at a time.
+    runs = list(itertools.product(config.methods, trials))
+    for snr in config.snr_grid:
+        for method, trial in runs:
+            for claimed in trial.authorized_ids:
+                verifier(snr, method, claimed)
+    reports = []
+    for snr in config.snr_grid:
+        store = _store(root, profiles, config, snr)
+        reports += [harness.evaluate_trial(
+            t, snr, m, {c: verifier(snr, m, c) for c in t.authorized_ids},
+            store, config) for m, t in runs]
+        del store
     harness.emit_report(reports, root / "reports")
     for r in reports:
-        print(f"{r.method} trial {trial.trial_id} @ {snr:g} dB: gates "
+        print(f"{r.method} trial {r.trial_id} @ {r.snr_db:g} dB: gates "
               f"{'pass' if r.gates_pass() else 'FAIL'}")
     return 0 if all(r.gates_pass() for r in reports) else 1
 
@@ -210,31 +213,23 @@ def main(argv=None) -> int:
     parser.add_argument("--methods", action="append", choices=harness.METHODS,
                         help="selection method; repeat for more")
 
+    commands = {
+        "fingerprint": (cmd_fingerprint, "fingerprint the cohort per SNR"),
+        "select": (cmd_select, "export feature rankings"),
+        "train": (cmd_train, "train and save per-radio verifiers"),
+        "evaluate": (cmd_evaluate, "score the saved verifiers"),
+        "sweep": (cmd_sweep, "full SNR sweep with elimination"),
+        "report": (cmd_report, "re-emit result tables"),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fingerprint", help="fingerprint the cohort per SNR")
-    p = sub.add_parser("select", help="export feature rankings")
-    p.add_argument("--trial", type=int, default=1)
-    p.add_argument("--claimed-id", default=None)
-    p = sub.add_parser("train", help="train and save per-radio verifiers")
-    p.add_argument("--trial", type=int, default=1)
-    p = sub.add_parser("evaluate", help="score one trial's saved verifiers")
-    p.add_argument("--trial", type=int, default=1)
-    sub.add_parser("sweep", help="full SNR sweep with elimination")
-    p = sub.add_parser("report", help="re-emit result tables")
-    p.add_argument("--reports", default=None)
-    p.add_argument("--out", default=None)
+    for name, (_, text) in commands.items():
+        sub.add_parser(name, help=text)
+    sub.choices["report"].add_argument("--reports", default=None)
+    sub.choices["report"].add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    handler = {
-        "fingerprint": cmd_fingerprint,
-        "select": cmd_select,
-        "train": cmd_train,
-        "evaluate": cmd_evaluate,
-        "sweep": cmd_sweep,
-        "report": cmd_report,
-    }[args.command]
     try:
-        return handler(args)
+        return commands[args.command][0](args)
     except RfdnaError as exc:
         print(f"rfdna: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -72,13 +72,6 @@ class TrialConfig:
         if set(self.authorized_ids) & set(self.rogue_ids):
             raise InvalidValue("authorized and rogue sets must be disjoint")
 
-    def check_authorized(self, claimed: str) -> str:
-        """``claimed`` if it is authorized in this trial, else InvalidModel."""
-        if claimed not in self.authorized_ids:
-            raise InvalidModel(f"{claimed!r} is not authorized in trial "
-                               f"{self.trial_id}")
-        return claimed
-
 
 @dataclass
 class ExperimentConfig:
@@ -346,7 +339,9 @@ def training_pool(store: FingerprintStore, trial: TrialConfig, claimed: str,
     ``n_train // n_z_train`` or ``n_train_other // n_z_train``) contributes
     all of its rows: the pool is then smaller than the config asks for, and
     ``underfilled`` is true."""
-    trial.check_authorized(claimed)
+    if claimed not in trial.authorized_ids:
+        raise InvalidModel(f"{claimed!r} is not authorized in trial "
+                           f"{trial.trial_id}")
     train_z = config.train_realizations
     per_z1 = config.n_train // len(train_z)
     per_z2 = config.n_train_other // len(train_z)
@@ -447,6 +442,10 @@ VERIFIER_VERSION = 1
 _SVM_FIELDS = ("support_vectors", "dual_coeffs", "scaler_mean",
                "scaler_scale", "bias", "kernel_zeta", "cost_c")
 _FLAGS = ("gate_fallback", "pool_underfilled")
+# The numpy kind of each 0-d member a verifier file holds.
+_SCALAR_KINDS = {"claimed_id": "U", "method": "U", "snr_db": "f", "n_r": "i",
+                 "bias": "f", "kernel_zeta": "f", "cost_c": "f",
+                 "gate_fallback": "b", "pool_underfilled": "b"}
 
 
 @dataclass
@@ -475,8 +474,8 @@ class Verifier:
         # numpy keeps a cut's layout (Fortran order for PCA), so a reloaded
         # verifier scores bitwise as the fitted one.
         save_arrays(path, version=VERIFIER_VERSION, claimed_id=self.claimed_id,
-                    method=self.method, snr_db=self.snr_db, n_r=self.n_r,
-                    **self.cut, **self.flags,
+                    method=self.method, snr_db=float(self.snr_db),
+                    n_r=self.n_r, **self.cut, **self.flags,
                     **{k: getattr(self.model, k) for k in _SVM_FIELDS})
 
     @classmethod
@@ -485,9 +484,14 @@ class Verifier:
         SNR it holds; :func:`load_checked` refuses a file that is not an
         intact version-1 verifier."""
         def checks(d):
+            yield "0-d scalars of the saved kind", all(
+                d[k].shape == () and d[k].dtype.kind == kind
+                for k, kind in _SCALAR_KINDS.items())
             yield "finite arrays", all(np.isfinite(d[k]).all() for k in d
                                        if k in _SVM_FIELDS + ("basis", "mean"))
-            n_r, idx = int(d["n_r"]), d.get("indices")
+            yield "positive scales", (d["kernel_zeta"] > 0 and d["cost_c"] > 0
+                                      and np.all(d["scaler_scale"] > 0))
+            n_r, idx = d["n_r"].item(), d.get("indices")
             sv = d["support_vectors"]
             yield f"array shapes for N_r = {n_r}", (
                 n_r >= 1 and sv.ndim == 2 and sv.shape[1] == n_r
@@ -507,9 +511,9 @@ class Verifier:
             model = SvmModel(**{k: d[k] for k in _SVM_FIELDS[:4]},
                              **{k: d[k].item() for k in _SVM_FIELDS[4:]},
                              feature_indices=idx)
-            return cls(str(d["claimed_id"]), str(d["method"]),
-                       float(d["snr_db"]), int(d["n_r"]), cut, model,
-                       {key: bool(d[key]) for key in _FLAGS})
+            return cls(d["claimed_id"].item(), d["method"].item(),
+                       d["snr_db"].item(), d["n_r"].item(), cut, model,
+                       {key: d[key].item() for key in _FLAGS})
 
         return load_checked(path, "verifier", VERIFIER_VERSION, "train",
                             checks, build)

@@ -1,12 +1,14 @@
 import copy
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import weakref
 import zipfile
 from pathlib import Path
 
@@ -751,8 +753,19 @@ class TestVerifierFile:
         (lambda d: {"support_vectors": np.full_like(d["support_vectors"],
                                                     np.inf)},
          "finite arrays"),
+        # each loaded and scored NaN or about -6e36 for every burst
+        (lambda d: {"scaler_scale": np.zeros_like(d["scaler_scale"])},
+         "positive scales"),
+        (lambda d: {"kernel_zeta": -5.0}, "positive scales"),
+        # each loaded as another value: N_r truncated, "no" as True, "21"
+        # as 21.0
+        (lambda d: {"n_r": d["n_r"] + 0.7}, "0-d scalars of the saved kind"),
+        (lambda d: {"gate_fallback": "no"}, "0-d scalars of the saved kind"),
+        (lambda d: {"snr_db": "21"}, "0-d scalars of the saved kind"),
     ], ids=["version", "n_r-0", "sv-columns", "n_r", "indices-length",
-            "index-204", "dual-coeffs", "nan-bias", "inf-support-vector"])
+            "index-204", "dual-coeffs", "nan-bias", "inf-support-vector",
+            "zero-scaler-scale", "negative-kernel-zeta", "fractional-n_r",
+            "text-flag", "text-snr"])
     def test_wrong_version_or_inconsistent_arrays_rejected(self, one_file,
                                                            change, check):
         with np.load(one_file) as npz:
@@ -761,6 +774,16 @@ class TestVerifierFile:
         with pytest.raises(InvalidValue, match=re.escape(
                 f"verifier (fails {check}")):
             Verifier.load(one_file)
+
+    def test_integer_snr_loads_as_a_float(self, saved, tmp_path):
+        # A config's "snr_grid": [21] trains at the integer 21; its
+        # verifier is saved with a float SNR, so it loads.
+        _, cands, _ = saved["relieff"]
+        path = tmp_path / "verifier.npz"
+        dataclasses.replace(Verifier.of(cands["R01"]), snr_db=21).save(path)
+        v = Verifier.load(path)
+        assert type(v.snr_db) is float and v.snr_db == 21.0
+        assert v.enrolled_as("R01", "relieff", 21) is v
 
     @pytest.mark.parametrize("claimed, method, snr", [
         ("R02", "relieff", 21.0), ("R01", "bc", 21.0),
@@ -963,6 +986,15 @@ def assert_refused(capsys, argv, error, text=""):
     assert text in err and err.count("\n") == 1
 
 
+def assert_unknown_option(capsys, argv, option):
+    """``cli.main(argv)`` stops at the parser: exit status 2 and an error
+    naming ``option`` as an unrecognized argument."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
 class TestCli:
     def test_fingerprint_report(self, cli_run, report):
         root, rc = cli_run
@@ -993,39 +1025,50 @@ class TestCli:
             [str(i), repr(float(ranking.scores[i])), str(rank), "relieff"]
             for rank, i in enumerate(ranking.order)]
 
-    def test_train_exit_code_follows_gates(self, cli_run, trials):
+    def test_train_exit_code_follows_gates(self, cli_run, trials,
+                                           tmp_path):
+        # Every authorized radio of every trial is trained, and its files
+        # are those training in memory gives.
         root, rc = cli_run
         store = FingerprintStore.load(store_path(root))
         gates = []
-        for claimed in trials[0].authorized_ids:
-            cand = train_best_model(trials[0], claimed, "relieff", 21.0,
-                                    store, cli_config())
-            gates.append(cand.tvr_train >= 0.90
-                         and cand.fvr_others_train <= 0.10)
-            assert trained_path(root, "verifier", "relieff", claimed).suffix \
-                == ".npz"
-            with open(trained_path(root, "candidates", "relieff", claimed),
-                      newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert rows[0] == ["n_r", "tvr_train", "fvr_others_train", "bc",
-                               "mean_distance", "variance_sum", "selected"]
-            # One row per candidate in N_r order, floats as their repr.
-            want = []
-            for c in cand.meta["candidates"]:
-                distance, bc, variance = model_quality(c.pmf_pair)
-                want.append([str(c.n_r), *map(repr, (
-                    c.tvr_train, c.fvr_others_train, bc, distance,
-                    variance)), str(int(c.n_r == cand.n_r))])
-            assert rows[1:] == want
+        for trial in trials:
+            models = harness.train_trial(trial, 21.0, "relieff", store,
+                                         cli_config())
+            for claimed, cand in models.items():
+                gates.append(cand.tvr_train >= 0.90
+                             and cand.fvr_others_train <= 0.10)
+                Verifier.of(cand).save(tmp_path / "want.npz")
+                assert trained_path(root, "verifier", "relieff", claimed
+                                    ).read_bytes() == (
+                    tmp_path / "want.npz").read_bytes()
+                with open(trained_path(root, "candidates", "relieff",
+                                       claimed), newline="") as fh:
+                    rows = list(csv.reader(fh))
+                assert rows[0] == ["n_r", "tvr_train", "fvr_others_train",
+                                   "bc", "mean_distance", "variance_sum",
+                                   "selected"]
+                # One row per candidate in N_r order, floats as their repr.
+                want = []
+                for c in cand.meta["candidates"]:
+                    distance, bc, variance = model_quality(c.pmf_pair)
+                    want.append([str(c.n_r), *map(repr, (
+                        c.tvr_train, c.fvr_others_train, bc, distance,
+                        variance)), str(int(c.n_r == cand.n_r))])
+                assert rows[1:] == want
+        assert len(gates) == 18
         assert rc["train"] == (0 if all(gates) else 1)
 
     def test_evaluate_exit_code_follows_gates(self, cli_run, trials):
+        # One report per trial, in trial order.
         root, rc = cli_run
         store = FingerprintStore.load(store_path(root))
-        want = trial_report(trials[0], 21.0, "relieff", store, cli_config())
+        want = [trial_report(t, 21.0, "relieff", store, cli_config())
+                for t in trials]
         data = json.loads((root / "reports" / "reports.json").read_text())
-        assert data == [json.loads(json.dumps(want.to_dict()))]
-        assert rc["evaluate"] == (0 if want.gates_pass() else 1)
+        assert data == [json.loads(json.dumps(r.to_dict())) for r in want]
+        assert rc["evaluate"] == (
+            0 if all(r.gates_pass() for r in want) else 1)
 
     def test_evaluate_scores_the_saved_verifiers(self, cli_run, trials,
                                                  tmp_path, monkeypatch,
@@ -1103,37 +1146,82 @@ class TestCli:
         rc = {cmd: cli.main(base + [cmd])
               for cmd in ("select", "train", "evaluate")}
 
-        # select ranks the first authorized radio's pool with each method.
-        ids = trials[0].authorized_ids
-        names = sorted(p.name for p in copy_root.glob("ranking_*.csv"))
-        assert [name.rsplit("_", 1)[0] for name in names] == [
-            f"ranking_{m}_R01_snr21" for m in methods]
+        # select ranks every authorized radio's pool with each method, and
+        # train writes a verifier of each.
+        ids = sorted(c for t in trials for c in t.authorized_ids)
+        assert len(ids) == 18
+        for kind in ("ranking", "verifier"):
+            names = sorted(p.name for p in copy_root.glob(f"{kind}_*"))
+            assert [name.rsplit("_", 1)[0] for name in names] == [
+                f"{kind}_{m}_{c}_snr21" for m in methods for c in ids]
+            assert len({name.rsplit("_", 1)[1] for name in names}) == 1
         assert rc["select"] == 0
-        names = sorted(p.name for p in copy_root.glob("verifier_*.npz"))
-        assert [name.rsplit("_", 1)[0] for name in names] == [
-            f"verifier_{m}_{c}_snr21" for m in methods for c in ids]
-        assert len({name.rsplit("_", 1)[1] for name in names}) == 1
         store = FingerprintStore.load(store_path(copy_root))
         train_ok, want = True, []
         for method in methods:
-            models = harness.train_trial(trials[0], 21.0, method, store,
-                                         cli_config())
-            train_ok = train_ok and all(map(passes_gate, models.values()))
-            want.append(evaluate_trial(trials[0], 21.0, method, models,
-                                       store, cli_config()))
+            for trial in trials:
+                models = harness.train_trial(trial, 21.0, method, store,
+                                             cli_config())
+                train_ok = train_ok and all(map(passes_gate,
+                                                models.values()))
+                want.append(evaluate_trial(trial, 21.0, method, models,
+                                           store, cli_config()))
         data = json.loads((copy_root / "reports" / "reports.json")
                           .read_text())
-        assert [d["method"] for d in data] == methods
+        assert [(d["method"], d["trial_id"]) for d in data] == [
+            (m, t) for m in methods for t in (1, 2, 3)]
         assert data == [json.loads(json.dumps(r.to_dict())) for r in want]
         assert rc["train"] == (0 if train_ok else 1)
         assert rc["evaluate"] == (
             0 if all(r.gates_pass() for r in want) else 1)
 
+    def test_train_and_evaluate_cover_every_snr(self, cli_run, trials,
+                                                tmp_path, monkeypatch):
+        # Each SNR of the grid gets its own rankings, verifiers and reports,
+        # in grid order; the 18 dB store is made, the 21 dB one reused.
+        # Each command holds one SNR's store at a time.
+        root, _ = cli_run
+        copy_root, base = data_root_copy(tmp_path, [store_path(root)])
+        base += ["--snr", "21", "--snr", "18"]
+        real_store, stores, held = cli._store, [], []
+
+        def one_store(*args):
+            gc.collect()
+            held.append(sum(s() is not None for s in stores))
+            store = real_store(*args)
+            stores.append(weakref.ref(store))
+            return store
+
+        monkeypatch.setattr(cli, "_store", one_store)
+        rc = {}
+        for cmd in ("select", "train", "evaluate"):
+            stores.clear()
+            rc[cmd] = cli.main(base + [cmd])
+        assert held == [0, 0] * 3
+        want = []
+        for snr in (18.0, 21.0):
+            tag = f"{snr:g}"
+            for kind in ("ranking", "verifier"):
+                assert len(list(copy_root.glob(
+                    f"{kind}_relieff_*_snr{tag}_*"))) == 18
+            store = FingerprintStore.load(store_path(copy_root, tag))
+            want += [trial_report(t, snr, "relieff", store, cli_config())
+                     for t in trials]
+        data = json.loads((copy_root / "reports" / "reports.json")
+                          .read_text())
+        assert [(d["snr_db"], d["trial_id"]) for d in data] == [
+            (snr, t) for snr in (18.0, 21.0) for t in (1, 2, 3)]
+        assert data == [json.loads(json.dumps(r.to_dict())) for r in want]
+        assert rc["evaluate"] == (
+            0 if all(r.gates_pass() for r in want) else 1)
+
     @pytest.mark.parametrize("config, command, error", [
         (None, "evaluate", MissingData), ({"n_z": 1}, "select", InvalidValue),
-        (None, "select --claimed-id ../x", InvalidModel),
-        (None, "select --claimed-id R07", InvalidModel),     # a rogue
-        (None, "select --claimed-id=", InvalidModel),        # an empty id
+        # select ranks every authorized radio: a claimed id, rogue or
+        # empty, is an option the parser no longer knows
+        (None, "select --claimed-id ../x", SystemExit),
+        (None, "select --claimed-id R07", SystemExit),
+        (None, "select --claimed-id=", SystemExit),
         ({"n_z": 1}, "train", InvalidValue), (None, "report", InvalidValue),
         ({"n_z": 1}, "fingerprint", InvalidValue),
         ({"n_z": 1}, "sweep", InvalidValue),
@@ -1171,7 +1259,10 @@ class TestCli:
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))
             args[2:2] = ["--config", str(path)]
-        assert_refused(capsys, args, error)
+        if error is SystemExit:
+            assert_unknown_option(capsys, args, "--claimed-id")
+        else:
+            assert_refused(capsys, args, error)
         assert not root.exists()
 
     def test_data_root_that_is_a_file_refused(self, tmp_path, capsys):
@@ -1257,7 +1348,7 @@ class TestCli:
         (store_b,) = set(root.glob("*.rfdn")) - {store_a}
         assert len(FingerprintStore.load(store_b)) == 18 * 4 * 2
         names = sorted(p.name for p in fresh.glob("verifier_*.npz"))
-        assert len(names) == 6
+        assert len(names) == 18
         assert sorted(p.name for p in root.glob("verifier_*.npz")) == names
         assert all((root / name).read_bytes() == (fresh / name).read_bytes()
                    for name in names)
@@ -1357,13 +1448,12 @@ class TestCli:
         rc = cli.main(base + [str(config_b), "evaluate"])
         store = FingerprintStore.load(store_path(root))
         assert len(store) == 18 * 4 * 2
-        models = harness.train_trial(trials[0], 21.0, "relieff", store, b)
-        want = evaluate_trial(trials[0], 21.0, "relieff", models, store, b)
-        emit_report([want], tmp_path / "want")
+        want = [trial_report(t, 21.0, "relieff", store, b) for t in trials]
+        emit_report(want, tmp_path / "want")
         assert {p.name: p.read_bytes() for p in (root / "reports").iterdir()
                 } == {p.name: p.read_bytes()
                       for p in (tmp_path / "want").iterdir()}
-        assert rc == (0 if want.gates_pass() else 1)
+        assert rc == (0 if all(r.gates_pass() for r in want) else 1)
 
     def test_missing_explicit_manifest_rejected(self, tmp_path, capsys):
         # A missing --manifest is a typo, not a request for the default
@@ -1422,14 +1512,14 @@ class TestCli:
         base = ["--data-root", str(root), "--config", str(path)]
         assert cli.main(base + ["select"]) == 0
         assert cli.main(base + ["train"]) in (0, 1)
-        assert trained_path(root, "ranking", "relieff", "R01").exists()
-        assert len(list(root.glob("verifier_relieff_*.npz"))) == 6
+        assert len(list(root.glob("ranking_relieff_*.csv"))) == 18
+        assert len(list(root.glob("verifier_relieff_*.npz"))) == 18
 
     def test_reports_directory_holds_only_the_last_run(self, cli_run,
                                                        tmp_path, monkeypatch):
-        # A sweep writes plot data for all three trials; a later evaluate
-        # of trial 1 leaves only its own, so the directory is what `report
-        # --out` re-emits from its reports.json.
+        # A sweep of two methods writes plot data for both; a later
+        # evaluate of Relief-F leaves only its own, so the directory is what
+        # `report --out` re-emits from its reports.json.
         root, _ = cli_run
         copy_root, base = data_root_copy(
             tmp_path, [*root.glob("verifier_*.npz"), store_path(root)])
@@ -1441,12 +1531,13 @@ class TestCli:
             m.setattr(harness, "evaluate_trial",
                       lambda trial, snr, method, *args: VerificationReport(
                           trial.trial_id, snr, method, [entry]))
-            assert cli.main(base + ["sweep"]) == 0
+            assert cli.main(base + ["--methods", "bc", "--methods",
+                                    "relieff", "sweep"]) == 0
         reports = copy_root / "reports"
-        assert len(list(reports.glob("plotdata_*.json"))) == 3
+        assert len(list(reports.glob("plotdata_*.json"))) == 6
         assert cli.main(base + ["evaluate"]) in (0, 1)
-        assert [p.name for p in reports.glob("plotdata_*.json")] == [
-            "plotdata_trial1_snr21.0_relieff.json"]
+        assert sorted(p.name for p in reports.glob("plotdata_*.json")) == [
+            f"plotdata_trial{t}_snr21.0_relieff.json" for t in (1, 2, 3)]
         assert cli.main(base + ["report", "--out",
                                 str(tmp_path / "again")]) == 0
         assert {p.name: p.read_bytes() for p in reports.iterdir()} == {
@@ -1584,8 +1675,12 @@ class TestCli:
     @pytest.mark.parametrize("trial", ["0", "4"])
     def test_trial_out_of_range_rejected(self, tmp_path, capsys, command,
                                          trial):
-        assert_refused(capsys, ["--data-root", str(tmp_path), command,
-                                "--trial", trial], InvalidValue)
+        # Every command runs each trial of the layout, so no trial number,
+        # in range or not, is read: the option is refused before any file.
+        root = tmp_path / "missing"
+        assert_unknown_option(capsys, ["--data-root", str(root), command,
+                                       "--trial", trial], "--trial")
+        assert not root.exists()
 
     @pytest.mark.parametrize("data, text", [
         # an older manifest's burst count, which the config now sets
