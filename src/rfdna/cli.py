@@ -1,11 +1,12 @@
 """Command-line entry points for the verification pipeline.
 
-Subcommands mirror the pipeline stages: fingerprint -> select / train
-(writes verifiers) -> evaluate (reads them) -> sweep -> report. The data
-root comes only from --data-root (default ``data``), the cohort only from
---manifest (else the built-in one). Exit status 0: every gate the command
-checks passes; 1: a gate failed; 2: the input was refused, with one
-``rfdna: <error class>: <message>`` line on stderr.
+Subcommands mirror the pipeline stages: fingerprint -> train (writes
+verifiers and the feature ranking each was trained on) -> evaluate (reads
+the verifiers) -> sweep -> report. The data root comes only from
+--data-root (default ``data``), the cohort only from --manifest (else the
+built-in one). Exit status 0: every gate the command checks passes; 1: a
+gate failed; 2: the input was refused, with one ``rfdna: <error class>:
+<message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -91,31 +92,6 @@ def cmd_fingerprint(args) -> int:
     return 0
 
 
-def cmd_select(args) -> int:
-    root, profiles, config, trials = _setup(args)
-    for snr in config.snr_grid:
-        store = _store(root, profiles, config, snr)
-        for trial in trials:
-            for claimed in trial.authorized_ids:
-                fset = harness.training_pool(store, trial, claimed, config)[0]
-                for method in config.methods:
-                    ranking = harness.Reducer(method).fit(fset, config).ranking
-                    if ranking is None:
-                        print(f"{method} {claimed} @ {snr:g} dB: projection "
-                              f"method, no ranking export")
-                        continue
-                    out = _path(root, profiles, config, snr, "ranking",
-                                method, claimed)
-                    write_csv(out, ["feature_index", "score", "rank",
-                                    "method"],
-                              ([int(i), repr(float(ranking.scores[i])), rank,
-                                method]
-                               for rank, i in enumerate(ranking.order)))
-                    print(f"{method} {claimed} @ {snr:g} dB: ranking -> {out}")
-        del store       # so one SNR's store is held at a time
-    return 0
-
-
 def cmd_train(args) -> int:
     root, profiles, config, trials = _setup(args)
     ok = True
@@ -127,6 +103,14 @@ def cmd_train(args) -> int:
                 path = _path(root, profiles, config, snr, "verifier", method,
                              claimed)
                 harness.Verifier.of(cand).save(path)
+                ranking = cand.meta["reducer"].ranking
+                if ranking is not None:         # LDA and PCA rank nothing
+                    write_csv(_path(root, profiles, config, snr, "ranking",
+                                    method, claimed),
+                              ["feature_index", "score", "rank", "method"],
+                              ([int(i), repr(float(ranking.scores[i])), rank,
+                                method]
+                               for rank, i in enumerate(ranking.order)))
                 rows = []
                 for c in cand.meta["candidates"]:
                     distance, bc, variance = model_quality(c.pmf_pair)
@@ -215,8 +199,8 @@ def main(argv=None) -> int:
 
     commands = {
         "fingerprint": (cmd_fingerprint, "fingerprint the cohort per SNR"),
-        "select": (cmd_select, "export feature rankings"),
-        "train": (cmd_train, "train and save per-radio verifiers"),
+        "train": (cmd_train, "train and save per-radio verifiers and "
+                  "feature rankings"),
         "evaluate": (cmd_evaluate, "score the saved verifiers"),
         "sweep": (cmd_sweep, "full SNR sweep with elimination"),
         "report": (cmd_report, "re-emit result tables"),

@@ -656,6 +656,7 @@ def snr_sweep(
     reports = []
     eliminated: dict[str, float] = {}
     for snr in sorted(config.snr_grid, reverse=True):
+        store = None        # freed before the next SNR's store is made
         if any(m not in eliminated for m in config.methods):
             store = store_at(snr)
         for method in config.methods:
@@ -713,7 +714,7 @@ def emit_report(reports: list[VerificationReport], outdir) -> list[Path]:
     rows = []
     for r in reports:
         for e in r.entries:
-            verified = e.get("tvr", e.get("fvr"))
+            verified = e["tvr" if e["kind"] == "authorized" else "fvr"]
             rows.append([r.trial_id, r.snr_db, r.method, e["kind"],
                          e["claimed_id"], e["actual_id"], e["n_r"],
                          repr(verified), repr(1.0 - verified), e["n"]])

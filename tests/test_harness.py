@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rfdna.featsel as featsel
 import rfdna.harness as harness
 from rfdna.errors import (InvalidModel, InvalidValue, MissingData,
                           NumericalFailure)
@@ -825,7 +826,7 @@ class TestEmission:
 
 class TestSweepElimination:
     def test_failing_method_is_skipped_below_failure_snr(self, monkeypatch):
-        calls, loaded = [], []
+        calls, loaded, stores, held = [], [], [], []
 
         def fake_evaluate_trial(trial, snr, method, models, store, config):
             calls.append((snr, trial.trial_id))
@@ -836,8 +837,13 @@ class TestSweepElimination:
             return VerificationReport(trial.trial_id, snr, method, [entry])
 
         def store_at(snr):
+            # How many earlier stores are alive as the next one is made.
+            gc.collect()
+            held.append(sum(s() is not None for s in stores))
             loaded.append(snr)
-            return FingerprintStore()
+            store = FingerprintStore()
+            stores.append(weakref.ref(store))
+            return store
 
         monkeypatch.setattr(harness, "train_trial", lambda *args: {})
         monkeypatch.setattr(harness, "evaluate_trial", fake_evaluate_trial)
@@ -852,6 +858,7 @@ class TestSweepElimination:
         assert reports[2].meta.get("eliminated_at_snr") == 15.0
         assert (3.0, 1) not in calls
         assert loaded == [21.0, 15.0]      # no store once all are eliminated
+        assert held == [0, 0]              # one SNR's store at a time
 
 
 def loaded_after_import(module, prefixes) -> list:
@@ -929,14 +936,14 @@ def cli_config(**overrides):
 
 @pytest.fixture(scope="class")
 def cli_run(tmp_path_factory):
-    """fingerprint -> select -> train -> evaluate through ``cli.main``."""
+    """fingerprint -> train -> evaluate through ``cli.main``."""
     tmp = tmp_path_factory.mktemp("cli")
     root = tmp / "data"
     config_path = tmp / "config.json"
     write_config(cli_config(), config_path)
     base = ["--data-root", str(root), "--config", str(config_path)]
     rc = {cmd: cli.main(base + [cmd])
-          for cmd in ("fingerprint", "select", "train", "evaluate")}
+          for cmd in ("fingerprint", "train", "evaluate")}
     return root, rc
 
 
@@ -986,13 +993,18 @@ def assert_refused(capsys, argv, error, text=""):
     assert text in err and err.count("\n") == 1
 
 
-def assert_unknown_option(capsys, argv, option):
+def assert_parser_stops(capsys, argv, text):
     """``cli.main(argv)`` stops at the parser: exit status 2 and an error
-    naming ``option`` as an unrecognized argument."""
+    holding ``text``."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert text in capsys.readouterr().err
+
+
+# The parser's error at `select`: `train` writes the rankings, and there is
+# no such command.
+NO_SELECT = "invalid choice: 'select'"
 
 
 class TestCli:
@@ -1010,9 +1022,10 @@ class TestCli:
         assert rc == 0
         assert (root / "reports2" / "reports.json").exists()
 
-    def test_select_ranks_the_training_pool(self, cli_run, trials):
+    def test_train_writes_the_ranking_it_fitted(self, cli_run, trials,
+                                                tmp_path, monkeypatch):
         root, rc = cli_run
-        assert rc["select"] == 0
+        assert rc["train"] in (0, 1)
         store = FingerprintStore.load(store_path(root))
         cand = train_best_model(trials[0], "R01", "relieff", 21.0, store,
                                 cli_config())
@@ -1024,6 +1037,26 @@ class TestCli:
         assert rows == [["feature_index", "score", "rank", "method"]] + [
             [str(i), repr(float(ranking.scores[i])), str(rank), "relieff"]
             for rank, i in enumerate(ranking.order)]
+
+        # One fit per training pool; a projection writes no ranking file.
+        copy_root, base = data_root_copy(tmp_path, [store_path(root)])
+        fits = {}
+
+        def counted(name):
+            fit = getattr(featsel, name)
+
+            def counting(*args, **kwargs):
+                fits[name] = fits.get(name, 0) + 1
+                return fit(*args, **kwargs)
+            return counting
+
+        for name in ("rank_relieff", "project_pca"):
+            monkeypatch.setattr(featsel, name, counted(name))
+        assert cli.main(base + ["--methods", "pca", "--methods", "relieff",
+                                "train"]) in (0, 1)
+        assert fits == {"rank_relieff": 18, "project_pca": 18}
+        assert len(list(copy_root.glob("ranking_relieff_*.csv"))) == 18
+        assert not list(copy_root.glob("ranking_pca_*"))
 
     def test_train_exit_code_follows_gates(self, cli_run, trials,
                                            tmp_path):
@@ -1143,11 +1176,10 @@ class TestCli:
         copy_root, base = data_root_copy(tmp_path, [store_path(root)])
         methods = ["bc", "relieff"]
         base += ["--methods", methods[0], "--methods", methods[1]]
-        rc = {cmd: cli.main(base + [cmd])
-              for cmd in ("select", "train", "evaluate")}
+        rc = {cmd: cli.main(base + [cmd]) for cmd in ("train", "evaluate")}
 
-        # select ranks every authorized radio's pool with each method, and
-        # train writes a verifier of each.
+        # train writes a verifier of every authorized radio with each
+        # method, and the ranking of its training pool.
         ids = sorted(c for t in trials for c in t.authorized_ids)
         assert len(ids) == 18
         for kind in ("ranking", "verifier"):
@@ -1155,7 +1187,6 @@ class TestCli:
             assert [name.rsplit("_", 1)[0] for name in names] == [
                 f"{kind}_{m}_{c}_snr21" for m in methods for c in ids]
             assert len({name.rsplit("_", 1)[1] for name in names}) == 1
-        assert rc["select"] == 0
         store = FingerprintStore.load(store_path(copy_root))
         train_ok, want = True, []
         for method in methods:
@@ -1194,10 +1225,10 @@ class TestCli:
 
         monkeypatch.setattr(cli, "_store", one_store)
         rc = {}
-        for cmd in ("select", "train", "evaluate"):
+        for cmd in ("train", "evaluate"):
             stores.clear()
             rc[cmd] = cli.main(base + [cmd])
-        assert held == [0, 0] * 3
+        assert held == [0, 0] * 2
         want = []
         for snr in (18.0, 21.0):
             tag = f"{snr:g}"
@@ -1216,12 +1247,9 @@ class TestCli:
             0 if all(r.gates_pass() for r in want) else 1)
 
     @pytest.mark.parametrize("config, command, error", [
-        (None, "evaluate", MissingData), ({"n_z": 1}, "select", InvalidValue),
-        # select ranks every authorized radio: a claimed id, rogue or
-        # empty, is an option the parser no longer knows
-        (None, "select --claimed-id ../x", SystemExit),
-        (None, "select --claimed-id R07", SystemExit),
-        (None, "select --claimed-id=", SystemExit),
+        (None, "evaluate", MissingData),
+        # no such command: train writes the rankings
+        (None, "select", SystemExit),
         ({"n_z": 1}, "train", InvalidValue), (None, "report", InvalidValue),
         ({"n_z": 1}, "fingerprint", InvalidValue),
         ({"n_z": 1}, "sweep", InvalidValue),
@@ -1234,8 +1262,7 @@ class TestCli:
             {"radio_id": "R/01"},
             *map(dataclasses.asdict, default_cohort()[1:])]},
          "train", InvalidValue)],
-        ids=["evaluate", "select", "claimed-id", "rogue-claimed-id",
-             "empty-claimed-id", "train", "report", "fingerprint", "sweep",
+        ids=["evaluate", "select", "train", "report", "fingerprint", "sweep",
              "master-seed", "untested-evaluate", "untested-sweep",
              "slash-radio-id"])
     def test_failed_command_creates_no_data_root(self, tmp_path, capsys,
@@ -1260,7 +1287,7 @@ class TestCli:
             path.write_text(json.dumps(config))
             args[2:2] = ["--config", str(path)]
         if error is SystemExit:
-            assert_unknown_option(capsys, args, "--claimed-id")
+            assert_parser_stops(capsys, args, NO_SELECT)
         else:
             assert_refused(capsys, args, error)
         assert not root.exists()
@@ -1313,10 +1340,14 @@ class TestCli:
     def test_every_command_makes_a_missing_store(self, cli_run, tmp_path,
                                                  capsys, command):
         # Each makes the store that `fingerprint` made in ``cli_run``, and
-        # prints the line `fingerprint` prints.
+        # prints the line `fingerprint` prints; `select`, gone, makes none.
         root, _ = cli_run
         copy_root, base = data_root_copy(tmp_path,
                                          root.glob("verifier_*.npz"))
+        if command == "select":
+            assert_parser_stops(capsys, base + [command], NO_SELECT)
+            assert not list(copy_root.glob("fingerprints_*"))
+            return
         assert cli.main(base + [command]) in (0, 1)
         made = store_path(copy_root)
         assert made.name == store_path(root).name
@@ -1504,13 +1535,12 @@ class TestCli:
 
     def test_zero_test_realizations_accepted_for_training(self, tmp_path):
         # evaluate and sweep refuse a config with nothing held out (see
-        # test_failed_command_creates_no_data_root); select and train read
-        # only the training realizations, so they run on it.
+        # test_failed_command_creates_no_data_root); train reads only the
+        # training realizations, so it runs on it.
         path = tmp_path / "config.json"
         write_config(cli_config(n_test_realizations=0), path)
         root = tmp_path / "data"
         base = ["--data-root", str(root), "--config", str(path)]
-        assert cli.main(base + ["select"]) == 0
         assert cli.main(base + ["train"]) in (0, 1)
         assert len(list(root.glob("ranking_relieff_*.csv"))) == 18
         assert len(list(root.glob("verifier_relieff_*.npz"))) == 18
@@ -1613,6 +1643,18 @@ class TestCli:
         assert (tmp_path / "out" / "plotdata_trial1_snr-3_relieff.json"
                 ).exists()
 
+    def test_rate_is_the_one_the_entry_kind_names(self, tmp_path):
+        # An other entry's rate is its fvr: a text tvr beside it is not read.
+        src = tmp_path / "reports.json"
+        src.write_text(report_json(entries=[
+            {"kind": "other", "claimed_id": "R01", "actual_id": "R02",
+             "n_r": 5, "fvr": 0.0, "tvr": "x", "n": 3}]))
+        assert cli.main(["--data-root", str(tmp_path), "report", "--reports",
+                         str(src), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "reports.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["rate_verified"] for r in rows] == ["0.0"]
+
     def test_missing_report_file_rejected(self, tmp_path, capsys):
         assert_refused(capsys, ["--data-root", str(tmp_path), "report"],
                        InvalidValue)
@@ -1671,15 +1713,19 @@ class TestCli:
                                 str(path), "fingerprint"], InvalidValue)
         assert not list(root.glob("*.rfdn"))
 
-    @pytest.mark.parametrize("command", ["select", "train", "evaluate"])
-    @pytest.mark.parametrize("trial", ["0", "4"])
+    @pytest.mark.parametrize("trial, command", [
+        ("0", "select"), ("0", "train"), ("4", "train"), ("0", "evaluate"),
+        ("4", "evaluate")])
     def test_trial_out_of_range_rejected(self, tmp_path, capsys, command,
                                          trial):
         # Every command runs each trial of the layout, so no trial number,
         # in range or not, is read: the option is refused before any file.
+        # `select` is refused as a command before its options are read.
         root = tmp_path / "missing"
-        assert_unknown_option(capsys, ["--data-root", str(root), command,
-                                       "--trial", trial], "--trial")
+        assert_parser_stops(
+            capsys, ["--data-root", str(root), command, "--trial", trial],
+            NO_SELECT if command == "select"
+            else "unrecognized arguments: --trial")
         assert not root.exists()
 
     @pytest.mark.parametrize("data, text", [
